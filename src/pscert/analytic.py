@@ -16,15 +16,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (DomainError, PreconditionUnverifiable, PrecisionExhausted,
-                     WidthUnreachable)
+                     VerificationFailed, WidthUnreachable)
 from . import exactnum
 from .exactnum import (ComplexBox, RealInterval, iatan2, icos, iexp,
-                       ilog, isqrt, nearest_integer_distance, pi_interval,
-                       workprec)
+                       ilog, isin, isqrt, nearest_integer_distance,
+                       pi_interval)
 from .powersum import build_pq
-
-SQRT3_OVER_2 = Fraction(866025403784438646763723170752936183471402626905190314027903489725966508,
-                        10 ** 72)  # lower bound on sqrt(3)/2, for sanity checks only
 
 
 @dataclass
@@ -51,12 +48,6 @@ class BoundReport:
     details: dict = dc_field(default_factory=dict)
 
 
-@dataclass
-class HeightBound:
-    d: int
-    dh: RealInterval
-
-
 # -- segment root isolation ---------------------------------------------------
 
 
@@ -64,10 +55,8 @@ def _sign_s(u: Fraction, n: int, prec: int = 64, max_prec: int | None = None) ->
     """Certified sign of s(u*pi) = 2 cos(n u pi) + (2 cos(u pi))^n for
     u in (1/2, 2/3); 0 if undecidable at the cap."""
     while True:
-        with workprec(prec):
-            pi = pi_interval(prec)
-            theta = pi * u
-            val = 2 * icos(theta * n) + (2 * abs(icos(theta))) ** n
+        theta = pi_interval(prec) * u
+        val = 2 * icos(theta * n) + (2 * abs(icos(theta))) ** n
         if max_prec is None:
             max_prec = exactnum.MAX_PREC
         if val.is_positive():
@@ -168,19 +157,17 @@ def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
 
 def _t_enclosure(u_lo: Fraction, u_hi: Fraction, prec: int) -> RealInterval:
     """t = -tan(u*pi)/2 is decreasing in u on (1/2, 2/3)."""
-    with workprec(prec):
-        pi = pi_interval(prec)
+    pi = pi_interval(prec)
 
-        def t_of(u):
-            theta = pi * u
-            c = icos(theta)
-            if not c.is_negative():
-                raise DomainError("theta bracket escaped (pi/2, 2pi/3)")
-            from .exactnum import isin
-            return isin(theta) / (-c) / 2
+    def t_of(u):
+        theta = pi * u
+        c = icos(theta)
+        if not c.is_negative():
+            raise DomainError("theta bracket escaped (pi/2, 2pi/3)")
+        return isin(theta) / (-c) / 2
 
-        t_hi = t_of(u_lo)
-        t_lo = t_of(u_hi)
+    t_hi = t_of(u_lo)
+    t_lo = t_of(u_hi)
     return RealInterval(t_lo.lo, t_hi.hi, prec=prec)
 
 
@@ -226,10 +213,11 @@ def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInte
         raise ValueError(f"Q_{n} is constant")
     top = roots[-1]  # largest t
     while True:
-        with workprec(prec):
-            r = isqrt(Fraction(1, 4) + top.t ** 2)
+        r = isqrt(Fraction(1, 4) + top.t.at_prec(prec) ** 2)
         if r.width <= Fraction(width):
-            assert r.lo > 1
+            if not r.lo > 1:
+                raise VerificationFailed(
+                    f"maximal modulus of Q_{n} not certified above 1")
             return r
         prec *= 2
         top = refine_segment_root(top, Fraction(width) / 8, prec)
@@ -261,8 +249,7 @@ def c_small_threshold(r: RealInterval, b: int) -> BoundReport:
     if not (r.lo > 1 and r.hi >= Fraction(14, 9)):
         raise ValueError("requires r >= 14/9")
     prec = max(r.prec, 128)
-    with workprec(prec):
-        value = pi_interval(prec) * r ** b / 2
+    value = pi_interval(prec) * r.at_prec(prec) ** b / 2
     return BoundReport("small-c exclusion threshold", {"r": r, "b": b},
                        value, "Satisfied",
                        details={"c_excluded_up_to": math.floor(value.lo)})
@@ -272,12 +259,11 @@ def lmn_lower(d: int, h: RealInterval, k: int, prec: int = 128) -> RealInterval:
     """Effective lower bound on |alpha^k - 1| for a degree-d algebraic number
     of height h on the unit circle (linear-forms-in-logarithms type):
     exp(-(9/8) (22 pi + d h) max{34, d log(k/2) + 10}^2)."""
-    with workprec(prec):
-        pi = pi_interval(prec)
-        inner = ilog(RealInterval(Fraction(k, 2), prec=prec)) * d + 10
-        m = _interval_max(inner, Fraction(34))
-        expo = (pi * 22 + h * d) * (m ** 2) * Fraction(9, 8)
-        return iexp(-expo)
+    pi = pi_interval(prec)
+    inner = ilog(RealInterval(Fraction(k, 2), prec=prec)) * d + 10
+    m = _interval_max(inner, Fraction(34))
+    expo = (pi * 22 + h.at_prec(prec) * d) * (m ** 2) * Fraction(9, 8)
+    return iexp(-expo)
 
 
 def _interval_max(x: RealInterval, c: Fraction) -> RealInterval:
@@ -293,8 +279,7 @@ def _c_bracket(rhs: RealInterval, prec: int = 128) -> tuple[int, str]:
     bisection on the increasing branch (c >= 8 > e^2)."""
 
     def f(c: int, p: int) -> RealInterval:
-        with workprec(p):
-            return RealInterval(c, c, prec=p) / ilog(RealInterval(c, c, prec=p)) ** 2
+        return RealInterval(c, c, prec=p) / ilog(RealInterval(c, c, prec=p)) ** 2
 
     def cmp_le(c: int) -> Optional[bool]:
         p = prec
@@ -355,15 +340,14 @@ def general_bounds(a: int, parity_profile: str = "other",
         RealInterval(b_cap, b_cap, prec=prec), "Satisfied",
         details={"b_strictly_below": b_cap})
     denom = 10 * a if one_even else 10 * a * 2 ** a
-    with workprec(prec):
-        r_lo = iexp(RealInterval(Fraction(1, denom), prec=prec))
+    r_lo = iexp(RealInterval(Fraction(1, denom), prec=prec))
     reports["r_lower"] = BoundReport(
         "r lower bound", {"a": a, "parity": parity_profile}, r_lo, "Satisfied",
         details={"formula": f"exp(1/{denom})"})
     if b is not None and r is not None:
-        with workprec(prec):
-            lhs = RealInterval(2 * b ** 8, 2 * b ** 8, prec=prec)
-            rpow = iexp(ilog(r) * b)
+        logr = ilog(r.at_prec(prec))
+        lhs = RealInterval(2 * b ** 8, 2 * b ** 8, prec=prec)
+        rpow = iexp(logr * b)
         if rpow.lo > lhs.hi:
             verdict = "Satisfied"
         elif rpow.hi < lhs.lo:
@@ -373,9 +357,7 @@ def general_bounds(a: int, parity_profile: str = "other",
         reports["unity_exclusion"] = BoundReport(
             "root-of-unity exclusion (2 b^8 <= r^b)", {"b": b, "r": r},
             rpow, verdict, details={"threshold": 2 * b ** 8})
-        with workprec(prec):
-            logr = ilog(r)
-            rhs = (1 + 1 / logr) * (3 * (a * b) ** 6)
+        rhs = (1 + 1 / logr) * (3 * (a * b) ** 6)
         c_max, verdict = _c_bracket(rhs, prec)
         reports["c_bracket"] = BoundReport(
             "finite c bracket", {"a": a, "b": b, "r": r},
@@ -443,11 +425,9 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
         prec *= 2
         t_width /= 10 ** 12
 
-    with workprec(prec):
-        pi = pi_interval(prec)
-        pi_over_theta = pi / theta
-        modulus = isqrt(Fraction(1, 4) + root.t ** 2)
-        threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta
+    pi_over_theta = pi_interval(prec) / theta
+    modulus = isqrt(Fraction(1, 4) + root.t.at_prec(prec) ** 2)
+    threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta
 
     m_lo = max(1, math.floor(Fraction(c_lo) / pi_over_theta.hi))
     m_hi = math.ceil(Fraction(c_hi) / pi_over_theta.lo)

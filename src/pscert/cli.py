@@ -18,7 +18,7 @@ from .criteria import (ExponentSet, conjecture4_conditions,
                        factorial_divisibility, normal4)
 from .exactnum import RealInterval
 from .membership import (MultiPoly, graded_membership, power_sum,
-                         zerodivisor_identity_check)
+                         zerodivisor_identity_target)
 from .pipeline import (SweepSpec, certify_a1, certify_general_bounds,
                        interval_json, run_sweep)
 from .powersum import (build_pq, pair_zset, regseq2, regseq3_mod_p,
@@ -58,10 +58,9 @@ def _exps(text: str) -> list[int]:
 def _parse_poly_spec(spec: str, nvars: int) -> MultiPoly:
     """'p5', 'p2^2', products 'p1*p2^3', or 'zerodivisor-identity'."""
     if spec == "zerodivisor-identity":
-        q = (MultiPoly.monomial((0, 2, 2, 0)) + MultiPoly.monomial((0, 2, 0, 2))
-             + MultiPoly.monomial((0, 0, 2, 2)) - MultiPoly.monomial((4, 0, 0, 0)))
-        prod = MultiPoly.monomial((1, 1, 1, 1))
-        return q * q - (prod * prod).scale(2)
+        if nvars != 4:
+            raise ValueError("zerodivisor-identity is a four-variable target")
+        return zerodivisor_identity_target()
     result = None
     for token in spec.split("*"):
         token = token.strip()
@@ -189,10 +188,7 @@ def cmd_normal4(args) -> int:
 def cmd_member(args) -> int:
     target = _parse_poly_spec(args.target, args.nvars)
     gens = [_parse_poly_spec(g, args.nvars) for g in args.gens.split(",")]
-    if args.target == "zerodivisor-identity" and args.gens == "p2,p8":
-        ans = zerodivisor_identity_check()
-    else:
-        ans = graded_membership(target, gens)
+    ans = graded_membership(target, gens)
     _emit({"member": ans.member, "degree": ans.degree_bound,
            "cofactor_terms": [len(c.terms) for c in ans.cofactors]
            if ans.cofactors else None},

@@ -6,11 +6,11 @@ predicates with constructive, exactly-verified witnesses."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .errors import GcdNotOne
+from .errors import GcdNotOne, VerificationFailed
 from .exactnum import UnityRoot, unity_sum_is_zero
 
 
@@ -139,16 +139,13 @@ def roots_of_unity_case(case: int, a: int, b: int) -> CriterionResult:
     if a == b or a <= 0 or b <= 0:
         raise ValueError("need distinct positive a, b")
     k = abs(b - a)
-    one = UnityRoot(1, 0)
     if case == 1:
         holds = nu(2, a) == nu(2, b)
         witness = None
         if holds:
             e = nu(2, a)
             alpha = UnityRoot(2 ** (e + 1), 1)  # alpha^{2^e} = -1
-            assert (alpha ** k).is_one()
-            assert unity_sum_is_zero([alpha ** a, one])
-            witness = (alpha,)
+            witness = _verified_witness((alpha,), a, k)
         return CriterionResult("unity case 1", holds,
                                {"nu_2(a)": nu(2, a), "nu_2(b)": nu(2, b)},
                                witness)
@@ -159,10 +156,7 @@ def roots_of_unity_case(case: int, a: int, b: int) -> CriterionResult:
         if holds:
             e = n3a
             alpha = UnityRoot(3 ** (e + 1), 1)  # alpha^{3^e} = omega
-            beta = alpha ** 2
-            assert (alpha ** k).is_one() and (beta ** k).is_one()
-            assert unity_sum_is_zero([alpha ** a, beta ** a, one])
-            witness = (alpha, beta)
+            witness = _verified_witness((alpha, alpha ** 2), a, k)
         return CriterionResult("unity case 2", holds,
                                {"nu_3 values (a, b, b-a)": (n3a, n3b, n3d)},
                                witness)
@@ -172,16 +166,21 @@ def roots_of_unity_case(case: int, a: int, b: int) -> CriterionResult:
         if holds:
             e = nu(2, a)
             alpha = UnityRoot(2 ** (e + 1), 1)
-            beta = alpha ** 2
-            gamma = alpha
-            for w in (alpha, beta, gamma):
-                assert (w ** k).is_one()
-            assert unity_sum_is_zero([alpha ** a, beta ** a, gamma ** a, one])
-            witness = (alpha, beta, gamma)
+            witness = _verified_witness((alpha, alpha ** 2, alpha), a, k)
         return CriterionResult("unity case 3", holds,
                                {"nu_2(a)": nu(2, a), "nu_2(b)": nu(2, b)},
                                witness)
     raise ValueError("case must be 1, 2, or 3")
+
+
+def _verified_witness(roots: tuple, a: int, k: int) -> tuple:
+    """`roots` after an exact check that each is a k-th root of unity and
+    that their a-th powers plus 1 sum to zero."""
+    if not all((w ** k).is_one() for w in roots):
+        raise VerificationFailed(f"witness {roots} is not of order dividing {k}")
+    if not unity_sum_is_zero([w ** a for w in roots] + [UnityRoot(1, 0)]):
+        raise VerificationFailed(f"witness {roots} fails the unity sum")
+    return roots
 
 
 def roots_of_unity_bruteforce(case: int, a: int, b: int) -> bool:

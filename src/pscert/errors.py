@@ -41,5 +41,9 @@ class PreconditionUnverifiable(PscertError):
     """Interval enclosures are too wide to verify a bound's hypotheses."""
 
 
+class VerificationFailed(PscertError):
+    """An independent re-check of a computed result failed."""
+
+
 class WidthUnreachable(PrecisionExhausted):
     """Root isolation could not reach the requested enclosure width."""

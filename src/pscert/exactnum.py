@@ -1,84 +1,65 @@
 """Exact scalars and certified interval arithmetic.
 
 Scalars: arbitrary-size integers (Python int), rationals (fractions.Fraction,
-re-exported as Rational), prime-field elements, and exact roots of unity.
+re-exported as Rational), and exact roots of unity.
 
-Intervals: RealInterval / ComplexBox wrap mpmath's interval context, which
-provides outward-rounded arbitrary-precision enclosures.  Every operation
-returns an enclosure of the exact image; widths shrink as the working
-precision grows.  Precision starts at 64 bits and may be escalated by
-callers up to a hard cap (default 16384 bits, override with the
-PSCERT_MAX_PRECISION environment variable).
+Intervals: a RealInterval holds two raw mpf endpoints and its own precision
+and calls mpmath.libmp.libmpi directly, so every operation returns an
+outward-rounded enclosure of the exact image.  Precision rule: a binary
+operation runs at the largest precision among its interval operands, and an
+int or Fraction operand is rounded outward at that precision; a unary
+function runs at its operand's precision; pi_interval takes the precision
+as an argument; constructors default to DEFAULT_PREC (64 bits).  Callers
+escalate by relabelling with at_prec, up to a hard cap (default 16384 bits,
+override with the PSCERT_MAX_PRECISION environment variable).  The interval
+code neither reads nor writes mpmath's global context, so it is thread-safe.
+ComplexBox is a pair of RealIntervals.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable
 
-from mpmath import iv, mp
-from mpmath.libmp import from_int, from_rational
+from mpmath.libmp import from_float, from_int, from_rational, mpf_lt
+from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_div,
+                                 mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pi,
+                                 mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
 
-from .errors import AmbiguousEnclosure, DomainError, PrecisionExhausted
+from .errors import AmbiguousEnclosure, DivisionFailure, DomainError
 
 Rational = Fraction
 
 DEFAULT_PREC = 64
 MAX_PREC = int(os.environ.get("PSCERT_MAX_PRECISION", "16384"))
 
-_WORKPREC: list[int] = []
-
-
-@contextmanager
-def workprec(bits: int):
-    """Force all interval operations in the block to run at `bits` precision."""
-    _WORKPREC.append(bits)
-    try:
-        yield
-    finally:
-        _WORKPREC.pop()
-
-
-def _current_prec(*operands: "RealInterval") -> int:
-    if _WORKPREC:
-        return _WORKPREC[-1]
-    if operands:
-        return max(x.prec for x in operands)
-    return DEFAULT_PREC
-
-
-def _fraction_to_mpf_pair(q: Fraction, prec: int):
-    # mpmath rounds Fraction endpoints outward when building an interval
-    return q
-
 
 class RealInterval:
     """Closed interval [lo, hi] with exact binary endpoints.
 
     Immutable; arithmetic returns new enclosures computed with outward
-    rounding at the working precision.
+    rounding at the precision given by the rule in the module docstring.
     """
 
-    __slots__ = ("_ivl", "prec")
+    __slots__ = ("_mpi", "prec")
 
-    def __init__(self, lo, hi=None, prec: int | None = None):
-        prec = prec if prec is not None else _current_prec()
+    def __init__(self, lo, hi=None, prec: int = DEFAULT_PREC):
         if hi is None:
             hi = lo
         lo_raw = _endpoint_raw(lo, upper=False, prec=prec)
         hi_raw = _endpoint_raw(hi, upper=True, prec=prec)
-        with _ivprec(prec):
-            self._ivl = iv.mpf([mp.make_mpf(lo_raw), mp.make_mpf(hi_raw)])
+        if mpf_lt(hi_raw, lo_raw):
+            raise DomainError("interval endpoints out of order")
+        self._mpi = (lo_raw, hi_raw)
         self.prec = prec
 
     @classmethod
-    def _wrap(cls, ivl, prec: int) -> "RealInterval":
+    def _wrap(cls, mpi, prec: int) -> "RealInterval":
         obj = object.__new__(cls)
-        obj._ivl = ivl
+        obj._mpi = mpi
         obj.prec = prec
         return obj
 
@@ -86,11 +67,11 @@ class RealInterval:
 
     @property
     def lo(self) -> Fraction:
-        return _mpf_to_fraction(self._ivl._mpi_[0])
+        return _mpf_to_fraction(self._mpi[0])
 
     @property
     def hi(self) -> Fraction:
-        return _mpf_to_fraction(self._ivl._mpi_[1])
+        return _mpf_to_fraction(self._mpi[1])
 
     @property
     def width(self) -> Fraction:
@@ -99,11 +80,6 @@ class RealInterval:
     @property
     def mid(self) -> Fraction:
         return (self.lo + self.hi) / 2
-
-    def raw_endpoints(self):
-        """Raw mpf endpoint tuples (sign, mantissa, exponent, bitcount)."""
-        lo, hi = self._ivl._mpi_
-        return lo, hi
 
     def contains(self, value) -> bool:
         q = Fraction(value)
@@ -119,10 +95,8 @@ class RealInterval:
         return self.hi < 0
 
     def at_prec(self, prec: int) -> "RealInterval":
-        lo, hi = self._ivl._mpi_
-        with _ivprec(prec):
-            ivl = iv.mpf([mp.make_mpf(lo), mp.make_mpf(hi)])
-        return RealInterval._wrap(ivl, prec)
+        """The same endpoints, relabelled: later operations run at `prec`."""
+        return RealInterval._wrap(self._mpi, prec)
 
     def intersect(self, other: "RealInterval") -> "RealInterval":
         lo = max(self.lo, other.lo)
@@ -137,42 +111,46 @@ class RealInterval:
 
     # -- arithmetic -----------------------------------------------------------
 
-    def _binary(self, other, fn):
-        other = _coerce(other)
-        prec = _current_prec(self, other)
-        with _ivprec(prec):
-            res = fn(self.at_prec(prec)._ivl, other.at_prec(prec)._ivl)
-        return RealInterval._wrap(res, prec)
+    def _operand(self, other) -> tuple["RealInterval", int]:
+        """`other` as an interval, and the precision the operation runs at."""
+        if isinstance(other, RealInterval):
+            return other, max(self.prec, other.prec)
+        return RealInterval(other, prec=self.prec), self.prec
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        other, prec = self._operand(other)
+        return RealInterval._wrap(mpi_add(self._mpi, other._mpi, prec), prec)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        other, prec = self._operand(other)
+        return RealInterval._wrap(mpi_sub(self._mpi, other._mpi, prec), prec)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other, prec = self._operand(other)
+        return RealInterval._wrap(mpi_sub(other._mpi, self._mpi, prec), prec)
 
     def __mul__(self, other):
-        return self._binary(other, lambda a, b: a * b)
+        other, prec = self._operand(other)
+        return RealInterval._wrap(mpi_mul(self._mpi, other._mpi, prec), prec)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other, prec = self._operand(other)
         if other.contains_zero():
             raise DomainError("division by an interval containing zero")
-        return self._binary(other, lambda a, b: a / b)
+        return RealInterval._wrap(mpi_div(self._mpi, other._mpi, prec), prec)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other, prec = self._operand(other)
+        if self.contains_zero():
+            raise DomainError("division by an interval containing zero")
+        return RealInterval._wrap(mpi_div(other._mpi, self._mpi, prec), prec)
 
     def __neg__(self):
-        prec = _current_prec(self)
-        with _ivprec(prec):
-            return RealInterval._wrap(-self.at_prec(prec)._ivl, prec)
+        return RealInterval._wrap(mpi_neg(self._mpi, self.prec), self.prec)
 
     def __abs__(self):
         if self.lo >= 0:
@@ -184,14 +162,12 @@ class RealInterval:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("only integer powers are supported")
-        prec = _current_prec(self)
         if k < 0:
             return 1 / (self ** (-k))
-        with _ivprec(prec):
-            res = self.at_prec(prec)._ivl ** k
-        out = RealInterval._wrap(res, prec)
+        out = RealInterval._wrap(mpi_pow_int(self._mpi, k, self.prec),
+                                 self.prec)
         if k % 2 == 0 and out.lo < 0:
-            out = RealInterval(0, out.hi, prec=prec)
+            out = RealInterval(0, out.hi, prec=self.prec)
         return out
 
     def __repr__(self):
@@ -204,28 +180,15 @@ def _coerce(x) -> RealInterval:
     return RealInterval(x)
 
 
-@contextmanager
-def _ivprec(bits: int):
-    old_iv, old_mp = iv.prec, mp.prec
-    iv.prec = bits
-    mp.prec = bits + 10
-    try:
-        yield
-    finally:
-        iv.prec, mp.prec = old_iv, old_mp
-
-
 def _endpoint_raw(x, upper: bool, prec: int):
     """Raw mpf tuple for an endpoint, rounded outward when inexact."""
-    rnd = "c" if upper else "f"
     if isinstance(x, Fraction):
-        return from_rational(x.numerator, x.denominator, prec, rnd)
+        return from_rational(x.numerator, x.denominator, prec,
+                             "c" if upper else "f")
     if isinstance(x, int):
         return from_int(x)
     if isinstance(x, float):
-        return mp.mpf(x)._mpf_
-    if hasattr(x, "_mpf_"):
-        return x._mpf_
+        return from_float(x)
     raise TypeError(f"cannot build interval endpoint from {type(x)!r}")
 
 
@@ -235,88 +198,51 @@ def _mpf_to_fraction(raw) -> Fraction:
         if exp != 0:
             raise DomainError("non-finite interval endpoint")
         return Fraction(0)
-    man = int(man)
-    value = Fraction(man, 1) * Fraction(2) ** exp
-    return -value if sign else value
+    man = -int(man) if sign else int(man)
+    return Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
 
 
 # -- elementary functions -----------------------------------------------------
 
 
-def pi_interval(prec: int | None = None) -> RealInterval:
-    prec = prec if prec is not None else _current_prec()
-    with _ivprec(prec):
-        return RealInterval._wrap(+iv.pi, prec)
+def pi_interval(prec: int) -> RealInterval:
+    return RealInterval._wrap(mpi_pi(prec), prec)
 
 
-def _unary(x: RealInterval, name: str, check=None) -> RealInterval:
-    prec = _current_prec(x)
-    if check is not None:
-        check(x)
-    with _ivprec(prec):
-        res = getattr(iv, name)(x.at_prec(prec)._ivl)
-    return RealInterval._wrap(res, prec)
+def _unary(x: RealInterval, fn) -> RealInterval:
+    return RealInterval._wrap(fn(x._mpi, x.prec), x.prec)
 
 
 def iexp(x) -> RealInterval:
-    return _unary(_coerce(x), "exp")
+    return _unary(_coerce(x), mpi_exp)
 
 
 def ilog(x) -> RealInterval:
     x = _coerce(x)
     if x.lo <= 0:
         raise DomainError("log of an interval touching (-inf, 0]")
-    return _unary(x, "log")
+    return _unary(x, mpi_log)
 
 
 def icos(x) -> RealInterval:
-    return _unary(_coerce(x), "cos")
+    return _unary(_coerce(x), mpi_cos)
 
 
 def isin(x) -> RealInterval:
-    return _unary(_coerce(x), "sin")
+    return _unary(_coerce(x), mpi_sin)
 
 
 def isqrt(x) -> RealInterval:
     x = _coerce(x)
     if x.lo < 0:
         raise DomainError("sqrt of an interval touching negatives")
-    return _unary(x, "sqrt")
+    return _unary(x, mpi_sqrt)
 
 
 def iatan2(y: RealInterval, x: RealInterval) -> RealInterval:
     y, x = _coerce(y), _coerce(x)
-    prec = _current_prec(y, x)
-    with _ivprec(prec):
-        res = iv.atan2(y.at_prec(prec)._ivl, x.at_prec(prec)._ivl)
-    return RealInterval._wrap(res, prec)
-
-
-def interval_eval(fn, inputs: Sequence, precision: int = DEFAULT_PREC,
-                  target_width=None, max_precision: int | None = None) -> RealInterval:
-    """Evaluate `fn` over RealInterval inputs, escalating precision on demand.
-
-    `fn` receives one RealInterval per input and must build its result from
-    interval operations only.  When `target_width` is given, the precision is
-    doubled until the result is at least that narrow; PrecisionExhausted is
-    raised at the cap.  Successive results are intersected, so refinement
-    never widens the enclosure.
-    """
-    cap = max_precision if max_precision is not None else MAX_PREC
-    prec = min(precision, cap)
-    best = None
-    while True:
-        args = [_coerce(x).at_prec(prec) for x in inputs]
-        with workprec(prec):
-            res = fn(*args)
-        res = res if best is None else res.intersect(best)
-        best = res
-        if target_width is None or res.width <= Fraction(target_width):
-            return res
-        if prec >= cap:
-            raise PrecisionExhausted(
-                f"width {float(res.width)} > target at {prec} bits")
-        prec = min(2 * prec, cap)
+    prec = max(y.prec, x.prec)
+    return RealInterval._wrap(mpi_atan2(y._mpi, x._mpi, prec), prec)
 
 
 def nearest_integer_distance(x: RealInterval) -> RealInterval:
@@ -442,48 +368,6 @@ def _coerce_box(x) -> ComplexBox:
     return ComplexBox(RealInterval(x), RealInterval(0))
 
 
-# -- prime field elements -----------------------------------------------------
-
-
-class PrimeFieldElem:
-    """Residue in [0, p) for a prime modulus p."""
-
-    __slots__ = ("residue", "p")
-
-    def __init__(self, residue: int, p: int):
-        self.p = p
-        self.residue = residue % p
-
-    def _check(self, other):
-        if self.p != other.p:
-            raise ValueError("mismatched prime moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.residue + other.residue, self.p)
-
-    def __sub__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.residue - other.residue, self.p)
-
-    def __mul__(self, other):
-        self._check(other)
-        return PrimeFieldElem(self.residue * other.residue, self.p)
-
-    def inverse(self) -> "PrimeFieldElem":
-        return PrimeFieldElem(pow(self.residue, -1, self.p), self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeFieldElem) and \
-            (self.residue, self.p) == (other.residue, other.p)
-
-    def __hash__(self):
-        return hash((self.residue, self.p))
-
-    def __repr__(self):
-        return f"PrimeFieldElem({self.residue}, p={self.p})"
-
-
 # -- exact roots of unity -----------------------------------------------------
 
 
@@ -521,12 +405,6 @@ class UnityRoot:
     def is_one(self) -> bool:
         return self.exponent == 0
 
-    def as_complex(self, prec: int = DEFAULT_PREC) -> ComplexBox:
-        two_pi = 2 * pi_interval(prec)
-        angle = two_pi * Fraction(self.exponent, self.order)
-        with workprec(prec):
-            return ComplexBox(icos(angle), isin(angle))
-
     def __repr__(self):
         return f"UnityRoot(order={self.order}, exponent={self.exponent})"
 
@@ -534,15 +412,6 @@ class UnityRoot:
 # Cyclotomic-quotient machinery for deciding vanishing of short sums of
 # roots of unity exactly.  Polynomials here are plain integer coefficient
 # lists, constant term first.
-
-
-def _zpoly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return out
 
 
 def _zpoly_divmod(a: list[int], b: list[int]):
@@ -572,7 +441,8 @@ def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     for d in range(1, n):
         if n % d == 0:
             poly, rem = _zpoly_divmod(poly, list(cyclotomic_coeffs(d)))
-            assert not rem
+            if rem:
+                raise DivisionFailure(f"Phi_{d} does not divide x^{n} - 1")
     return tuple(poly)
 
 
@@ -590,15 +460,3 @@ def unity_sum_is_zero(roots: Iterable[UnityRoot]) -> bool:
     phi = list(cyclotomic_coeffs(lcm))
     _, rem = _zpoly_divmod(coeffs, phi)
     return not rem
-
-
-def unity_arith(x: UnityRoot, y, op: str):
-    """Dispatch helper matching the kernel surface: mul, pow, sum-test."""
-    if op == "mul":
-        return x * y
-    if op == "pow":
-        return x ** y
-    if op == "sum-test":
-        terms = [x] + list(y)
-        return unity_sum_is_zero(terms)
-    raise ValueError(f"unknown op {op!r}")

@@ -8,13 +8,12 @@ come with cofactors that are re-expanded and checked against the target.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, VerificationFailed
 
 
 class MultiPoly:
@@ -155,7 +154,8 @@ def graded_membership(target: MultiPoly, generators: Sequence[MultiPoly]) -> Mem
     acc = MultiPoly.zero(nvars)
     for cof, g in zip(cofactors, generators):
         acc = acc + cof * g
-    assert acc == target, "cofactor verification failed"
+    if acc != target:
+        raise VerificationFailed("cofactors do not re-expand to the target")
     return MembershipAnswer(True, cofactors, deg)
 
 
@@ -199,16 +199,21 @@ def _solve_exact(matrix: list[list[Fraction]], ncols: int):
     return solution
 
 
+def zerodivisor_identity_target(coefficient: int = 2) -> MultiPoly:
+    """(x2^2 x3^2 + x2^2 x4^2 + x3^2 x4^2 - x1^4)^2
+    - coefficient * (x1 x2 x3 x4)^2, in four variables."""
+    q = (MultiPoly.monomial((0, 2, 2, 0)) + MultiPoly.monomial((0, 2, 0, 2))
+         + MultiPoly.monomial((0, 0, 2, 2)) - MultiPoly.monomial((4, 0, 0, 0)))
+    prod = MultiPoly.monomial((1, 1, 1, 1))
+    return q * q - (prod * prod).scale(coefficient)
+
+
 def zerodivisor_identity_check(coefficient: int = 2) -> MembershipAnswer:
-    """Membership of (x2^2 x3^2 + x2^2 x4^2 + x3^2 x4^2 - x1^4)^2
-    - coefficient * (x1 x2 x3 x4)^2 in (p_2, p_8), four variables.
+    """Membership of the zero-divisor identity's target in (p_2, p_8), four
+    variables.
 
     The genuine identity uses coefficient 2; other coefficients serve as
     perturbation controls.
     """
-    n = 4
-    q = (MultiPoly.monomial((0, 2, 2, 0)) + MultiPoly.monomial((0, 2, 0, 2))
-         + MultiPoly.monomial((0, 0, 2, 2)) - MultiPoly.monomial((4, 0, 0, 0)))
-    prod = MultiPoly.monomial((1, 1, 1, 1))
-    target = q * q - (prod * prod).scale(coefficient)
-    return graded_membership(target, [power_sum(n, 2), power_sum(n, 8)])
+    return graded_membership(zerodivisor_identity_target(coefficient),
+                             [power_sum(4, 2), power_sum(4, 8)])

@@ -18,8 +18,8 @@ from typing import Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
                        general_bounds, isolate_segment_roots, lmn3_c_max,
-                       max_modulus, refine_segment_root)
-from .exactnum import RealInterval
+                       max_modulus)
+from .exactnum import RealInterval, isqrt
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
 
@@ -60,9 +60,9 @@ def parse_dyadic_hex(s: str) -> Fraction:
     return sign * Fraction(int(man, 16)) * Fraction(2) ** int(exp)
 
 
-def interval_json(iv: RealInterval) -> dict:
-    return {"lo": dyadic_hex(iv.lo), "hi": dyadic_hex(iv.hi),
-            "prec": iv.prec, "approx": [float(iv.lo), float(iv.hi)]}
+def interval_json(x: RealInterval) -> dict:
+    return {"lo": dyadic_hex(x.lo), "hi": dyadic_hex(x.hi),
+            "prec": x.prec, "approx": [float(x.lo), float(x.hi)]}
 
 
 def interval_from_json(d: dict) -> RealInterval:
@@ -219,9 +219,7 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
 
 
 def _t_of_r(r: RealInterval) -> RealInterval:
-    from .exactnum import isqrt, workprec
-    with workprec(r.prec):
-        return isqrt(r * r - Fraction(1, 4))
+    return isqrt(r * r - Fraction(1, 4))
 
 
 # -- other certificate kinds --------------------------------------------------

@@ -9,12 +9,11 @@ fields.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BadPrime, DivisionFailure
-from .unipoly import (ExactPoly, GF, QQ, QuotientElem, Split, ZZ, factor_mod_p,
+from .unipoly import (ExactPoly, GF, QQ, QuotientElem, ZZ, factor_mod_p,
                       poly_gcd, quotient_poly_gcd, resultant_bivariate,
                       squarefree_part)
 
@@ -42,15 +41,6 @@ class ZSet:
     @property
     def has_trivial_zeros(self) -> bool:
         return self.zero_minus_one_present or self.cube_roots_present
-
-
-@dataclass
-class CandidateReport:
-    """Unresolved surviving factors from a triple check; never silently
-    treated as empty."""
-    exponents: tuple
-    surviving_factors: list[ExactPoly]
-    note: str = ""
 
 
 @dataclass
@@ -247,8 +237,6 @@ def regseq3_rational(a: int, b: int, c: int) -> RegSeqVerdict:
             return RegSeqVerdict(exps, "QQ", "Regular")
         return RegSeqVerdict(exps, "QQ", "NotRegular", witness=z.defining_poly)
     z = triple_zset(a, b, c)
-    if isinstance(z, CandidateReport):
-        return RegSeqVerdict(exps, "QQ", "Unknown", witness=z)
     if z.is_empty:
         return RegSeqVerdict(exps, "QQ", "Regular")
     return RegSeqVerdict(exps, "QQ", "NotRegular", witness=z.defining_poly)

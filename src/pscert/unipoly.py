@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Sequence, Union
 
 from .errors import DivisionFailure, RingMismatch
 
@@ -225,7 +225,6 @@ class ExactPoly:
         return q
 
     def __call__(self, x):
-        acc = _zero(self.ring) if not isinstance(x, (int, Fraction)) else 0
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -498,7 +497,8 @@ def factor_mod_p(f: ExactPoly) -> list[tuple[ExactPoly, int]]:
     """Factor a nonzero polynomial over F_p (p odd) into monic irreducibles
     with multiplicities, via squarefree/distinct-degree/equal-degree splitting."""
     ring = f.ring
-    assert isinstance(ring, tuple)
+    if not isinstance(ring, tuple):
+        raise RingMismatch(f"factor_mod_p needs a prime field, not {ring}")
     p = ring[1]
     if f.is_zero():
         raise ZeroDivisionError("factor of zero")
@@ -748,14 +748,12 @@ def _qgcd_branch(raw_polys, modulus: ExactPoly):
         return [(modulus, [])]
     g = polys[0]
     for p in polys[1:]:
-        out = []
-        for branch_mod, branch_g in _euclid_quotient(g, p, modulus):
-            if branch_mod.degree != modulus.degree:
-                # splitting happened; recurse on the branch modulus from scratch
-                out.extend(_qgcd_branch(raw_polys, branch_mod))
-                return out
-            g = branch_g
-        # no split: continue folding
+        branches = _euclid_quotient(g, p, modulus)
+        if any(m.degree != modulus.degree for m, _ in branches):
+            # the modulus split: redo the whole fold on every factor
+            return [out for m, _ in branches
+                    for out in _qgcd_branch(raw_polys, m)]
+        g = branches[0][1]
     return [(modulus, _make_monic_branch(g, modulus))]
 
 

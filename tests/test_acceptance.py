@@ -16,7 +16,7 @@ from pscert.analytic import (bound_14_9, c_small_threshold, close_window,
                              lmn3_c_max, max_modulus)
 from pscert.criteria import (normal4, roots_of_unity_bruteforce,
                              roots_of_unity_case)
-from pscert.exactnum import RealInterval, isqrt, workprec
+from pscert.exactnum import RealInterval, isqrt
 from pscert.membership import (graded_membership, power_sum,
                                zerodivisor_identity_check)
 from pscert.pipeline import (SweepSpec, certify_a1, replay_certificate,
@@ -89,8 +89,7 @@ def test_criterion_03_b8_end_to_end_and_window_cases():
 
 
 def test_criterion_04_group_of_six_constant():
-    with workprec(128):
-        t = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
+    t = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4), prec=128))
     rep = bound_14_9(t)
     assert rep.verdict == "Satisfied"
     assert Fraction(4885, 10 ** 4) < rep.value.lo
@@ -186,10 +185,8 @@ def test_criterion_11_property_gates(tmp_path):
     assert blobs[0] == blobs[1]
 
     # verdict stability of analytic reports under precision doubling
-    with workprec(128):
-        t1 = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
-    with workprec(256):
-        t2 = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
+    t1 = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4), prec=128))
+    t2 = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4), prec=256))
     assert bound_14_9(t1).verdict == bound_14_9(t2).verdict
     assert lmn3_c_max(8, prec=128).verdict == lmn3_c_max(8, prec=256).verdict
     r1, r2 = max_modulus(8, prec=128), max_modulus(8, prec=256)

@@ -10,7 +10,7 @@ from pscert.analytic import (BoundReport, SegmentRoot, _sign_s, bound_14_9,
                              lmn_lower, max_modulus, refine_segment_root,
                              ten_delta_check, window_theta)
 from pscert.errors import PreconditionUnverifiable
-from pscert.exactnum import ComplexBox, RealInterval, isqrt, workprec
+from pscert.exactnum import ComplexBox, RealInterval, isqrt
 from pscert.powersum import build_pq
 
 
@@ -78,16 +78,15 @@ class TestMaxModulus:
     def test_matches_largest_t(self):
         roots = isolate_segment_roots(10)
         top = max(roots, key=lambda r: r.t.lo)
-        with workprec(128):
-            expected = isqrt(Fraction(1, 4) + top.t ** 2)
+        expected = isqrt(Fraction(1, 4) + top.t.at_prec(128) ** 2)
         mm = max_modulus(10)
         assert mm.lo <= expected.hi and expected.lo <= mm.hi
 
 
 class TestBounds:
     def test_14_9_constant(self):
-        with workprec(128):
-            t = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
+        t = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4),
+                               prec=128))
         rep = bound_14_9(t)
         assert rep.verdict == "Satisfied"
         assert Fraction(4885, 10 ** 4) < rep.value.lo
@@ -100,8 +99,8 @@ class TestBounds:
         assert rep.value.lo > Fraction(1, 2)
 
     def test_14_9_boundary(self):
-        with workprec(128):
-            t = isqrt(Fraction(3, 4) + Fraction(1, 10 ** 6))
+        t = isqrt(RealInterval(Fraction(3, 4) + Fraction(1, 10 ** 6),
+                               prec=128))
         rep = bound_14_9(t)
         assert rep.verdict == "Satisfied"
         assert rep.value.hi < Fraction(1, 10 ** 6)
@@ -197,8 +196,7 @@ class TestGeneralBounds:
 
 class TestTenDelta:
     def test_omega_exact_zero_delta(self):
-        with workprec(128):
-            im = isqrt(Fraction(3, 4))
+        im = isqrt(RealInterval(Fraction(3, 4), prec=128))
         w = ComplexBox(Fraction(-1, 2), im)
         rep = ten_delta_check(w, RealInterval(0, 0))
         assert rep.verdict == "Satisfied"
@@ -247,18 +245,17 @@ class TestCloseWindow:
         root = refine_segment_root(root, Fraction(1, 10 ** 24), prec=256)
         theta = window_theta(8, root, 256)
         from pscert.exactnum import nearest_integer_distance, pi_interval
-        with workprec(256):
-            x = pi_interval(256) / theta
+        x = pi_interval(256) / theta
         d = nearest_integer_distance(x)
         assert Fraction(32, 100) < d.lo < d.hi < Fraction(33, 100)
 
 
 class TestVerdictStability:
     def test_reports_stable_under_precision_doubling(self):
-        with workprec(128):
-            t = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
-        with workprec(256):
-            t2 = isqrt(Fraction(14, 9) ** 2 - Fraction(1, 4))
+        t = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4),
+                               prec=128))
+        t2 = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4),
+                                prec=256))
         assert bound_14_9(t).verdict == bound_14_9(t2).verdict
         assert lmn3_c_max(8, prec=128).details == \
             lmn3_c_max(8, prec=256).details

@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from pscert.errors import AmbiguousEnclosure, DomainError
 from pscert.exactnum import (ComplexBox, RealInterval, UnityRoot,
                              cyclotomic_coeffs, iatan2, icos, iexp, ilog,
-                             interval_eval, isin, isqrt,
-                             nearest_integer_distance, pi_interval,
-                             unity_sum_is_zero, workprec)
+                             isin, isqrt, nearest_integer_distance,
+                             pi_interval, unity_sum_is_zero)
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=10 ** 6)
@@ -69,6 +68,18 @@ class TestRealInterval:
         fine = coarse.at_prec(256)
         assert coarse.lo <= fine.lo and fine.hi <= coarse.hi
 
+    def test_precision_rule(self):
+        x = RealInterval(1, prec=256)
+        third = RealInterval(Fraction(1, 3), prec=256)
+        y = x * Fraction(1, 3)  # the Fraction is rounded at 256 bits
+        assert y.prec == 256 and (y.lo, y.hi) == (third.lo, third.hi)
+        assert (RealInterval(1, prec=64) + x).prec == 256
+        assert icos(x.at_prec(96)).prec == 96
+
+    def test_endpoints_out_of_order_rejected(self):
+        with pytest.raises(DomainError):
+            RealInterval(2, 1)
+
     def test_intersect_and_hull(self):
         a = RealInterval(0, 2)
         b = RealInterval(1, 3)
@@ -84,9 +95,8 @@ class TestTranscendental:
         assert pi.width < Fraction(1, 2 ** 100)
 
     def test_exp_log_roundtrip(self):
-        with workprec(128):
-            x = RealInterval(Fraction(3, 2), Fraction(3, 2), prec=128)
-            back = ilog(iexp(x))
+        x = RealInterval(Fraction(3, 2), Fraction(3, 2), prec=128)
+        back = ilog(iexp(x))
         assert back.contains(Fraction(3, 2))
 
     def test_log_domain_error(self):
@@ -94,9 +104,8 @@ class TestTranscendental:
             ilog(RealInterval(-1, 1))
 
     def test_cos_sin_identity(self):
-        with workprec(128):
-            x = RealInterval(Fraction(7, 5), Fraction(7, 5), prec=128)
-            s = icos(x) ** 2 + isin(x) ** 2
+        x = RealInterval(Fraction(7, 5), Fraction(7, 5), prec=128)
+        s = icos(x) ** 2 + isin(x) ** 2
         assert s.contains(Fraction(1))
         assert s.width < Fraction(1, 2 ** 64)
 
@@ -105,26 +114,10 @@ class TestTranscendental:
         assert r.lo ** 2 <= 2 <= r.hi ** 2
 
     def test_atan2_quadrant(self):
-        with workprec(128):
-            th = iatan2(RealInterval(1, 1), RealInterval(-1, -1))
+        th = iatan2(RealInterval(1, 1, prec=128),
+                    RealInterval(-1, -1, prec=128))
         # angle of (-1 + i) is 3*pi/4
         assert Fraction(23, 10) < th.lo < th.hi < Fraction(24, 10)
-
-
-class TestIntervalEval:
-    def test_narrowing_to_target(self):
-        out = interval_eval(iexp, [RealInterval(1, 1)], precision=32,
-                            target_width=Fraction(1, 10 ** 30))
-        assert out.width <= Fraction(1, 10 ** 30)
-        assert Fraction(2718281828, 10 ** 9) < out.lo
-        assert out.hi < Fraction(27182818285, 10 ** 10)
-
-    def test_tighter_target_gives_subset(self):
-        loose = interval_eval(iexp, [RealInterval(1, 1)], precision=32,
-                              target_width=Fraction(1, 10 ** 6))
-        tight = interval_eval(iexp, [RealInterval(1, 1)], precision=32,
-                              target_width=Fraction(1, 10 ** 30))
-        assert loose.lo <= tight.lo and tight.hi <= loose.hi
 
 
 class TestNearestIntegerDistance:

@@ -1,6 +1,9 @@
 """Certificates, replay, sweeps, and the command-line interface."""
 
+import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -70,6 +73,60 @@ class TestCertifyA1:
         for b in (10, 11, 13):
             cert = certify_a1(b)
             assert cert.conclusion["status"] == "closed", b
+
+
+class TestGoldenBytes:
+    """SHA-256 of certificate bytes recorded before the interval core moved
+    from mpmath's global interval context to per-interval precision."""
+
+    A1 = {
+        7: "3f31528cc8fbd9db9d475cdc1ae10e9359985e2c6dbf0058ed1100d7c5aaada4",
+        8: "997acca194396fde1c61b3b21b5333116ba4f1f40506a05b525314beba72ee47",
+        9: "a1cb2010d6267beca9dfc6909a95c10c9506bbcea91c7dbbcdbc41feeb77f1fe",
+        11: "036c00bda1d34de299f30df77edfa4c2d9d07b2af484ed44408acf82d18221eb",
+    }
+    GENERAL_BOUNDS = {
+        128: "178a799776e302e00f4390c4d9ef587294d35a99903bfcc79719fd8e8a559f31",
+        256: "68e759d5aa32e2f04341feb9b87c880a1392ee76b26269097ffb83311d9d96e0",
+    }
+    ROOTS_10 = \
+        "5ae67fb55fea820a3217a8c8adf54c5b664cb933ea685483cabc6d32518f87a4"
+
+    @staticmethod
+    def sha(blob: bytes) -> str:
+        return hashlib.sha256(blob).hexdigest()
+
+    def test_a1_certificates(self):
+        for b, digest in self.A1.items():
+            assert self.sha(certify_a1(b).json_bytes()) == digest, b
+
+    def test_general_bounds_certificates(self):
+        for prec, digest in self.GENERAL_BOUNDS.items():
+            r = RealInterval(Fraction(21, 20), prec=prec)
+            cert = certify_general_bounds(2, "other", 7, r, prec=prec)
+            assert self.sha(cert.json_bytes()) == digest, prec
+
+    def test_roots_json(self, capsys):
+        assert main(["roots", "--n", "10", "--json"]) == 0
+        assert self.sha(capsys.readouterr().out.encode()) == self.ROOTS_10
+
+
+class TestThreadedDeterminism:
+    def test_threads_match_serial_runs(self):
+        jobs = [(8, 128), (10, 512)]
+        serial = [certify_a1(b, prec=p).json_bytes() for b, p in jobs]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the two threads finely
+        try:
+            for _ in range(3):
+                with ThreadPoolExecutor(max_workers=2) as pool:
+                    futures = [pool.submit(certify_a1, b, prec=p)
+                               for b, p in jobs]
+                    threaded = [f.result(timeout=300).json_bytes()
+                                for f in futures]
+                assert threaded == serial
+        finally:
+            sys.setswitchinterval(old)
 
 
 class TestOtherCertificates:
@@ -201,6 +258,17 @@ class TestCli:
         assert main(["member", "--target", "p5", "--gens", "p1,p2",
                      "--nvars", "4"]) == 0
         assert "True" in capsys.readouterr().out
+
+    def test_member_identity_any_generator_order(self, capsys):
+        assert main(["member", "--target", "zerodivisor-identity",
+                     "--gens", "p8,p2", "--nvars", "4"]) == 0
+        assert "member: True" in capsys.readouterr().out
+
+    def test_member_identity_needs_four_variables(self, capsys):
+        for gens in ("p2,p8", "p8,p2"):
+            assert main(["member", "--target", "zerodivisor-identity",
+                         "--gens", gens, "--nvars", "5"]) == 1
+            capsys.readouterr()
 
     def test_bounds_command(self, capsys):
         assert main(["bounds", "--a", "2", "--json"]) == 0

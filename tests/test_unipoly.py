@@ -250,3 +250,21 @@ class TestQuotientGcd:
         for mod, _ in branches:
             total = total * mod
         assert total.monic() == modulus.monic()
+
+    def test_quotient_poly_gcd_keeps_every_branch(self):
+        # modulus (x-1)(x-2) over GF(101); gcd(y - 1, y - x) has degree 1 on
+        # the x-1 branch and is constant on the x-2 branch
+        ring = GF(101)
+        modulus = ExactPoly([2, -3, 1], ring)
+        f = [QuotientElem(ExactPoly([-1], ring), modulus),
+             QuotientElem(ExactPoly.one(ring), modulus)]  # y - 1
+        g = [QuotientElem(ExactPoly([0, -1], ring), modulus),
+             QuotientElem(ExactPoly.one(ring), modulus)]  # y - x
+        branches = quotient_poly_gcd([f, g])
+        total = ExactPoly.one(ring)
+        for mod, _ in branches:
+            total = total * mod
+        assert total.monic() == modulus.monic()
+        by_root = {mod.monic(): gcd_y for mod, gcd_y in branches}
+        assert len(by_root[ExactPoly([-1, 1], ring)]) == 2
+        assert len(by_root[ExactPoly([-2, 1], ring)]) == 1

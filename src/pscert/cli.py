@@ -358,6 +358,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
+    old_max_prec = exactnum.MAX_PREC
     if args.max_precision:
         exactnum.MAX_PREC = args.max_precision
     try:
@@ -370,6 +371,8 @@ def main(argv=None) -> int:
             print(f"error: {diag['error']}: {diag['message']}",
                   file=sys.stderr)
         return 1
+    finally:
+        exactnum.MAX_PREC = old_max_prec
 
 
 if __name__ == "__main__":

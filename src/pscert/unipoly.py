@@ -7,20 +7,28 @@ trivial gcds: if the gcd mod a prime not dividing either leading
 coefficient is constant, the rational gcd is constant.
 
 Also provides: resultants (univariate and bivariate via
-evaluation/interpolation), squarefree part, distinct-degree plus
-equal-degree factorization over F_p, multi-prime irreducibility
-certificates over Z, and quotient-ring arithmetic with dynamic splitting.
+evaluation/interpolation), squarefree part, factorization over F_p,
+multi-prime irreducibility certificates over Z, and quotient-ring
+arithmetic with dynamic splitting.
+
+One distinct-degree kernel serves both F_p consumers.  It applies the
+Frobenius map h -> h^p mod f as a precomputed matrix (rows x^(i*p) mod f)
+and yields the blocks (d, product of the degree-d factors).  The
+irreducibility certificate reads its factor-degree patterns straight from
+the blocks (`ddf_degrees`); `factor_mod_p` splits the blocks further by
+Cantor-Zassenhaus equal-degree splitting.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionFailure, RingMismatch
+from .errors import DivisionFailure, DomainError, RingMismatch
 
 RingTag = Union[str, tuple]
 
@@ -495,7 +503,9 @@ def squarefree_part(f: ExactPoly) -> ExactPoly:
 
 def factor_mod_p(f: ExactPoly) -> list[tuple[ExactPoly, int]]:
     """Factor a nonzero polynomial over F_p (p odd) into monic irreducibles
-    with multiplicities, via squarefree/distinct-degree/equal-degree splitting."""
+    with multiplicities.  Squarefree decomposition feeds each squarefree
+    part to the distinct-degree kernel `_ddf_blocks`; equal-degree splitting
+    then runs on its blocks only."""
     ring = f.ring
     if not isinstance(ring, tuple):
         raise RingMismatch(f"factor_mod_p needs a prime field, not {ring}")
@@ -519,30 +529,56 @@ def factor_mod_p(f: ExactPoly) -> list[tuple[ExactPoly, int]]:
             stack.append((g.exact_div(d), mult))
             stack.append((d, mult))
             continue
-        for q in _factor_squarefree(g, p):
-            factors[q] = factors.get(q, 0) + mult
+        for deg, block in _ddf_blocks(g):
+            for q in _equal_degree_split(block, deg, p):
+                factors[q] = factors.get(q, 0) + mult
     return sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
 
 
-def _factor_squarefree(f: ExactPoly, p: int) -> list[ExactPoly]:
+def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of a squarefree f over F_p,
+    read from its distinct-degree blocks without splitting them."""
+    if not isinstance(f.ring, tuple):
+        raise RingMismatch(f"ddf_degrees needs a prime field, not {f.ring}")
+    if poly_gcd(f, f.derivative()).degree > 0:
+        raise DomainError("ddf_degrees needs a squarefree polynomial")
+    return tuple(sorted(d for d, block in _ddf_blocks(f.monic())
+                        for _ in range(block.degree // d)))
+
+
+def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
+    """Distinct-degree factorization of a monic squarefree f over F_p: pairs
+    (d, g) where g is the monic product of the degree-d irreducible factors.
+
+    The Frobenius map h -> h^p mod f is linear over F_p, so it is applied as
+    a matrix whose column j holds coefficient j of x^(i*p) mod f over all i
+    (von zur Gathen-Shoup).  h stays reduced mod f rather than mod the
+    unfactored rest v: gcd(v, h - x) is the same because v divides f."""
     ring = f.ring
-    out = []
+    p = ring[1]
+    n = f.degree
     x = ExactPoly.x(ring)
+    xp = _powmod(x, p, f)
+    rows = [ExactPoly.one(ring)]
+    for _ in range(1, n):
+        rows.append(rows[-1] * xp % f)
+    columns = [[row[j] for row in rows] for j in range(n)]
+    blocks = []
     h = x
     v = f
     d = 0
     while v.degree > 0:
         d += 1
         if 2 * d > v.degree:
-            out.append(v.monic())
+            blocks.append((v.degree, v))
             break
-        h = _powmod(h, p, v)
+        hc = h.coeffs
+        h = ExactPoly([sum(map(operator.mul, hc, col)) for col in columns], ring)
         g = poly_gcd(v, h - x)
         if g.degree > 0:
-            out.extend(_equal_degree_split(g, d, p))
+            blocks.append((d, g))
             v = v.exact_div(g)
-            h = h % v
-    return out
+    return blocks
 
 
 def _powmod(base: ExactPoly, e: int, mod: ExactPoly) -> ExactPoly:
@@ -567,9 +603,7 @@ def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
         if a.degree < 1:
             continue
         g = poly_gcd(f, a)
-        if 0 < g.degree < f.degree:
-            pass
-        else:
+        if not 0 < g.degree < f.degree:
             b = _powmod(a, (p ** d - 1) // 2, f) - ExactPoly.one(ring)
             g = poly_gcd(f, b)
             if not 0 < g.degree < f.degree:
@@ -642,8 +676,7 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
         p = next(gen)
         if fz.leading() % p == 0 or disc % p == 0:
             continue
-        fp = fz.to_ring(GF(p))
-        degs = tuple(sorted(q.degree for q, _ in factor_mod_p(fp)))
+        degs = ddf_degrees(fz.to_ring(GF(p)))
         primes_used.append(p)
         patterns.append(degs)
         sums = _subset_sums(degs)
@@ -754,7 +787,7 @@ def _qgcd_branch(raw_polys, modulus: ExactPoly):
             return [out for m, _ in branches
                     for out in _qgcd_branch(raw_polys, m)]
         g = branches[0][1]
-    return [(modulus, _make_monic_branch(g, modulus))]
+    return _make_monic_branch(g, modulus)
 
 
 def _euclid_quotient(a, b, modulus: ExactPoly):
@@ -802,11 +835,12 @@ def _poly_mod_quotient(a, b_monic, modulus):
 
 
 def _make_monic_branch(g, modulus):
+    """Branches (modulus factor, monic gcd) for g; a zero-divisor leading
+    coefficient splits the modulus and each factor is normalized anew."""
     g = _trim(g, modulus)
     if not g:
-        return []
-    lead = QuotientElem(g[-1], modulus)
-    inv = lead.inverse_or_split()
+        return [(modulus, [])]
+    inv = QuotientElem(g[-1], modulus).inverse_or_split()
     if isinstance(inv, Split):
-        return g  # caller re-branches; leave unnormalized
-    return [c * inv.representative % modulus for c in g]
+        return [out for fac in inv.factors for out in _qgcd_branch([g], fac)]
+    return [(modulus, [c * inv.representative % modulus for c in g])]

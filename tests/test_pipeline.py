@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pscert import exactnum
 from pscert.cli import main, poly_str
 from pscert.exactnum import RealInterval
 from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
@@ -77,13 +78,17 @@ class TestCertifyA1:
 
 class TestGoldenBytes:
     """SHA-256 of certificate bytes recorded before the interval core moved
-    from mpmath's global interval context to per-interval precision."""
+    from mpmath's global interval context to per-interval precision, and
+    (b = 25, 42) before factor-degree patterns came from the distinct-degree
+    kernel instead of full factorizations."""
 
     A1 = {
         7: "3f31528cc8fbd9db9d475cdc1ae10e9359985e2c6dbf0058ed1100d7c5aaada4",
         8: "997acca194396fde1c61b3b21b5333116ba4f1f40506a05b525314beba72ee47",
         9: "a1cb2010d6267beca9dfc6909a95c10c9506bbcea91c7dbbcdbc41feeb77f1fe",
         11: "036c00bda1d34de299f30df77edfa4c2d9d07b2af484ed44408acf82d18221eb",
+        25: "af26c964a51b8d7a8b19d8b5dc5542821cb6d46742a73352011c6da6a6f00a93",
+        42: "eff2b1be4ca684efd122718bd9d9603e470d17e293722a485161a36895a95ca9",
     }
     GENERAL_BOUNDS = {
         128: "178a799776e302e00f4390c4d9ef587294d35a99903bfcc79719fd8e8a559f31",
@@ -217,6 +222,11 @@ class TestCli:
         assert poly_str(ExactPoly([2, 2, 2], ZZ)) == "2x^2 + 2x + 2"
         assert poly_str(ExactPoly([0, -1, 1], ZZ)) == "x^2 - x"
         assert poly_str(ExactPoly([], ZZ)) == "0"
+
+    def test_max_precision_is_restored(self, capsys):
+        before = exactnum.MAX_PREC
+        assert main(["--max-precision", "128", "roots", "--n", "8"]) == 0
+        assert exactnum.MAX_PREC == before
 
     def test_pq_exit_zero(self, capsys):
         assert main(["pq", "--n", "2"]) == 0

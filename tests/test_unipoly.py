@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pscert.errors import DivisionFailure, RingMismatch
+from pscert import unipoly
+from pscert.errors import DivisionFailure, DomainError, RingMismatch
+from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, QuotientElem,
-                            certify_irreducible, factor_mod_p, poly_gcd,
-                            quotient_poly_gcd, resultant,
+                            certify_irreducible, ddf_degrees, factor_mod_p,
+                            poly_gcd, quotient_poly_gcd, resultant,
                             resultant_bivariate, squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
@@ -189,6 +192,42 @@ class TestFactorModP:
             (ExactPoly([1, 1], ZZ) * ExactPoly([1, 0, 1], ZZ)).to_ring(QQ).monic()
 
 
+class TestDistinctDegree:
+    @pytest.mark.parametrize("b", [12, 25, 42])
+    def test_patterns_match_sympy(self, b):
+        q = build_pq(b).Q.primitive_part()
+        cert = certify_irreducible(q)
+        x = sympy.Symbol("x")
+        for p, pattern in list(zip(cert.primes, cert.degree_patterns))[:3]:
+            poly = sympy.Poly(list(reversed(q.coeffs)), x, modulus=p)
+            _, factors = poly.factor_list()
+            oracle = sorted(g.degree() for g, mult in factors for _ in range(mult))
+            assert ddf_degrees(q.to_ring(GF(p))) == pattern == tuple(oracle)
+
+    @given(p=st.sampled_from([3, 5, 7, 101]),
+           coeffs=st.lists(st.integers(min_value=0, max_value=100),
+                           min_size=1, max_size=9))
+    @settings(max_examples=80, deadline=None)
+    def test_pattern_matches_factor_mod_p(self, p, coeffs):
+        f = ExactPoly(coeffs + [1], GF(p))
+        assume(poly_gcd(f, f.derivative()).degree == 0)
+        pattern = ddf_degrees(f)
+        assert pattern == tuple(sorted(q.degree for q, _ in factor_mod_p(f)))
+        assert sum(pattern) == f.degree
+
+    def test_rejects_repeated_factor(self):
+        lin = ExactPoly([1, 1], GF(7))
+        with pytest.raises(DomainError):
+            ddf_degrees(lin * lin * ExactPoly([1, 0, 1], GF(7)))
+
+    def test_certificate_needs_no_equal_degree_split(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("equal-degree splitting on the certify path")
+        monkeypatch.setattr(unipoly, "_equal_degree_split", refuse)
+        cert = certify_irreducible(build_pq(42).Q.primitive_part())
+        assert cert.verdict == "Irreducible"
+
+
 class TestIrreducibility:
     def test_irreducible_quadratic(self):
         cert = certify_irreducible(ExactPoly([1, 0, 1], ZZ))
@@ -268,3 +307,19 @@ class TestQuotientGcd:
         by_root = {mod.monic(): gcd_y for mod, gcd_y in branches}
         assert len(by_root[ExactPoly([-1, 1], ring)]) == 2
         assert len(by_root[ExactPoly([-2, 1], ring)]) == 1
+
+    def test_zero_divisor_leading_coefficient_splits(self):
+        # 5 + (x-1) y modulo (x-1)(x-2) over GF(101): the leading coefficient
+        # vanishes on the x-1 branch, where the gcd is the constant 5
+        ring = GF(101)
+        modulus = ExactPoly([2, -3, 1], ring)
+        f = [QuotientElem(ExactPoly([5], ring), modulus),
+             QuotientElem(ExactPoly([-1, 1], ring), modulus)]
+        branches = quotient_poly_gcd([f])
+        total = ExactPoly.one(ring)
+        for mod, _ in branches:
+            total = total * mod
+        assert total.monic() == modulus.monic()
+        by_root = {mod.monic(): gcd_y for mod, gcd_y in branches}
+        assert by_root[ExactPoly([-1, 1], ring)] == [ExactPoly.one(ring)]
+        assert len(by_root[ExactPoly([-2, 1], ring)]) == 2

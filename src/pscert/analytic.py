@@ -242,11 +242,19 @@ def bound_14_9(t: RealInterval) -> BoundReport:
                        {"t": t}, value, verdict)
 
 
-def c_small_threshold(r: RealInterval, b: int) -> BoundReport:
-    """pi * r^b / 2; every c up to floor(lower endpoint) is excluded."""
-    # the outward-rounded enclosure of 14/9 itself must be admissible, so
-    # compare the upper endpoint against the threshold
-    if not (r.lo > 1 and r.hi >= Fraction(14, 9)):
+def c_small_threshold(r: RealInterval | Fraction, b: int,
+                      prec: int = 128) -> BoundReport:
+    """pi * r^b / 2; every c up to floor(lower endpoint) is excluded.
+
+    r is a lower bound on the maximal modulus and must be at least 14/9.
+    An interval is checked on its lower endpoint.  An exact Fraction is
+    checked exactly and then enclosed at `prec` (an enclosure of 14/9
+    itself reaches below 14/9)."""
+    if isinstance(r, Fraction):
+        if r < Fraction(14, 9):
+            raise ValueError("requires r >= 14/9")
+        r = RealInterval(r, prec=prec)
+    elif r.lo < Fraction(14, 9):
         raise ValueError("requires r >= 14/9")
     prec = max(r.prec, 128)
     value = pi_interval(prec) * r.at_prec(prec) ** b / 2

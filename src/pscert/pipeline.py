@@ -177,17 +177,17 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
         cert.add_step("max-modulus", {"n": b}, {"r": interval_json(r)},
                       "conclusive", prec)
     else:
-        r = RealInterval(Fraction(14, 9), Fraction(14, 9), prec=prec)
+        r = Fraction(14, 9)
         cert.caveats.append("irreducibility inconclusive: fell back to the "
                             "unconditional modulus lower bound 14/9")
-        rep = bound_14_9(_t_of_r(r))
+        rep = bound_14_9(_t_of_r(RealInterval(r, prec=prec)))
         _report_step(cert, rep, prec)
         if rep.verdict != "Satisfied":
             cert.conclusion = {"status": "undecided",
                                "detail": "fallback contradiction bound failed"}
             return cert
 
-    small = c_small_threshold(r, b)
+    small = c_small_threshold(r, b, prec=prec)
     _report_step(cert, small, prec)
     c_lo = small.details["c_excluded_up_to"]
     big = lmn3_c_max(b, prec)

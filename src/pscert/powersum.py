@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 from .errors import BadPrime, DivisionFailure
@@ -18,7 +19,7 @@ from .unipoly import (ExactPoly, GF, QQ, QuotientElem, ZZ, factor_mod_p,
                       squarefree_part)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PQDecomposition:
     n: int
     P: ExactPoly  # over ZZ
@@ -81,8 +82,15 @@ def trivial_factor(n: int, ring=ZZ) -> ExactPoly:
 
 
 def build_pq(n: int) -> PQDecomposition:
+    """P_n = C_n * Q_n.  Built once per n and process; every caller gets the
+    same object, so its polynomials must not be mutated."""
     if n < 2:
         raise ValueError("n must be at least 2")
+    return _pq(n)
+
+
+@lru_cache(maxsize=None)
+def _pq(n: int) -> PQDecomposition:
     P = build_p(n)
     C = trivial_factor(n)
     try:

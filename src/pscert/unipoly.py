@@ -290,7 +290,7 @@ def _rational_to_primitive(f: ExactPoly) -> ExactPoly:
     den = 1
     for c in f.coeffs:
         den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
+    ints = [c.numerator * (den // c.denominator) for c in f.coeffs]
     return ExactPoly(ints, ZZ).primitive_part()
 
 
@@ -313,8 +313,8 @@ def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
             a, b = b, a % b
         return a.monic()
     # Q or Z: compute over Z via the subresultant sequence
-    fz = _rational_to_primitive(f.to_ring(QQ))
-    gz = _rational_to_primitive(g.to_ring(QQ))
+    fz = f.primitive_part()
+    gz = g.primitive_part()
     if _modular_gcd_is_trivial(fz, gz):
         one = ExactPoly.one(f.ring)
         return one
@@ -671,6 +671,9 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
     primes_used = []
     patterns = []
     disc = resultant(fz, fz.derivative())
+    if disc == 0:  # no prime would be usable
+        raise DomainError("certify_irreducible needs a squarefree "
+                          "nonconstant polynomial")
     gen = _primes_from((1 << 30) + 1)
     while len(primes_used) < prime_budget:
         p = next(gen)

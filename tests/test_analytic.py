@@ -110,12 +110,28 @@ class TestBounds:
         assert rep.details["c_excluded_up_to"] >= 2500
 
     def test_c_small_threshold_b43(self):
-        r = RealInterval(Fraction(14, 9), Fraction(14, 9), prec=128)
-        rep = c_small_threshold(r, 43)
+        rep = c_small_threshold(Fraction(14, 9), 43)
         assert rep.value.lo > 10 ** 6
 
+    def test_c_small_threshold_rejects_interval_below_14_9(self):
+        # only the upper endpoint of [6/5, 8/5] reaches 14/9
+        with pytest.raises(ValueError):
+            c_small_threshold(RealInterval(Fraction(6, 5), Fraction(8, 5),
+                                           prec=128), 8)
+        with pytest.raises(ValueError):
+            c_small_threshold(RealInterval(Fraction(14, 9), prec=128), 8)
+
+    def test_c_small_threshold_exact_r(self):
+        with pytest.raises(ValueError):
+            c_small_threshold(Fraction(14, 9) - Fraction(1, 10 ** 30), 8)
+        rep = c_small_threshold(Fraction(14, 9), 8, prec=96)
+        enclosure = RealInterval(Fraction(14, 9), prec=96)
+        assert rep.inputs["r"].prec == 96
+        assert (rep.inputs["r"].lo, rep.inputs["r"].hi) == \
+            (enclosure.lo, enclosure.hi)
+
     def test_c_small_monotone(self):
-        r1 = RealInterval(Fraction(14, 9), Fraction(14, 9), prec=128)
+        r1 = Fraction(14, 9)
         r2 = RealInterval(Fraction(2), Fraction(2), prec=128)
         for b in (8, 12, 20):
             assert c_small_threshold(r1, b).value.hi < \
@@ -153,8 +169,8 @@ class TestBounds:
     def test_lmn3_contradiction_b43(self):
         # small-c threshold at r = 14/9 exceeds the large-c cap: the two
         # regimes overlap and every c is excluded
-        r = RealInterval(Fraction(14, 9), Fraction(14, 9), prec=128)
-        c_lo = c_small_threshold(r, 43).details["c_excluded_up_to"]
+        c_lo = c_small_threshold(Fraction(14, 9), 43) \
+            .details["c_excluded_up_to"]
         c_hi = lmn3_c_max(43).details["c_max"]
         assert c_lo >= c_hi
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pscert import exactnum
+from pscert import exactnum, pipeline
 from pscert.cli import main, poly_str
 from pscert.exactnum import RealInterval
 from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
@@ -16,6 +16,7 @@ from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
                              dyadic_hex, frac_str, interval_from_json,
                              interval_json, parse_dyadic_hex, parse_frac,
                              replay_certificate, run_sweep)
+from pscert.unipoly import IrreducibilityCertificate
 
 
 class TestSerialization:
@@ -78,9 +79,11 @@ class TestCertifyA1:
 
 class TestGoldenBytes:
     """SHA-256 of certificate bytes recorded before the interval core moved
-    from mpmath's global interval context to per-interval precision, and
+    from mpmath's global interval context to per-interval precision,
     (b = 25, 42) before factor-degree patterns came from the distinct-degree
-    kernel instead of full factorizations."""
+    kernel instead of full factorizations, and (the 14/9 fallback and the
+    pair sweep) before the cofactors Q_n were cached and the integer gcd
+    skipped its round trip through Fraction."""
 
     A1 = {
         7: "3f31528cc8fbd9db9d475cdc1ae10e9359985e2c6dbf0058ed1100d7c5aaada4",
@@ -96,6 +99,16 @@ class TestGoldenBytes:
     }
     ROOTS_10 = \
         "5ae67fb55fea820a3217a8c8adf54c5b664cb933ea685483cabc6d32518f87a4"
+    # certify_a1 with the irreducibility step forced to "Inconclusive", so
+    # that it falls back to the modulus lower bound 14/9; keyed by prec
+    A1_FALLBACK_B8 = {
+        128: "cec9a5489d69f9d5f9bed1b10bbdc27532ba8bb3b1042b00393ee27c0e4d668a",
+        64: "1a00cb0de8556de767e5c47fd8f8d50da3353a8566c65a9797110a773b3f0d59",
+    }
+    # the 1711 pair-a1 certificates for 2 <= b < c <= 60, concatenated in
+    # file-name order
+    PAIR_SWEEP_60 = \
+        "ec9d530f6c1a07e1f20447d55b352e3c8e5fd4de72168955473e335c712fa79d"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -110,6 +123,30 @@ class TestGoldenBytes:
             r = RealInterval(Fraction(21, 20), prec=prec)
             cert = certify_general_bounds(2, "other", 7, r, prec=prec)
             assert self.sha(cert.json_bytes()) == digest, prec
+
+    def test_a1_fallback_certificates(self, monkeypatch):
+        real = pipeline.certify_irreducible
+
+        def inconclusive(f):
+            cert = real(f)
+            return IrreducibilityCertificate(cert.polynomial, cert.primes,
+                                             cert.degree_patterns,
+                                             "Inconclusive")
+        monkeypatch.setattr(pipeline, "certify_irreducible", inconclusive)
+        for prec, digest in self.A1_FALLBACK_B8.items():
+            cert = certify_a1(8, prec=prec)
+            assert cert.conclusion["status"] == "closed"
+            assert self.sha(cert.json_bytes()) == digest, prec
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_pair_sweep_certificates(self, tmp_path, workers):
+        spec = SweepSpec("pair-a1", {"b_max": 60, "c_max": 60}, [],
+                         workers=workers, outdir=str(tmp_path))
+        assert run_sweep(spec)["instances"] == 1711
+        digest = hashlib.sha256()
+        for f in sorted(tmp_path.iterdir(), key=lambda f: f.name):
+            digest.update(f.read_bytes())
+        assert digest.hexdigest() == self.PAIR_SWEEP_60
 
     def test_roots_json(self, capsys):
         assert main(["roots", "--n", "10", "--json"]) == 0

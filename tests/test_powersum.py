@@ -1,8 +1,13 @@
 """Power-sum polynomial constructions and regular-sequence decisions."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from pscert import powersum
 from pscert.errors import BadPrime
+from pscert.pipeline import SweepSpec, certify_a1, run_sweep
 from pscert.powersum import (build_p, build_pq, pair_zset, regseq2,
                              regseq3_mod_p, regseq3_rational, trivial_factor,
                              triple_zset)
@@ -42,6 +47,32 @@ class TestBuild:
     def test_vacuous_cofactors(self):
         for n in (2, 3, 4, 5, 7):
             assert build_pq(n).Q.degree == 0
+
+
+class TestCofactorCache:
+    def test_cache_survives_callers(self):
+        # every consumer shares the cached polynomials; none may mutate them
+        run_sweep(SweepSpec("pair-a1", {"b_max": 60, "c_max": 60}, []))
+        certify_a1(8)
+        misses = powersum._pq.cache_info().misses
+        for n in range(2, 61):
+            assert powersum._pq(n) == powersum._pq.__wrapped__(n), n
+        assert powersum._pq.cache_info().misses == misses
+
+    def test_one_object_per_n(self):
+        assert build_pq(12) is build_pq(12)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            build_pq(12).Q = build_pq(18).Q
+
+    def test_invalid_n_still_raises(self):
+        for _ in range(2):  # a raise is never cached
+            with pytest.raises(ValueError):
+                build_pq(1)
+
+    def test_build_pq_stays_a_plain_function(self):
+        # span tracing wraps the public plain functions of a module
+        assert inspect.isfunction(build_pq)
+        assert build_pq.__module__ == "pscert.powersum"
 
 
 class TestPairZSet:

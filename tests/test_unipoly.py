@@ -1,8 +1,13 @@
 """Exact univariate polynomial arithmetic: gcd, resultants, factorization
 over prime fields, irreducibility certificates, and quotient-ring gcds."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -23,6 +28,18 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9),
 
 def _nonzero(p: ExactPoly) -> bool:
     return not p.is_zero()
+
+
+def _sympy_poly(f: ExactPoly, x):
+    if f.ring == ZZ:
+        return sympy.Poly(list(reversed(f.coeffs)), x, domain="ZZ")
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in reversed(f.coeffs)], x, domain="QQ")
+
+
+def _from_sympy(poly, ring) -> ExactPoly:
+    return ExactPoly([Fraction(int(c.p), int(c.q))
+                      for c in reversed(poly.all_coeffs())], ring)
 
 
 class TestArithmetic:
@@ -228,6 +245,40 @@ class TestDistinctDegree:
         assert cert.verdict == "Irreducible"
 
 
+class TestGcdOracle:
+    """poly_gcd against sympy's gcd on products with a planted common
+    factor: equal up to the primitive normalisation over ZZ (positive
+    leading coefficient) and the monic one over QQ."""
+
+    int_coeffs = st.lists(st.integers(min_value=-20, max_value=20),
+                          min_size=1, max_size=7)
+    rational = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+
+    @given(a=int_coeffs, b=int_coeffs, h=int_coeffs)
+    @settings(max_examples=80, deadline=None)
+    def test_over_zz(self, a, b, h):
+        f = ExactPoly(a, ZZ) * ExactPoly(h, ZZ)
+        g = ExactPoly(b, ZZ) * ExactPoly(h, ZZ)
+        assume(not f.is_zero() and not g.is_zero())
+        x = sympy.Symbol("x")
+        _, oracle = _sympy_poly(f, x).gcd(_sympy_poly(g, x)).primitive()
+        if oracle.LC() < 0:
+            oracle = -oracle
+        assert poly_gcd(f, g) == _from_sympy(oracle, ZZ)
+
+    @given(a=st.lists(rational, min_size=1, max_size=7),
+           b=st.lists(rational, min_size=1, max_size=7),
+           h=st.lists(rational, min_size=1, max_size=7))
+    @settings(max_examples=80, deadline=None)
+    def test_over_qq(self, a, b, h):
+        f = ExactPoly(a, QQ) * ExactPoly(h, QQ)
+        g = ExactPoly(b, QQ) * ExactPoly(h, QQ)
+        assume(not f.is_zero() and not g.is_zero())
+        x = sympy.Symbol("x")
+        oracle = _sympy_poly(f, x).gcd(_sympy_poly(g, x)).monic()
+        assert poly_gcd(f, g) == _from_sympy(oracle, QQ)
+
+
 class TestIrreducibility:
     def test_irreducible_quadratic(self):
         cert = certify_irreducible(ExactPoly([1, 0, 1], ZZ))
@@ -243,6 +294,30 @@ class TestIrreducibility:
         # x^4 + x^3 + x^2 + x + 1
         cert = certify_irreducible(ExactPoly([1, 1, 1, 1, 1], ZZ))
         assert cert.verdict == "Irreducible"
+
+    @pytest.mark.parametrize("coeffs", [[1, 2, 1], [3]])
+    def test_zero_discriminant_raises(self, coeffs):
+        # (x+1)^2 and a constant: resultant(f, f') = 0, so every prime
+        # divides it; run in a subprocess so that a hang fails the test
+        script = textwrap.dedent(f"""
+            from pscert.errors import DomainError
+            from pscert.unipoly import ZZ, ExactPoly, certify_irreducible
+            try:
+                certify_irreducible(ExactPoly({coeffs}, ZZ))
+            except DomainError:
+                raise SystemExit(0)
+            raise SystemExit(3)
+        """)
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+        try:
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=60)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"certify_irreducible({coeffs}) did not return")
+        assert proc.returncode == 0, proc.stderr
 
     def test_patterns_consistent(self):
         f = ExactPoly([2, 0, 0, 0, 0, 0, 1], ZZ)

@@ -1,19 +1,24 @@
 """Bounded-degree ideal membership for multivariate power sums.
 
 Homogeneous targets and generators only: membership in the graded piece is
-an exact rational linear system (columns indexed by generator x complementary
-monomial), solved by Gaussian elimination over Fraction.  Positive answers
-come with cofactors that are re-expanded and checked against the target.
+an exact rational linear system A x = t (rows indexed by the monomials of
+the target's degree, columns by generator x complementary monomial).  The
+system is held as sparse rows and solved by fraction-free elimination over
+the integers.  Positive answers come with cofactors that are re-expanded
+and checked against the target; negative answers come with a left-kernel
+witness y (y A = 0, y t = 1) that is checked exactly against the generator
+multiples and the target.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Sequence
 
-from .errors import DegreeMismatch, VerificationFailed
+from .errors import DegreeMismatch, RingMismatch, VerificationFailed
 
 
 class MultiPoly:
@@ -49,6 +54,7 @@ class MultiPoly:
         return len(degs) <= 1
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        _check_ring(self, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
             out[e] = out.get(e, Fraction(0)) + c
@@ -61,6 +67,7 @@ class MultiPoly:
         return MultiPoly(self.nvars, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
+        _check_ring(self, other)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -74,6 +81,11 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly(nvars={self.nvars}, {len(self.terms)} terms)"
+
+
+def _check_ring(f: MultiPoly, g: MultiPoly):
+    if f.nvars != g.nvars:
+        raise RingMismatch(f"{f.nvars} vs {g.nvars} variables")
 
 
 def power_sum(n: int, a: int) -> MultiPoly:
@@ -105,11 +117,17 @@ class MembershipAnswer:
     member: bool
     cofactors: Optional[list[MultiPoly]]
     degree_bound: int
+    # on a negative answer: a linear functional on the monomials of degree
+    # `degree_bound` that is 0 on every generator multiple and 1 on the target
+    witness: Optional[dict] = None
 
 
 def graded_membership(target: MultiPoly, generators: Sequence[MultiPoly]) -> MembershipAnswer:
     """Decide target in (generators) within the graded piece of the target's
-    degree; exact, with verified cofactors on success."""
+    degree; exact, with verified cofactors on success and a verified
+    left-kernel witness on failure."""
+    for g in generators:
+        _check_ring(target, g)
     if not target.is_homogeneous():
         raise DegreeMismatch("target is not homogeneous")
     for g in generators:
@@ -132,19 +150,25 @@ def graded_membership(target: MultiPoly, generators: Sequence[MultiPoly]) -> Mem
             columns.append((gi, m))
             col_polys.append(g * MultiPoly.monomial(m))
 
-    rows = monomials_of_degree(nvars, deg)
-    row_index = {m: i for i, m in enumerate(rows)}
-    nrows, ncols = len(rows), len(columns)
-    matrix = [[Fraction(0)] * (ncols + 1) for _ in range(nrows)]
+    monomials = monomials_of_degree(nvars, deg)
+    row_index = {m: i for i, m in enumerate(monomials)}
+    ncols = len(columns)
+    rows: list[dict] = [{} for _ in monomials]
     for j, poly in enumerate(col_polys):
         for e, c in poly.terms.items():
-            matrix[row_index[e]][j] = c
+            rows[row_index[e]][j] = c
     for e, c in target.terms.items():
-        matrix[row_index[e]][ncols] = c
+        rows[row_index[e]][ncols] = c
 
-    solution = _solve_exact(matrix, ncols)
+    solution = _solve_exact(rows, ncols)
     if solution is None:
-        return MembershipAnswer(False, None, deg)
+        witness = _non_member_witness(rows, ncols, monomials)
+        # independent check against the polynomials themselves
+        if any(_apply(witness, poly) for poly in col_polys) or \
+                _apply(witness, target) != 1:
+            raise VerificationFailed("left-kernel witness does not separate "
+                                     "the target from the ideal")
+        return MembershipAnswer(False, None, deg, witness)
 
     cofactors = [MultiPoly.zero(nvars) for _ in generators]
     for j, (gi, m) in enumerate(columns):
@@ -159,44 +183,94 @@ def graded_membership(target: MultiPoly, generators: Sequence[MultiPoly]) -> Mem
     return MembershipAnswer(True, cofactors, deg)
 
 
-def _solve_exact(matrix: list[list[Fraction]], ncols: int):
-    """Gaussian elimination on [A | t]; any solution of A x = t or None."""
-    nrows = len(matrix)
-    pivot_cols = []
-    r = 0
+def _non_member_witness(rows: list[dict], ncols: int,
+                        monomials: list[tuple[int, ...]]) -> dict:
+    """A functional y on the rows of [A | t] with y A = 0 and y t = 1, as
+    {monomial: value}; found by solving [[A^T | 0]; [t^T | 1]] y = [0; 1]."""
+    nrows = len(rows)
+    transposed: list[dict] = [{} for _ in range(ncols + 1)]
+    for i, row in enumerate(rows):
+        for j, c in row.items():
+            transposed[j][i] = c
+    transposed[ncols][nrows] = 1
+    y = _solve_exact(transposed, nrows)
+    if y is None:
+        raise VerificationFailed("no left-kernel witness for a non-member")
+    return {m: v for m, v in zip(monomials, y) if v}
+
+
+def _apply(functional: dict, poly: MultiPoly) -> Fraction:
+    return sum((functional.get(e, 0) * c for e, c in poly.terms.items()),
+               Fraction(0))
+
+
+def _solve_exact(rows: list[dict], ncols: int) -> Optional[list[Fraction]]:
+    """One solution of A x = t, or None when there is none.
+
+    Each row of [A | t] is a sparse {column: value} dict, with column `ncols`
+    holding t.  Rows are scaled to integers (by the lcm of their
+    denominators) and reduced by fraction-free elimination: the columns are
+    taken in order, the pivot is the shortest remaining row holding the
+    column (ties to the smallest |entry|), and every other row holding it
+    becomes a * row - b * pivot_row divided by its content.  The pivot
+    columns are those of the reduced row echelon form, and every free
+    variable is set to 0, so the solution is the unique one supported on
+    the pivot columns; back-substitution runs over Fraction on the pivot
+    rows only.  The system is inconsistent exactly when a leftover row
+    still holds the t column.
+    """
+    remaining = [r for r in map(_integer_row, rows) if r]
+    pivots = []
     for c in range(ncols):
-        # partial pivoting by coefficient size keeps entries small
-        best = None
-        for i in range(r, nrows):
-            if matrix[i][c]:
-                size = abs(matrix[i][c].numerator) + matrix[i][c].denominator
-                if best is None or size < best[1]:
-                    best = (i, size)
-        if best is None:
+        holders = [r for r in remaining if c in r]
+        if not holders:
             continue
-        i = best[0]
-        matrix[r], matrix[i] = matrix[i], matrix[r]
-        piv = matrix[r][c]
-        matrix[r] = [v / piv for v in matrix[r]]
-        for i2 in range(nrows):
-            if i2 != r and matrix[i2][c]:
-                f = matrix[i2][c]
-                matrix[i2] = [a - f * b for a, b in zip(matrix[i2], matrix[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == nrows:
-            break
-    # consistency: no row of the form [0 ... 0 | nonzero]
-    for i in range(r, nrows):
-        if matrix[i][ncols]:
-            return None
-    for i in range(r):
-        if not any(matrix[i][:ncols]) and matrix[i][ncols]:
-            return None
+        piv = min(holders, key=lambda row: (len(row), abs(row[c])))
+        remaining = [r for r in remaining if c not in r]
+        for r in holders:
+            if r is not piv:
+                g = math.gcd(piv[c], r[c])
+                reduced = _combine(piv[c] // g, r, r[c] // g, piv)
+                if reduced:
+                    remaining.append(reduced)
+        pivots.append((c, piv))
+    if any(ncols in r for r in remaining):
+        return None
     solution = [Fraction(0)] * ncols
-    for i, c in enumerate(pivot_cols):
-        solution[c] = matrix[i][ncols]
+    for c, row in reversed(pivots):
+        acc = Fraction(row.get(ncols, 0))
+        for k, v in row.items():
+            if k != c and k != ncols:
+                acc -= v * solution[k]
+        solution[c] = acc / row[c]
     return solution
+
+
+def _integer_row(row: dict) -> dict:
+    """The row scaled to coprime integers, zero entries dropped."""
+    row = {k: Fraction(v) for k, v in row.items() if v}
+    den = math.lcm(*(v.denominator for v in row.values()))
+    return _primitive({k: v.numerator * (den // v.denominator)
+                       for k, v in row.items()})
+
+
+def _combine(a: int, row: dict, b: int, piv: dict) -> dict:
+    """a * row - b * piv, zero entries dropped, divided by its content."""
+    out = {k: a * v for k, v in row.items()}
+    for k, v in piv.items():
+        w = out.get(k, 0) - b * v
+        if w:
+            out[k] = w
+        else:
+            out.pop(k, None)
+    return _primitive(out)
+
+
+def _primitive(row: dict) -> dict:
+    g = math.gcd(*row.values())
+    if g > 1:
+        row = {k: v // g for k, v in row.items()}
+    return row
 
 
 def zerodivisor_identity_target(coefficient: int = 2) -> MultiPoly:

@@ -463,24 +463,32 @@ def resultant_bivariate(f_y: Sequence[ExactPoly], g_y: Sequence[ExactPoly]) -> E
 
 
 def _interpolate(xs: Sequence, ys: Sequence, ring: RingTag) -> ExactPoly:
-    # Newton's divided differences, exact in the field
+    """The polynomial of degree < len(xs) through (xs[i], ys[i]): Newton's
+    divided differences, exact in the field, then Horner's rule on a plain
+    coefficient list (one O(n) step per node)."""
     modulus = ring[1] if isinstance(ring, tuple) else None
-
-    def div(a, b):
-        if modulus is not None:
-            return a * pow(b, -1, modulus) % modulus
-        return Fraction(a) / Fraction(b)
-
     n = len(xs)
     coef = list(ys)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coef[i] = div(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-    poly = ExactPoly.zero(ring)
-    for i in range(n - 1, -1, -1):
-        lin = ExactPoly([-xs[i], 1], ring)
-        poly = poly * lin + ExactPoly([coef[i]], ring)
-    return poly
+    if modulus is None:
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                coef[i] = Fraction(coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    else:
+        inverse: dict = {}  # node difference -> its inverse mod p
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                d = xs[i] - xs[i - j]
+                inv = inverse.get(d)
+                if inv is None:
+                    inv = inverse[d] = pow(d, -1, modulus)
+                coef[i] = (coef[i] - coef[i - 1]) * inv % modulus
+    # poly <- poly * (x - x0) + c, highest Newton term first
+    poly: list = []
+    for c, x0 in zip(reversed(coef), reversed(xs)):
+        poly = [a - x0 * b for a, b in zip([c] + poly, poly + [0])]
+        if modulus is not None:
+            poly = [a % modulus for a in poly]
+    return ExactPoly(poly, ring)
 
 
 def squarefree_part(f: ExactPoly) -> ExactPoly:

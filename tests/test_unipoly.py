@@ -1,6 +1,7 @@
 """Exact univariate polynomial arithmetic: gcd, resultants, factorization
 over prime fields, irreducibility certificates, and quotient-ring gcds."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -14,7 +15,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from pscert import unipoly
+from pscert import powersum, unipoly
 from pscert.errors import DivisionFailure, DomainError, RingMismatch
 from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, QuotientElem,
@@ -172,6 +173,47 @@ class TestResultant:
              ExactPoly.one(ring)]
         r = resultant_bivariate(f, g)
         assert r == ExactPoly([2, 2, 2], ring)
+
+    # the mod-p deciders of the benchmark; (1, 6, 100, 4594399) makes no
+    # bivariate resultant call
+    MOD_P = ((2, 9, 40, 1000003), (3, 8, 40, 1000003), (4, 9, 50, 1000003),
+             (5, 12, 60, 1000003), (6, 7, 64, 1000003), (2, 3, 100, 4594399),
+             (3, 10, 100, 4594399), (1, 6, 100, 4594399), (2, 4, 5, 101))
+    # SHA-256 of every resultant_bivariate output of those instances,
+    # recorded before the interpolation was rewritten
+    MOD_P_RESULTANTS = \
+        "d7f2d8afea7e8d479ce45c58d1a6c274aeca5648ad924dc9521416c37106698f"
+
+    def test_bivariate_golden_mod_p_instances(self, monkeypatch):
+        outs = []
+
+        def capture(f, g):
+            r = resultant_bivariate(f, g)
+            outs.append((r.ring, r.coeffs))
+            return r
+
+        monkeypatch.setattr(powersum, "resultant_bivariate", capture)
+        for inst in self.MOD_P:
+            outs.append(("instance", inst))
+            try:
+                powersum.regseq3_mod_p(*inst)
+            except Exception as exc:
+                outs.append(("raised", repr(exc)))
+        assert sum(1 for o in outs if o[0] != "instance") == 16
+        digest = hashlib.sha256(repr(outs).encode()).hexdigest()
+        assert digest == self.MOD_P_RESULTANTS
+
+    @given(coeffs=st.lists(st.integers(min_value=-50, max_value=50),
+                           min_size=1, max_size=9),
+           gaps=st.lists(st.integers(min_value=1, max_value=4),
+                         min_size=9, max_size=9),
+           p=st.sampled_from([101, 1000003]))
+    @settings(max_examples=60, deadline=None)
+    def test_interpolation_recovers_polynomial(self, coeffs, gaps, p):
+        xs = [sum(gaps[:i]) for i in range(len(coeffs))]
+        for ring in (GF(p), QQ):
+            f = ExactPoly(coeffs, ring)
+            assert unipoly._interpolate(xs, [f(x) for x in xs], ring) == f
 
 
 class TestFactorModP:

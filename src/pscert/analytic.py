@@ -15,12 +15,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (DomainError, PreconditionUnverifiable, PrecisionExhausted,
-                     VerificationFailed, WidthUnreachable)
+from .errors import (AmbiguousEnclosure, DomainError, PreconditionUnverifiable,
+                     PrecisionExhausted, VerificationFailed, WidthUnreachable)
 from . import exactnum
 from .exactnum import (ComplexBox, RealInterval, iatan2, icos, iexp,
-                       ilog, isin, isqrt, nearest_integer_distance,
-                       pi_interval)
+                       ilog, isin, isqrt, pi_interval)
 from .powersum import build_pq
 
 
@@ -211,13 +210,19 @@ def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInte
     roots = isolate_segment_roots(n, target_width=width, prec=prec)
     if not roots:
         raise ValueError(f"Q_{n} is constant")
-    top = roots[-1]  # largest t
+    return top_modulus(roots[-1], width, prec)  # largest t
+
+
+def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),
+                prec: int = 128) -> RealInterval:
+    """Enclosure of |top| = sqrt(1/4 + t^2) of the given width, refining a
+    copy of the segment root as needed; `top` itself is left unchanged."""
     while True:
         r = isqrt(Fraction(1, 4) + top.t.at_prec(prec) ** 2)
         if r.width <= Fraction(width):
             if not r.lo > 1:
                 raise VerificationFailed(
-                    f"maximal modulus of Q_{n} not certified above 1")
+                    f"maximal modulus of Q_{top.n} not certified above 1")
             return r
         prec *= 2
         top = refine_segment_root(top, Fraction(width) / 8, prec)
@@ -416,6 +421,15 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     Enumerates every integer m with m pi/|theta| in the window and certifies
     that the distance from m pi/|theta| to the nearest integer exceeds the
     scaled threshold 9 |zeta|^{-c_lo} / |theta|.
+
+    The scan runs in exact fixed point.  The dyadic endpoints of the
+    pi/|theta| enclosure are A_lo / 2^K and A_hi / 2^K, so m pi/|theta| lies
+    in [m A_lo, m A_hi] / 2^K, and that interval is stepped from one m to the
+    next by adding A_lo and A_hi.  The integer part of an endpoint is its
+    top bits (>> K) and its distance to the nearest integer comes from its
+    low K bits; the threshold is compared by cross-multiplying.  Nothing is
+    rounded, so each enclosure is no wider than an outward-rounded interval
+    product m * (pi/|theta|) would be.
     """
     if c_lo >= c_hi:
         return BoundReport("window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
@@ -425,6 +439,8 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     while True:
         root = refine_segment_root(root, t_width, prec)
         theta = window_theta(b, root, prec)
+        if not theta.is_positive():
+            raise DomainError("theta enclosure is not bounded away from 0")
         rel = theta.width / theta.lo
         if rel < min(Fraction(1, 10 ** 13), Fraction(1, 64 * c_hi)):
             break
@@ -437,26 +453,55 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     modulus = isqrt(Fraction(1, 4) + root.t.at_prec(prec) ** 2)
     threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta
 
-    m_lo = max(1, math.floor(Fraction(c_lo) / pi_over_theta.hi))
-    m_hi = math.ceil(Fraction(c_hi) / pi_over_theta.lo)
+    lo, hi = pi_over_theta.lo, pi_over_theta.hi
+    k = max(lo.denominator, hi.denominator).bit_length() - 1
+    a_lo, a_hi = ((q.numerator << k) // q.denominator for q in (lo, hi))
+    window_lo, window_hi = c_lo << k, c_hi << k
+    bound = threshold.hi
+
+    m_lo = max(1, window_lo // a_hi)
+    m_hi = -(-window_hi // a_lo)
+    x_lo, x_hi = m_lo * a_lo, m_lo * a_hi
     m_checked = 0
     min_dist = None
     for m in range(m_lo, m_hi + 1):
-        x = pi_over_theta * m
-        if x.lo > c_hi or x.hi <= c_lo:
-            continue
-        m_checked += 1
-        dist = nearest_integer_distance(x)
-        if min_dist is None or dist.lo < min_dist:
-            min_dist = dist.lo
-        if not dist.lo > threshold.hi:
-            return BoundReport(
-                "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
-                pi_over_theta, "Undecided",
-                details={"offending_m": m, "distance": float(dist.lo)})
+        if x_lo <= window_hi and x_hi > window_lo:
+            m_checked += 1
+            dist = _fixed_point_distance(x_lo, x_hi, k)
+            if min_dist is None or dist < min_dist:
+                min_dist = dist
+            if not _exceeds(dist, k, bound):
+                return BoundReport(
+                    "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
+                    pi_over_theta, "Undecided",
+                    details={"offending_m": m,
+                             "distance": float(Fraction(dist, 1 << k))})
+        x_lo += a_lo
+        x_hi += a_hi
     return BoundReport(
         "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
         pi_over_theta, "Satisfied",
         details={"m_count": m_checked,
-                 "min_distance": float(min_dist) if min_dist is not None else None,
-                 "pi_over_theta": (float(pi_over_theta.lo), float(pi_over_theta.hi))})
+                 "min_distance": (float(Fraction(min_dist, 1 << k))
+                                  if min_dist is not None else None),
+                 "pi_over_theta": (float(lo), float(hi))})
+
+
+def _fixed_point_distance(x_lo: int, x_hi: int, k: int) -> int:
+    """2^k times the lower end of the distance from [x_lo, x_hi] / 2^k to the
+    nearest integer: 0 when an integer lies inside, else the smaller distance
+    of the two endpoints.  Like exactnum.nearest_integer_distance, it needs
+    the interval narrower than 1/4."""
+    one = 1 << k
+    if 4 * (x_hi - x_lo) >= one:
+        raise AmbiguousEnclosure("interval too wide to locate nearest integer")
+    f_lo = x_lo & (one - 1)
+    if f_lo == 0 or x_lo >> k != x_hi >> k:
+        return 0
+    f_hi = x_hi & (one - 1)
+    return min(f_lo, one - f_lo, f_hi, one - f_hi)
+
+
+def _exceeds(dist: int, k: int, bound: Fraction) -> bool:
+    """Exactly whether dist / 2^k > bound."""
+    return dist * bound.denominator > bound.numerator << k

@@ -13,7 +13,7 @@ import sys
 from fractions import Fraction
 
 from . import exactnum
-from .analytic import isolate_segment_roots, max_modulus
+from .analytic import isolate_segment_roots, top_modulus
 from .criteria import (ExponentSet, conjecture4_conditions,
                        factorial_divisibility, normal4)
 from .exactnum import RealInterval
@@ -201,7 +201,7 @@ def cmd_roots(args) -> int:
     width = Fraction(1, 10 ** args.digits)
     roots = isolate_segment_roots(args.n, target_width=width,
                                   prec=args.precision)
-    mm = max_modulus(args.n, width=width, prec=args.precision) if roots else None
+    mm = top_modulus(roots[-1], width, args.precision) if roots else None
     lines = [f"Q_{args.n}: {len(roots)} segment root(s)"]
     payload = {"n": args.n, "count": len(roots), "roots": []}
     for r in roots:

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
                        general_bounds, isolate_segment_roots, lmn3_c_max,
-                       max_modulus)
+                       top_modulus)
 from .exactnum import RealInterval, isqrt
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
@@ -172,8 +172,12 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                       f"relation polynomial with leading coefficient 2"}
         return cert
 
+    # isolated once: the unrefined top root serves both the modulus and the
+    # window scan, which refine their own copies
+    width = Fraction(1, 10 ** 12)
+    top = isolate_segment_roots(b, target_width=width, prec=prec)[-1]
     if irr.verdict == "Irreducible":
-        r = max_modulus(b, width=Fraction(1, 10 ** 12), prec=prec)
+        r = top_modulus(top, width=width, prec=prec)
         cert.add_step("max-modulus", {"n": b}, {"r": interval_json(r)},
                       "conclusive", prec)
     else:
@@ -203,9 +207,7 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                            "c_lo": c_lo, "c_hi": c_hi}
         return cert
 
-    roots = isolate_segment_roots(b, target_width=Fraction(1, 10 ** 12),
-                                  prec=prec)
-    window = close_window(b, roots[-1], c_lo, c_hi, prec=max(prec, 256))
+    window = close_window(b, top, c_lo, c_hi, prec=max(prec, 256))
     _report_step(cert, window, max(prec, 256))
     if window.verdict == "Satisfied":
         cert.conclusion = {"status": "closed", "mechanism": "window-scan",

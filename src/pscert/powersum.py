@@ -130,17 +130,11 @@ def _system_polys(a: int, b: int, c: int, ring=ZZ) -> list[ExactPoly]:
 
 
 def _one_plus_pow(i: int, j: int, ring) -> ExactPoly:
-    """(1 + x^i)^j expanded."""
-    base = ExactPoly([1] + [0] * (i - 1) + [1], ring)
-    result = ExactPoly.one(ring)
-    power = base
-    e = j
-    while e:
-        if e & 1:
-            result = result * power
-        power = power * power
-        e >>= 1
-    return result
+    """(1 + x^i)^j expanded: the binomial C(j, k) at x^(i k)."""
+    coeffs = [0] * (i * j + 1)
+    for k in range(j + 1):
+        coeffs[i * k] = math.comb(j, k)
+    return ExactPoly(coeffs, ring)
 
 
 def _strip_trivial(f: ExactPoly) -> ExactPoly:

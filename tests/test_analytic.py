@@ -1,16 +1,23 @@
 """Certified root isolation on the canonical segment and the bound family."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from pscert.analytic import (BoundReport, SegmentRoot, _sign_s, bound_14_9,
+from pscert import analytic
+from pscert.analytic import (BoundReport, SegmentRoot, _exceeds,
+                             _fixed_point_distance, _sign_s, bound_14_9,
                              c_small_threshold, close_window, eval_p_on_box,
                              general_bounds, isolate_segment_roots, lmn3_c_max,
                              lmn_lower, max_modulus, refine_segment_root,
-                             ten_delta_check, window_theta)
-from pscert.errors import PreconditionUnverifiable
-from pscert.exactnum import ComplexBox, RealInterval, isqrt
+                             ten_delta_check, top_modulus, window_theta)
+from pscert.errors import (AmbiguousEnclosure, DomainError,
+                           PreconditionUnverifiable)
+from pscert.exactnum import (ComplexBox, RealInterval, isqrt,
+                             nearest_integer_distance)
 from pscert.powersum import build_pq
 
 
@@ -81,6 +88,15 @@ class TestMaxModulus:
         expected = isqrt(Fraction(1, 4) + top.t.at_prec(128) ** 2)
         mm = max_modulus(10)
         assert mm.lo <= expected.hi and expected.lo <= mm.hi
+
+    def test_top_modulus_matches_and_keeps_root(self):
+        width = Fraction(1, 10 ** 12)
+        top = isolate_segment_roots(13, target_width=width)[-1]
+        t_before = (top.t.lo, top.t.hi, top.u_lo, top.u_hi)
+        r = top_modulus(top, width)
+        mm = max_modulus(13, width=width)
+        assert (r.lo, r.hi) == (mm.lo, mm.hi)
+        assert (top.t.lo, top.t.hi, top.u_lo, top.u_hi) == t_before
 
 
 class TestBounds:
@@ -264,6 +280,62 @@ class TestCloseWindow:
         x = pi_interval(256) / theta
         d = nearest_integer_distance(x)
         assert Fraction(32, 100) < d.lo < d.hi < Fraction(33, 100)
+
+    def test_theta_touching_zero_is_a_domain_error(self, monkeypatch):
+        (root,) = isolate_segment_roots(8)
+        for theta in (RealInterval(0, Fraction(1, 10), prec=256),
+                      RealInterval(Fraction(-1, 10), Fraction(-1, 20),
+                                   prec=256)):
+            monkeypatch.setattr(analytic, "window_theta",
+                                lambda b, zeta, prec, theta=theta: theta)
+            with pytest.raises(DomainError):
+                close_window(8, root, 2920, 4947180)
+
+
+@st.composite
+def dyadic_multiples(draw):
+    """(k, m, A_lo, A_hi): m * [A_lo, A_hi] / 2^k, mostly narrower than 1/4,
+    sometimes at or just past that limit."""
+    k = draw(st.integers(0, 96))
+    m = draw(st.integers(1, 10 ** 6))
+    a_lo = draw(st.integers(1, 1 << (k + 8)))
+    limit = (1 << k) // (4 * m)
+    delta = draw(st.one_of(st.integers(0, 3), st.integers(0, limit + 2)))
+    return k, m, a_lo, a_lo + delta
+
+
+class TestFixedPointScan:
+    """The window scan's integer distance and threshold compare against the
+    interval oracle exactnum.nearest_integer_distance."""
+
+    @given(case=dyadic_multiples(), shift=st.integers(-2, 2),
+           den=st.one_of(st.none(), st.integers(1, 10 ** 9)))
+    @settings(max_examples=400, deadline=None)
+    @example(case=(4, 3, 16, 16), shift=0, den=None)   # integer endpoints
+    @example(case=(4, 1, 17, 19), shift=0, den=None)   # inside (1, 2)
+    @example(case=(4, 1, 15, 17), shift=0, den=None)   # straddles 1
+    @example(case=(4, 1, 31, 33), shift=0, den=None)   # straddles 2
+    @example(case=(4, 1, 24, 24), shift=1, den=None)   # exactly 3/2
+    @example(case=(8, 2, 100, 132), shift=0, den=None)  # width exactly 1/4
+    def test_matches_nearest_integer_distance(self, case, shift, den):
+        k, m, a_lo, a_hi = case
+        one = 1 << k
+        x_lo, x_hi = m * a_lo, m * a_hi
+        prec = max(k, x_hi.bit_length()) + 8  # every endpoint exact
+        x = RealInterval(Fraction(x_lo, one), Fraction(x_hi, one), prec=prec)
+        assert (x.lo, x.hi) == (Fraction(x_lo, one), Fraction(x_hi, one))
+        if x.width >= Fraction(1, 4):
+            with pytest.raises(AmbiguousEnclosure):
+                nearest_integer_distance(x)
+            with pytest.raises(AmbiguousEnclosure):
+                _fixed_point_distance(x_lo, x_hi, k)
+            return
+        oracle = nearest_integer_distance(x).lo
+        dist = _fixed_point_distance(x_lo, x_hi, k)
+        assert Fraction(dist, one) == oracle
+        assert (dist == 0) == (math.ceil(x.lo) <= x.hi)
+        bound = oracle + Fraction(shift, 2 * one if den is None else den)
+        assert _exceeds(dist, k, bound) == (oracle > bound)
 
 
 class TestVerdictStability:

@@ -83,13 +83,17 @@ class TestGoldenBytes:
     (b = 25, 42) before factor-degree patterns came from the distinct-degree
     kernel instead of full factorizations, and (the 14/9 fallback and the
     pair sweep) before the cofactors Q_n were cached and the integer gcd
-    skipped its round trip through Fraction."""
+    skipped its round trip through Fraction, and (b = 6, 10, 13) before the
+    window scan moved from interval products to fixed-point integers."""
 
     A1 = {
+        6: "5d341ec9f550b24eeb9f6e71286c2dad8d4ac2995d0a4e1f9b1a4d52c6c437fd",
         7: "3f31528cc8fbd9db9d475cdc1ae10e9359985e2c6dbf0058ed1100d7c5aaada4",
         8: "997acca194396fde1c61b3b21b5333116ba4f1f40506a05b525314beba72ee47",
         9: "a1cb2010d6267beca9dfc6909a95c10c9506bbcea91c7dbbcdbc41feeb77f1fe",
+        10: "183b34d9909a4b6d2a4f5df81bd0ad73bd2784daf96829d86f492a6393c1610f",
         11: "036c00bda1d34de299f30df77edfa4c2d9d07b2af484ed44408acf82d18221eb",
+        13: "831df0e4a6cd1a3103514cbf3af0703a9c07dfa9f501c4e761522cbc0b4e51f2",
         25: "af26c964a51b8d7a8b19d8b5dc5542821cb6d46742a73352011c6da6a6f00a93",
         42: "eff2b1be4ca684efd122718bd9d9603e470d17e293722a485161a36895a95ca9",
     }

@@ -11,7 +11,7 @@ from pscert.pipeline import SweepSpec, certify_a1, run_sweep
 from pscert.powersum import (build_p, build_pq, pair_zset, regseq2,
                              regseq3_mod_p, regseq3_rational, trivial_factor,
                              triple_zset)
-from pscert.unipoly import QQ, ZZ, ExactPoly, poly_gcd
+from pscert.unipoly import GF, QQ, ZZ, ExactPoly, poly_gcd
 
 
 class TestBuild:
@@ -154,6 +154,27 @@ class TestRegSeq3Rational:
     def test_gcd_reduction(self):
         # (2, 4, 6) -> (1, 2, 3)
         assert regseq3_rational(2, 4, 6).verdict == "Regular"
+
+
+class TestOnePlusPow:
+    @staticmethod
+    def squaring(i, j, ring):
+        """(1 + x^i)^j by repeated squaring of dense products."""
+        base = ExactPoly([1] + [0] * (i - 1) + [1], ring)
+        result = ExactPoly.one(ring)
+        while j:
+            if j & 1:
+                result = result * base
+            base = base * base
+            j >>= 1
+        return result
+
+    def test_matches_repeated_squaring(self):
+        for ring in (QQ, GF(101)):
+            for i in range(1, 13):
+                for j in range(13):
+                    assert powersum._one_plus_pow(i, j, ring) == \
+                        self.squaring(i, j, ring), (ring, i, j)
 
 
 class TestRegSeq3ModP:

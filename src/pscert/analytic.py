@@ -31,7 +31,6 @@ class SegmentRoot:
     t: RealInterval
     u_lo: Fraction  # theta bracket (u_lo * pi, u_hi * pi), s-sign known at ends
     u_hi: Fraction
-    orbit: dict = dc_field(default_factory=dict)
 
     def alpha(self, prec: int = 128) -> ComplexBox:
         return ComplexBox(RealInterval(Fraction(-1, 2), prec=prec),
@@ -50,19 +49,17 @@ class BoundReport:
 # -- segment root isolation ---------------------------------------------------
 
 
-def _sign_s(u: Fraction, n: int, prec: int = 64, max_prec: int | None = None) -> int:
+def _sign_s(u: Fraction, n: int, prec: int = 64) -> int:
     """Certified sign of s(u*pi) = 2 cos(n u pi) + (2 cos(u pi))^n for
     u in (1/2, 2/3); 0 if undecidable at the cap."""
     while True:
         theta = pi_interval(prec) * u
         val = 2 * icos(theta * n) + (2 * abs(icos(theta))) ** n
-        if max_prec is None:
-            max_prec = exactnum.MAX_PREC
         if val.is_positive():
             return 1
         if val.is_negative():
             return -1
-        if prec >= max_prec:
+        if prec >= exactnum.MAX_PREC:
             return 0
         prec *= 2
 
@@ -124,8 +121,6 @@ def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
                      for (u1, u2) in brackets]
             # theta increasing <-> t decreasing; report in increasing t
             roots.sort(key=lambda r: r.t.lo)
-            for r in roots:
-                r.orbit = orbit_boxes(r, prec)
             return roots
     raise RuntimeError(
         f"segment sign changes never matched deg(Q_{n})/6 = {expected}")
@@ -172,24 +167,7 @@ def _t_enclosure(u_lo: Fraction, u_hi: Fraction, prec: int) -> RealInterval:
 
 def refine_segment_root(root: SegmentRoot, target_width,
                         prec: int = 256) -> SegmentRoot:
-    out = _bisect_root(root.n, root.u_lo, root.u_hi, target_width, prec)
-    out.orbit = orbit_boxes(out, prec)
-    return out
-
-
-def orbit_boxes(root: SegmentRoot, prec: int = 128) -> dict:
-    """The six derived enclosures {alpha, conj, conj/alpha, alpha/conj,
-    1/alpha, 1/conj}."""
-    alpha = root.alpha(prec)
-    conj = alpha.conj()
-    return {
-        "alpha": alpha,
-        "conj": conj,
-        "conj_over_alpha": conj / alpha,
-        "alpha_over_conj": alpha / conj,
-        "inv_alpha": 1 / alpha,
-        "inv_conj": 1 / conj,
-    }
+    return _bisect_root(root.n, root.u_lo, root.u_hi, target_width, prec)
 
 
 def eval_p_on_box(n: int, box: ComplexBox) -> ComplexBox:

@@ -15,8 +15,7 @@ from typing import Optional
 
 from .errors import BadPrime, DivisionFailure
 from .unipoly import (ExactPoly, GF, QQ, QuotientElem, ZZ, factor_mod_p,
-                      poly_gcd, quotient_poly_gcd, resultant_bivariate,
-                      squarefree_part)
+                      poly_gcd, quotient_poly_gcd, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -156,6 +155,22 @@ def _y_poly(exp: int, ring) -> list[ExactPoly]:
     return [const] + [ExactPoly.zero(ring)] * (exp - 1) + [ExactPoly.one(ring)]
 
 
+def _y_resultant(a: int, b: int, ring) -> ExactPoly:
+    """Res_y(1 + x^a + y^a, 1 + x^b + y^b) in closed form.  With
+    u = 1 + x^a, v = 1 + x^b and g = gcd(a, b) it is
+    (-1)^(a+g) ((-u)^(b/g) - (-v)^(a/g))^g: the b-th powers of the roots of
+    y^a = -u run g times over the roots of z^(a/g) = (-u)^(b/g).  The
+    identity holds in Z[u, v], so over every ring."""
+    g = math.gcd(a, b)
+    u_pow = _one_plus_pow(a, b // g, ring).scale((-1) ** (b // g))
+    v_pow = _one_plus_pow(b, a // g, ring).scale((-1) ** (a // g))
+    base = u_pow - v_pow
+    out = ExactPoly.one(ring).scale((-1) ** (a + g))
+    for _ in range(g):
+        out = out * base
+    return out
+
+
 def _y_existence(q: ExactPoly, exps: tuple[int, int, int]):
     """For squarefree q over a field, decide on which factors of q the three
     y-polynomials share a common y-root, via quotient-ring gcds with dynamic
@@ -246,8 +261,11 @@ def regseq3_rational(a: int, b: int, c: int) -> RegSeqVerdict:
 
 def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     """Existence of a common projective zero of p_a, p_b, p_c over the
-    algebraic closure of F_p, by exhaustive chart cover:
-    (z=1) via elimination, (z=0, y=1) via univariate gcd, plus (1,0,0)."""
+    algebraic closure of F_p, for any odd p not dividing abc, by exhaustive
+    chart cover: (z=0, y=1) via univariate gcd, the point (1,0,0), and
+    (z=1) by eliminating y with the closed-form resultants of p_a with p_b
+    and with p_c (`_y_resultant`), then a y-existence check on each
+    irreducible factor of their gcd."""
     if not 0 < a < b < c:
         raise ValueError("need 0 < a < b < c")
     if p == 2:
@@ -277,9 +295,8 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
             return RegSeqVerdict(exps, field, "NotRegular", witness=("chart z=1", g))
         return RegSeqVerdict(exps, field, "Regular")
 
-    f1, f2, f3 = _y_poly(a, ring), _y_poly(b, ring), _y_poly(c, ring)
-    r12 = resultant_bivariate(f1, f2)
-    r13 = resultant_bivariate(f1, f3)
+    r12 = _y_resultant(a, b, ring)
+    r13 = _y_resultant(a, c, ring)
     h = poly_gcd(r12, r13) if not (r12.is_zero() or r13.is_zero()) else None
     if h is None:
         # a whole curve of common solutions of two of the equations

@@ -6,9 +6,8 @@ sequence over Z (deterministic), with a modular shortcut for detecting
 trivial gcds: if the gcd mod a prime not dividing either leading
 coefficient is constant, the rational gcd is constant.
 
-Also provides: resultants (univariate and bivariate via
-evaluation/interpolation), squarefree part, factorization over F_p,
-multi-prime irreducibility certificates over Z, and quotient-ring
+Also provides: univariate resultants, squarefree part, factorization over
+F_p, multi-prime irreducibility certificates over Z, and quotient-ring
 arithmetic with dynamic splitting.
 
 One distinct-degree kernel serves both F_p consumers.  It applies the
@@ -417,78 +416,6 @@ def _pow(base, e, norm):
     for _ in range(e):
         out = norm(out * base)
     return out
-
-
-def resultant_bivariate(f_y: Sequence[ExactPoly], g_y: Sequence[ExactPoly]) -> ExactPoly:
-    """Res_y of bivariate polynomials given as y-coefficient lists whose
-    entries are ExactPoly in x (all over the same field ring).
-
-    Computed by evaluation at interpolation points x = 0, 1, 2, ... that keep
-    the y-degrees intact, followed by exact Lagrange interpolation.
-    """
-    ring = None
-    for c in list(f_y) + list(g_y):
-        ring = c.ring
-        break
-    f_y = [c for c in f_y]
-    g_y = [c for c in g_y]
-    while f_y and f_y[-1].is_zero():
-        f_y.pop()
-    while g_y and g_y[-1].is_zero():
-        g_y.pop()
-    if not f_y or not g_y:
-        return ExactPoly.zero(ring)
-    m = len(f_y) - 1
-    n = len(g_y) - 1
-    max_x_f = max(c.degree for c in f_y)
-    max_x_g = max(c.degree for c in g_y)
-    dbound = m * max_x_g + n * max_x_f + 1
-    modulus = ring[1] if isinstance(ring, tuple) else None
-    if modulus is not None and modulus <= dbound + m + n:
-        raise RingMismatch("field too small for interpolation")
-    points = []
-    values = []
-    x0 = 0
-    lead_f, lead_g = f_y[-1], g_y[-1]
-    while len(points) < dbound:
-        if lead_f(x0) == 0 or lead_g(x0) == 0:
-            x0 += 1
-            continue
-        fv = ExactPoly([c(x0) for c in f_y], ring)
-        gv = ExactPoly([c(x0) for c in g_y], ring)
-        points.append(x0)
-        values.append(resultant(fv, gv))
-        x0 += 1
-    return _interpolate(points, values, ring)
-
-
-def _interpolate(xs: Sequence, ys: Sequence, ring: RingTag) -> ExactPoly:
-    """The polynomial of degree < len(xs) through (xs[i], ys[i]): Newton's
-    divided differences, exact in the field, then Horner's rule on a plain
-    coefficient list (one O(n) step per node)."""
-    modulus = ring[1] if isinstance(ring, tuple) else None
-    n = len(xs)
-    coef = list(ys)
-    if modulus is None:
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                coef[i] = Fraction(coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
-    else:
-        inverse: dict = {}  # node difference -> its inverse mod p
-        for j in range(1, n):
-            for i in range(n - 1, j - 1, -1):
-                d = xs[i] - xs[i - j]
-                inv = inverse.get(d)
-                if inv is None:
-                    inv = inverse[d] = pow(d, -1, modulus)
-                coef[i] = (coef[i] - coef[i - 1]) * inv % modulus
-    # poly <- poly * (x - x0) + c, highest Newton term first
-    poly: list = []
-    for c, x0 in zip(reversed(coef), reversed(xs)):
-        poly = [a - x0 * b for a, b in zip([c] + poly, poly + [0])]
-        if modulus is not None:
-            poly = [a % modulus for a in poly]
-    return ExactPoly(poly, ring)
 
 
 def squarefree_part(f: ExactPoly) -> ExactPoly:

@@ -59,7 +59,13 @@ class TestIsolation:
     def test_orbit_closure(self):
         for n in (8, 12, 18, 24, 30):
             for root in isolate_segment_roots(n):
-                for name, box in root.orbit.items():
+                alpha = root.alpha(128)
+                conj = alpha.conj()
+                orbit = {"alpha": alpha, "conj": conj,
+                         "conj_over_alpha": conj / alpha,
+                         "alpha_over_conj": alpha / conj,
+                         "inv_alpha": 1 / alpha, "inv_conj": 1 / conj}
+                for name, box in orbit.items():
                     assert eval_q_on_box(n, box).contains_zero(), (n, name)
 
     def test_refinement(self):

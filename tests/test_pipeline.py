@@ -83,8 +83,10 @@ class TestGoldenBytes:
     (b = 25, 42) before factor-degree patterns came from the distinct-degree
     kernel instead of full factorizations, and (the 14/9 fallback and the
     pair sweep) before the cofactors Q_n were cached and the integer gcd
-    skipped its round trip through Fraction, and (b = 6, 10, 13) before the
-    window scan moved from interval products to fixed-point integers."""
+    skipped its round trip through Fraction, (b = 6, 10, 13) before the
+    window scan moved from interval products to fixed-point integers, and
+    (the mod-p deciders) before the y-resultant moved from interpolation to
+    its closed form."""
 
     A1 = {
         6: "5d341ec9f550b24eeb9f6e71286c2dad8d4ac2995d0a4e1f9b1a4d52c6c437fd",
@@ -113,6 +115,13 @@ class TestGoldenBytes:
     # file-name order
     PAIR_SWEEP_60 = \
         "ec9d530f6c1a07e1f20447d55b352e3c8e5fd4de72168955473e335c712fa79d"
+    # the mod-p certificates of the benchmark with a >= 2, concatenated in
+    # this order
+    MOD_P = ((2, 9, 40, 1000003), (3, 8, 40, 1000003), (4, 9, 50, 1000003),
+             (5, 12, 60, 1000003), (6, 7, 64, 1000003), (2, 3, 100, 4594399),
+             (3, 10, 100, 4594399), (2, 4, 5, 101))
+    MOD_P_CERTS = \
+        "564ca5451ccb4dcfdd215e8f59f24ff0f4e5d833280a7859385af153187bb8c0"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -155,6 +164,11 @@ class TestGoldenBytes:
     def test_roots_json(self, capsys):
         assert main(["roots", "--n", "10", "--json"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == self.ROOTS_10
+
+    def test_mod_p_certificates(self):
+        blob = b"".join(certify_mod_p(*inst).json_bytes()
+                        for inst in self.MOD_P)
+        assert self.sha(blob) == self.MOD_P_CERTS
 
 
 class TestThreadedDeterminism:
@@ -277,6 +291,10 @@ class TestCli:
     def test_regseq_conclusive(self, capsys):
         assert main(["regseq", "--exps", "1,3,5"]) == 0
         assert "NotRegular" in capsys.readouterr().out
+
+    def test_regseq_small_field(self, capsys):
+        assert main(["regseq", "--exps", "3,4,5", "--char", "7"]) == 0
+        assert "Regular over GF(7)" in capsys.readouterr().out
 
     def test_json_output(self, capsys):
         assert main(["--json", "pair", "--b", "6", "--c", "10"]) == 0

@@ -4,6 +4,7 @@ import dataclasses
 import inspect
 
 import pytest
+import sympy
 
 from pscert import powersum
 from pscert.errors import BadPrime
@@ -201,6 +202,18 @@ class TestRegSeq3ModP:
     def test_elimination_route(self):
         # first exponent > 1 exercises the resultant path
         assert regseq3_mod_p(2, 3, 4, 101).verdict == "Regular"
+
+    @pytest.mark.parametrize("a, b, c, p", [(3, 4, 5, 7), (2, 3, 5, 11),
+                                            (2, 5, 7, 13), (2, 3, 7, 5)])
+    def test_small_field_matches_groebner(self, a, b, c, p):
+        # fields smaller than the x-degree of the y-resultants; homogeneous
+        # p_a, p_b, p_c in three variables form a regular sequence iff their
+        # ideal is zero-dimensional
+        x, y, z = sympy.symbols("x y z")
+        basis = sympy.groebner([x**e + y**e + z**e for e in (a, b, c)],
+                               x, y, z, modulus=p, order="grevlex")
+        expected = "Regular" if basis.is_zero_dimensional else "NotRegular"
+        assert regseq3_mod_p(a, b, c, p).verdict == expected
 
 
 class TestCrossChecks:

@@ -21,7 +21,7 @@ from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, QuotientElem,
                             certify_irreducible, ddf_degrees, factor_mod_p,
                             poly_gcd, quotient_poly_gcd, resultant,
-                            resultant_bivariate, squarefree_part)
+                            squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
@@ -41,6 +41,79 @@ def _sympy_poly(f: ExactPoly, x):
 def _from_sympy(poly, ring) -> ExactPoly:
     return ExactPoly([Fraction(int(c.p), int(c.q))
                       for c in reversed(poly.all_coeffs())], ring)
+
+
+def resultant_bivariate(f_y, g_y) -> ExactPoly:
+    """Oracle for the closed-form y-resultant of the mod-p decider: Res_y of
+    bivariate polynomials given as y-coefficient lists whose entries are
+    ExactPoly in x (all over the same field ring).
+
+    Computed by evaluation at interpolation points x = 0, 1, 2, ... that keep
+    the y-degrees intact, followed by exact Lagrange interpolation.
+    """
+    ring = None
+    for c in list(f_y) + list(g_y):
+        ring = c.ring
+        break
+    f_y = [c for c in f_y]
+    g_y = [c for c in g_y]
+    while f_y and f_y[-1].is_zero():
+        f_y.pop()
+    while g_y and g_y[-1].is_zero():
+        g_y.pop()
+    if not f_y or not g_y:
+        return ExactPoly.zero(ring)
+    m = len(f_y) - 1
+    n = len(g_y) - 1
+    max_x_f = max(c.degree for c in f_y)
+    max_x_g = max(c.degree for c in g_y)
+    dbound = m * max_x_g + n * max_x_f + 1
+    modulus = ring[1] if isinstance(ring, tuple) else None
+    if modulus is not None and modulus <= dbound + m + n:
+        raise RingMismatch("field too small for interpolation")
+    points = []
+    values = []
+    x0 = 0
+    lead_f, lead_g = f_y[-1], g_y[-1]
+    while len(points) < dbound:
+        if lead_f(x0) == 0 or lead_g(x0) == 0:
+            x0 += 1
+            continue
+        fv = ExactPoly([c(x0) for c in f_y], ring)
+        gv = ExactPoly([c(x0) for c in g_y], ring)
+        points.append(x0)
+        values.append(resultant(fv, gv))
+        x0 += 1
+    return _interpolate(points, values, ring)
+
+
+def _interpolate(xs, ys, ring) -> ExactPoly:
+    """The polynomial of degree < len(xs) through (xs[i], ys[i]): Newton's
+    divided differences, exact in the field, then Horner's rule on a plain
+    coefficient list (one O(n) step per node)."""
+    modulus = ring[1] if isinstance(ring, tuple) else None
+    n = len(xs)
+    coef = list(ys)
+    if modulus is None:
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                coef[i] = Fraction(coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+    else:
+        inverse: dict = {}  # node difference -> its inverse mod p
+        for j in range(1, n):
+            for i in range(n - 1, j - 1, -1):
+                d = xs[i] - xs[i - j]
+                inv = inverse.get(d)
+                if inv is None:
+                    inv = inverse[d] = pow(d, -1, modulus)
+                coef[i] = (coef[i] - coef[i - 1]) * inv % modulus
+    # poly <- poly * (x - x0) + c, highest Newton term first
+    poly: list = []
+    for c, x0 in zip(reversed(coef), reversed(xs)):
+        poly = [a - x0 * b for a, b in zip([c] + poly, poly + [0])]
+        if modulus is not None:
+            poly = [a % modulus for a in poly]
+    return ExactPoly(poly, ring)
 
 
 class TestArithmetic:
@@ -175,24 +248,26 @@ class TestResultant:
         assert r == ExactPoly([2, 2, 2], ring)
 
     # the mod-p deciders of the benchmark; (1, 6, 100, 4594399) makes no
-    # bivariate resultant call
+    # y-resultant call
     MOD_P = ((2, 9, 40, 1000003), (3, 8, 40, 1000003), (4, 9, 50, 1000003),
              (5, 12, 60, 1000003), (6, 7, 64, 1000003), (2, 3, 100, 4594399),
              (3, 10, 100, 4594399), (1, 6, 100, 4594399), (2, 4, 5, 101))
-    # SHA-256 of every resultant_bivariate output of those instances,
-    # recorded before the interpolation was rewritten
+    # SHA-256 of every y-resultant of those instances, recorded from the
+    # interpolating resultant_bivariate before the closed form replaced it
     MOD_P_RESULTANTS = \
         "d7f2d8afea7e8d479ce45c58d1a6c274aeca5648ad924dc9521416c37106698f"
 
     def test_bivariate_golden_mod_p_instances(self, monkeypatch):
         outs = []
 
-        def capture(f, g):
-            r = resultant_bivariate(f, g)
+        real = powersum._y_resultant
+
+        def capture(a, b, ring):
+            r = real(a, b, ring)
             outs.append((r.ring, r.coeffs))
             return r
 
-        monkeypatch.setattr(powersum, "resultant_bivariate", capture)
+        monkeypatch.setattr(powersum, "_y_resultant", capture)
         for inst in self.MOD_P:
             outs.append(("instance", inst))
             try:
@@ -213,7 +288,26 @@ class TestResultant:
         xs = [sum(gaps[:i]) for i in range(len(coeffs))]
         for ring in (GF(p), QQ):
             f = ExactPoly(coeffs, ring)
-            assert unipoly._interpolate(xs, [f(x) for x in xs], ring) == f
+            assert _interpolate(xs, [f(x) for x in xs], ring) == f
+
+    @given(a=st.integers(min_value=1, max_value=8),
+           b=st.integers(min_value=1, max_value=12),
+           p=st.sampled_from([101, 103, 1009]))
+    @settings(max_examples=30, deadline=None)
+    def test_closed_form_matches_interpolation(self, a, b, p):
+        assume(a != b)
+        rational = resultant_bivariate(powersum._y_poly(a, QQ),
+                                       powersum._y_poly(b, QQ))
+        assert powersum._y_resultant(a, b, QQ) == rational
+        ring = GF(p)
+        if p > 2 * a * b + a + b + 1:
+            oracle = resultant_bivariate(powersum._y_poly(a, ring),
+                                         powersum._y_poly(b, ring))
+        else:
+            # too few interpolation nodes in GF(p); both polynomials are
+            # monic in y, so the rational resultant reduces mod p
+            oracle = rational.to_ring(ring)
+        assert powersum._y_resultant(a, b, ring) == oracle
 
 
 class TestFactorModP:

@@ -18,8 +18,8 @@ from typing import Optional
 from .errors import (AmbiguousEnclosure, DomainError, PreconditionUnverifiable,
                      PrecisionExhausted, VerificationFailed, WidthUnreachable)
 from . import exactnum
-from .exactnum import (ComplexBox, RealInterval, iatan2, icos, iexp,
-                       ilog, isin, isqrt, pi_interval)
+from .exactnum import (ComplexBox, RealInterval, iatan2, icos, icos_sin,
+                       iexp, ilog, isqrt, pi_interval)
 from .powersum import build_pq
 
 
@@ -130,8 +130,19 @@ def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
                  prec: int) -> SegmentRoot:
     s_lo = _sign_s(u_lo, n, prec)
     target = Fraction(target_width)
+    # t at the bracket ends by (u, prec): a step moves one end only, and an
+    # escalation recomputes both
+    t_at: dict[tuple[Fraction, int], RealInterval] = {}
+
+    def t_end(u: Fraction) -> RealInterval:
+        key = (u, prec)
+        if key not in t_at:
+            t_at[key] = _t_of(u, prec)
+        return t_at[key]
+
     while True:
-        t = _t_enclosure(u_lo, u_hi, prec)
+        # t is decreasing in u on (1/2, 2/3)
+        t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
         if t.width <= target:
             return SegmentRoot(n, t, u_lo, u_hi)
         mid = (u_lo + u_hi) / 2
@@ -149,20 +160,12 @@ def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
             prec *= 2
 
 
-def _t_enclosure(u_lo: Fraction, u_hi: Fraction, prec: int) -> RealInterval:
-    """t = -tan(u*pi)/2 is decreasing in u on (1/2, 2/3)."""
-    pi = pi_interval(prec)
-
-    def t_of(u):
-        theta = pi * u
-        c = icos(theta)
-        if not c.is_negative():
-            raise DomainError("theta bracket escaped (pi/2, 2pi/3)")
-        return isin(theta) / (-c) / 2
-
-    t_hi = t_of(u_lo)
-    t_lo = t_of(u_hi)
-    return RealInterval(t_lo.lo, t_hi.hi, prec=prec)
+def _t_of(u: Fraction, prec: int) -> RealInterval:
+    """t = -tan(u*pi)/2, from one cos-sin enclosure of theta = u*pi."""
+    c, s = icos_sin(pi_interval(prec) * u)
+    if not c.is_negative():
+        raise DomainError("theta bracket escaped (pi/2, 2pi/3)")
+    return s / (-c) / 2
 
 
 def refine_segment_root(root: SegmentRoot, target_width,

@@ -25,9 +25,10 @@ from functools import lru_cache
 from typing import Iterable
 
 from mpmath.libmp import from_float, from_int, from_rational, mpf_lt
-from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_div,
-                                 mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pi,
-                                 mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
+from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_cos_sin,
+                                 mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
+                                 mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
+                                 mpi_sub)
 
 from .errors import AmbiguousEnclosure, DivisionFailure, DomainError
 
@@ -230,6 +231,14 @@ def icos(x) -> RealInterval:
 
 def isin(x) -> RealInterval:
     return _unary(_coerce(x), mpi_sin)
+
+
+def icos_sin(x) -> tuple[RealInterval, RealInterval]:
+    """(icos(x), isin(x)) from one mpi_cos_sin call; mpi_cos and mpi_sin
+    are its two halves, so both enclosures are the same bits."""
+    x = _coerce(x)
+    c, s = mpi_cos_sin(x._mpi, x.prec)
+    return RealInterval._wrap(c, x.prec), RealInterval._wrap(s, x.prec)
 
 
 def isqrt(x) -> RealInterval:

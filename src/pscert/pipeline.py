@@ -152,7 +152,7 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                            "detail": "cofactor is constant: no nontrivial roots"}
         return cert
 
-    qprim = pq.Q.primitive_part()
+    qprim = pq.Q_zz
     irr = certify_irreducible(qprim)
     cert.add_step("irreducibility", {"poly_coeffs": qprim.coeffs},
                   {"primes": irr.primes,

@@ -24,6 +24,7 @@ class PQDecomposition:
     P: ExactPoly  # over ZZ
     C: ExactPoly  # over ZZ
     Q: ExactPoly  # over QQ, P = C * Q exactly
+    Q_zz: ExactPoly  # over ZZ, the primitive part of Q (positive leading)
 
 
 @dataclass
@@ -96,7 +97,7 @@ def _pq(n: int) -> PQDecomposition:
         Q = P.to_ring(QQ).exact_div(C.to_ring(QQ))
     except DivisionFailure as exc:  # pragma: no cover - would be a bug
         raise DivisionFailure(f"C_{n} does not divide P_{n}") from exc
-    return PQDecomposition(n, P, C, Q)
+    return PQDecomposition(n, P, C, Q, Q.primitive_part())
 
 
 def pair_zset(b: int, c: int) -> ZSet:
@@ -104,10 +105,10 @@ def pair_zset(b: int, c: int) -> ZSet:
     parity / mod-3 divisibility rules."""
     if not 2 <= b < c:
         raise ValueError("need 2 <= b < c")
-    qb = build_pq(b).Q
-    qc = build_pq(c).Q
-    g = poly_gcd(qb, qc) if not (qb.is_constant() or qc.is_constant()) \
-        else ExactPoly.one(QQ)
+    qb = build_pq(b).Q_zz
+    qc = build_pq(c).Q_zz
+    g = poly_gcd(qb, qc).to_ring(QQ).monic() \
+        if not (qb.is_constant() or qc.is_constant()) else ExactPoly.one(QQ)
     return ZSet(
         defining_poly=g,
         zero_minus_one_present=(b * c) % 2 != 0,
@@ -197,13 +198,13 @@ def triple_zset(a: int, b: int, c: int):
         raise ValueError("need 2 <= a < b < c")
     if math.gcd(math.gcd(a, b), c) != 1:
         raise ValueError("need gcd(a, b, c) = 1")
-    polys = [p.to_ring(QQ) for p in _system_polys(a, b, c)]
+    polys = _system_polys(a, b, c)
     g = polys[0]
     for p in polys[1:]:
         if g.is_constant():
             break
         g = poly_gcd(g, p)
-    g = _strip_trivial(g)
+    g = _strip_trivial(g.to_ring(QQ).monic())
     flags = dict(
         zero_minus_one_present=(a * b * c) % 2 != 0,
         cube_roots_present=(a % 3 and b % 3 and c % 3) != 0,

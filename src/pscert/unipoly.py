@@ -10,11 +10,25 @@ Also provides: univariate resultants, squarefree part, factorization over
 F_p, multi-prime irreducibility certificates over Z, and quotient-ring
 arithmetic with dynamic splitting.
 
+All F_p arithmetic runs in one packed kernel on flat int lists (`_fp_mul`,
+`_fp_divmod`, `_fp_gcd`, and `_FpModulus` for a fixed modulus); the GF
+branch of `ExactPoly` delegates to it, so there is a single F_p path.  A
+product is one big-int multiply by Kronecker substitution: coefficient i
+sits in bits [i*w, (i+1)*w) of a Python int, and w is the bit length of
+terms * (p - 1)**2, where `terms` bounds the number of residue products
+that meet in one slot.  No slot can then carry into the next, so unpacking
+each slot and reducing it mod p gives the exact product.  Modulo f of
+degree n, `_FpModulus` keeps the packed rows x^(n+k) mod f: the high half
+of a product, reduced mod p, is folded into the packed low half as
+sum c_k * row_k and the sum is unpacked once.  A low slot then holds at
+most n product terms plus n - 1 row terms, so slots are sized for 2n - 1
+terms, which is at most 2*bits(p) + bits(2n) bits.
+
 One distinct-degree kernel serves both F_p consumers.  It applies the
-Frobenius map h -> h^p mod f as a precomputed matrix (rows x^(i*p) mod f)
-and yields the blocks (d, product of the degree-d factors).  The
-irreducibility certificate reads its factor-degree patterns straight from
-the blocks (`ddf_degrees`); `factor_mod_p` splits the blocks further by
+Frobenius map h -> h^p mod f as sum h_i * row_i over the packed rows
+x^(i*p) mod f and yields the blocks (d, product of the degree-d factors).
+The irreducibility certificate reads its factor-degree patterns straight
+from the blocks; `factor_mod_p` splits the blocks further by
 Cantor-Zassenhaus equal-degree splitting.
 """
 
@@ -82,6 +96,15 @@ class ExactPoly:
     @classmethod
     def monomial(cls, degree: int, coeff=1, ring: RingTag = QQ) -> "ExactPoly":
         return cls([_zero(ring)] * degree + [coeff], ring)
+
+    @classmethod
+    def _wrap(cls, coeffs: list, ring: RingTag) -> "ExactPoly":
+        """Adopt a list that is already canonical for `ring` (reduced, no
+        trailing zeros), such as an F_p kernel result, without a copy."""
+        out = object.__new__(cls)
+        out.coeffs = coeffs
+        out.ring = ring
+        return out
 
     # -- basics ---------------------------------------------------------------
 
@@ -161,6 +184,9 @@ class ExactPoly:
     def __mul__(self, other):
         other = self._coerce(other)
         self._check(other)
+        if isinstance(self.ring, tuple):
+            return ExactPoly._wrap(_fp_mul(self.coeffs, other.coeffs,
+                                           self.ring[1]), self.ring)
         if self.is_zero() or other.is_zero():
             return ExactPoly.zero(self.ring)
         out = [_zero(self.ring)] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -188,23 +214,21 @@ class ExactPoly:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         ring = self.ring
+        if isinstance(ring, tuple):
+            q, r = _fp_divmod(self.coeffs, other.coeffs, ring[1])
+            return ExactPoly._wrap(q, ring), ExactPoly._wrap(r, ring)
         rem = list(self.coeffs)
         dlead = other.leading()
         dq = other.degree
         if len(rem) - 1 < dq:
             return ExactPoly.zero(ring), ExactPoly(rem, ring)
         quot = [_zero(ring)] * (len(rem) - dq)
-        inv = None
-        if isinstance(ring, tuple):
-            inv = pow(dlead, -1, ring[1])
         for i in range(len(rem) - 1, dq - 1, -1):
             c = rem[i]
             if not c:
                 continue
             if ring == QQ:
                 q = c / dlead
-            elif inv is not None:
-                q = c * inv % ring[1]
             else:
                 if c % dlead:
                     raise DivisionFailure("inexact leading division over ZZ")
@@ -293,6 +317,153 @@ def _rational_to_primitive(f: ExactPoly) -> ExactPoly:
     return ExactPoly(ints, ZZ).primitive_part()
 
 
+# -- the F_p kernel ------------------------------------------------------------
+#
+# Polynomials over F_p as flat int lists, constant term first, every entry
+# in [0, p) and no trailing zeros ([] is zero).  Every function returns a
+# fresh list in that form, which `ExactPoly._wrap` adopts as it is.
+
+
+def _slot_bits(p: int, terms: int) -> int:
+    """Width of a Kronecker slot that holds any sum of `terms` products of
+    two residues mod p: such a sum is at most terms * (p - 1)**2."""
+    return (terms * (p - 1) ** 2).bit_length()
+
+
+def _pack(a: list, w: int) -> int:
+    """The integer sum of a[i] * 2**(i*w)."""
+    acc = 0
+    for c in reversed(a):
+        acc = (acc << w) | c
+    return acc
+
+
+def _unpack(x: int, w: int, count: int, p: int) -> list:
+    """Slots 0 .. count-1 of x, each reduced mod p (trailing zeros kept)."""
+    mask = (1 << w) - 1
+    return [((x >> s) & mask) % p for s in range(0, count * w, w)]
+
+
+def _fp_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _fp_mul(a: list, b: list, p: int) -> list:
+    """a * b by Kronecker substitution: coefficient k of the product is a sum
+    of at most min(len a, len b) products of residues, so slots of
+    `_slot_bits` that many terms never carry into each other."""
+    if not a or not b:
+        return []
+    w = _slot_bits(p, min(len(a), len(b)))
+    x = _pack(a, w)
+    x = x * x if a is b else x * _pack(b, w)
+    return _fp_trim(_unpack(x, w, len(a) + len(b) - 1, p))
+
+
+def _fp_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    """Quotient and remainder of a by a nonzero b.  Every row but the last
+    updates the entries without reducing them; one update moves an entry by
+    less than p**2, so they stay small ints.  The last row's pass reduces
+    the remainder."""
+    db = len(b) - 1
+    if len(a) <= db:
+        return [], list(a)
+    inv = pow(b[-1], -1, p)
+    low = b[:-1]
+    r = list(a)
+    q = [0] * (len(a) - db)
+    for s in range(len(a) - 1 - db, 0, -1):
+        c = q[s] = r[s + db] * inv % p
+        if c:
+            r[s:s + db] = [u - c * v for u, v in zip(r[s:s + db], low)]
+    c = q[0] = r[db] * inv % p
+    return q, _fp_trim([(u - c * v) % p for u, v in zip(r, low)])
+
+
+def _fp_monic(a: list, p: int) -> list:
+    if not a or a[-1] == 1:
+        return list(a)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _fp_gcd(a: list, b: list, p: int) -> list:
+    """Monic gcd by Euclid; [] only for gcd(0, 0)."""
+    while b:
+        a, b = b, _fp_divmod(a, b, p)[1]
+    return _fp_monic(a, p)
+
+
+class _FpModulus:
+    """Arithmetic modulo a fixed f of degree n >= 1 over F_p, on lists of
+    length at most n.
+
+    A product of two such lists has length at most 2n - 1.  Its high half
+    reduces by the packed rows x^(n+k) mod f, k = 0 .. n-2: coefficient k
+    of the high half, reduced mod p, times row k is added to the packed low
+    half, and the sum is unpacked once.  A low slot then holds at most n
+    product terms plus n - 1 row terms, so slots of `_slot_bits(p, 2n - 1)`
+    never carry; since 2n - 1 < 2n the width is at most
+    2 * bits(p) + bits(2n).  The same width serves `apply`, whose slots
+    take at most n terms."""
+
+    __slots__ = ("f", "p", "n", "w", "low_mask", "rows")
+
+    def __init__(self, f: list, p: int):
+        n = len(f) - 1
+        self.f, self.p, self.n = f, p, n
+        self.w = w = _slot_bits(p, 2 * n - 1)
+        self.low_mask = (1 << (n * w)) - 1
+        inv = pow(f[-1], -1, p)
+        top = [(p - c) * inv % p for c in f[:-1]]  # x^n mod f
+        row, self.rows = top, []
+        for _ in range(n - 1):
+            self.rows.append(_pack(row, w))
+            c = row[-1]  # x * row, with c * x^n replaced by c * top
+            row = [(u + c * t) % p for u, t in zip([0] + row[:-1], top)]
+
+    def mulmod(self, a: list, b: list) -> list:
+        if not a or not b:
+            return []
+        p, n, w = self.p, self.n, self.w
+        x = _pack(a, w)
+        x = x * x if a is b else x * _pack(b, w)
+        m = len(a) + len(b) - 1
+        if m > n:
+            high = _unpack(x >> (n * w), w, m - n, p)
+            x = sum(map(operator.mul, high, self.rows), x & self.low_mask)
+            m = n
+        return _fp_trim(_unpack(x, w, m, p))
+
+    def powmod(self, a: list, e: int) -> list:
+        """a^e mod f, by left-to-right square and multiply."""
+        if len(a) > self.n:
+            a = _fp_divmod(a, self.f, self.p)[1]
+        out = [1]
+        for bit in bin(e)[2:]:
+            out = self.mulmod(out, out)
+            if bit == "1":
+                out = self.mulmod(out, a)
+        return out
+
+    def power_rows(self, h: list) -> list[int]:
+        """h^i mod f for i = 0 .. n-1, packed: with h = x^p mod f these are
+        the rows of the Frobenius map."""
+        row, rows = [1], [_pack([1], self.w)]
+        for _ in range(self.n - 1):
+            row = self.mulmod(row, h)
+            rows.append(_pack(row, self.w))
+        return rows
+
+    def apply(self, h: list, rows: list[int]) -> list:
+        """Sum of h[i] * rows[i], for rows packed at this slot width: with
+        the Frobenius rows, h -> h^p mod f."""
+        return _fp_trim(_unpack(sum(map(operator.mul, h, rows)), self.w,
+                                self.n, self.p))
+
+
 # -- gcd and resultants -------------------------------------------------------
 
 
@@ -307,10 +478,7 @@ def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
     if g.is_zero():
         return _gcd_normalize(f)
     if isinstance(f.ring, tuple):
-        a, b = f, g
-        while not b.is_zero():
-            a, b = b, a % b
-        return a.monic()
+        return ExactPoly._wrap(_fp_gcd(f.coeffs, g.coeffs, f.ring[1]), f.ring)
     # Q or Z: compute over Z via the subresultant sequence
     fz = f.primitive_part()
     gz = g.primitive_part()
@@ -338,9 +506,8 @@ def _modular_gcd_is_trivial(f: ExactPoly, g: ExactPoly) -> bool:
     p = _GCD_CHECK_PRIME
     if f.leading() % p == 0 or g.leading() % p == 0:
         return False
-    fp = f.to_ring(GF(p))
-    gp = g.to_ring(GF(p))
-    return poly_gcd(fp, gp).degree == 0
+    return len(_fp_gcd([c % p for c in f.coeffs], [c % p for c in g.coeffs],
+                       p)) == 1
 
 
 def _subresultant_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
@@ -477,7 +644,12 @@ def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
         raise RingMismatch(f"ddf_degrees needs a prime field, not {f.ring}")
     if poly_gcd(f, f.derivative()).degree > 0:
         raise DomainError("ddf_degrees needs a squarefree polynomial")
-    return tuple(sorted(d for d, block in _ddf_blocks(f.monic())
+    return _ddf_pattern(f.monic())
+
+
+def _ddf_pattern(f: ExactPoly) -> tuple[int, ...]:
+    """`ddf_degrees` of a monic f already known to be squarefree."""
+    return tuple(sorted(d for d, block in _ddf_blocks(f)
                         for _ in range(block.degree // d)))
 
 
@@ -486,45 +658,31 @@ def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
     (d, g) where g is the monic product of the degree-d irreducible factors.
 
     The Frobenius map h -> h^p mod f is linear over F_p, so it is applied as
-    a matrix whose column j holds coefficient j of x^(i*p) mod f over all i
-    (von zur Gathen-Shoup).  h stays reduced mod f rather than mod the
-    unfactored rest v: gcd(v, h - x) is the same because v divides f."""
+    a matrix with rows x^(i*p) mod f (von zur Gathen-Shoup), packed once.
+    h stays reduced mod f rather than mod the unfactored rest v:
+    gcd(v, h - x) is the same because v divides f."""
     ring = f.ring
     p = ring[1]
-    n = f.degree
-    x = ExactPoly.x(ring)
-    xp = _powmod(x, p, f)
-    rows = [ExactPoly.one(ring)]
-    for _ in range(1, n):
-        rows.append(rows[-1] * xp % f)
-    columns = [[row[j] for row in rows] for j in range(n)]
+    mod = _FpModulus(f.coeffs, p)
+    x = [0, 1]
+    frobenius = mod.power_rows(mod.powmod(x, p))
     blocks = []
     h = x
-    v = f
+    v = f.coeffs
     d = 0
-    while v.degree > 0:
+    while len(v) > 1:
         d += 1
-        if 2 * d > v.degree:
-            blocks.append((v.degree, v))
+        if 2 * d > len(v) - 1:
+            blocks.append((len(v) - 1, v))
             break
-        hc = h.coeffs
-        h = ExactPoly([sum(map(operator.mul, hc, col)) for col in columns], ring)
-        g = poly_gcd(v, h - x)
-        if g.degree > 0:
+        h = mod.apply(h, frobenius)
+        hx = h + [0] * (2 - len(h))
+        hx[1] = (hx[1] - 1) % p
+        g = _fp_gcd(v, _fp_trim(hx), p)
+        if len(g) > 1:
             blocks.append((d, g))
-            v = v.exact_div(g)
-    return blocks
-
-
-def _powmod(base: ExactPoly, e: int, mod: ExactPoly) -> ExactPoly:
-    result = ExactPoly.one(base.ring)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
+            v = _fp_divmod(v, g, p)[0]
+    return [(d, ExactPoly._wrap(g, ring)) for d, g in blocks]
 
 
 def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
@@ -533,13 +691,15 @@ def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
         return [f.monic()]
     ring = f.ring
     rng = random.Random(0xC0FFEE ^ hash((p, d, tuple(f.coeffs))) & 0xFFFFFFFF)
+    mod = _FpModulus(f.coeffs, p)
     while True:
         a = ExactPoly([rng.randrange(p) for _ in range(f.degree)], ring)
         if a.degree < 1:
             continue
         g = poly_gcd(f, a)
         if not 0 < g.degree < f.degree:
-            b = _powmod(a, (p ** d - 1) // 2, f) - ExactPoly.one(ring)
+            b = ExactPoly._wrap(mod.powmod(a.coeffs, (p ** d - 1) // 2),
+                                ring) - ExactPoly.one(ring)
             g = poly_gcd(f, b)
             if not 0 < g.degree < f.degree:
                 continue
@@ -614,7 +774,9 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
         p = next(gen)
         if fz.leading() % p == 0 or disc % p == 0:
             continue
-        degs = ddf_degrees(fz.to_ring(GF(p)))
+        # p divides neither the leading coefficient nor the discriminant,
+        # so f mod p is squarefree of full degree
+        degs = _ddf_pattern(fz.to_ring(GF(p)).monic())
         primes_used.append(p)
         patterns.append(degs)
         sums = _subset_sums(degs)

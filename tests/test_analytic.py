@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import libmpi
 
-from pscert import analytic
+from pscert import analytic, exactnum
 from pscert.analytic import (BoundReport, SegmentRoot, _exceeds,
                              _fixed_point_distance, _sign_s, bound_14_9,
                              c_small_threshold, close_window, eval_p_on_box,
@@ -73,6 +74,36 @@ class TestIsolation:
         fine = refine_segment_root(root, Fraction(1, 10 ** 30), prec=256)
         assert fine.t.width <= Fraction(1, 10 ** 30)
         assert root.t.lo <= fine.t.lo and fine.t.hi <= root.t.hi
+
+    def test_bisection_takes_one_cos_sin_per_step_for_t(self, monkeypatch):
+        """Each step computes t at the moved bracket end only, with one
+        mpi_cos_sin call; _sign_s takes its own calls at the midpoint."""
+        (root,) = isolate_segment_roots(8)
+        calls = {"all": 0, "sign": 0, "in_sign": 0}
+        real_cos_sin, real_sign = libmpi.mpi_cos_sin, analytic._sign_s
+
+        def cos_sin(x, prec):
+            calls["all"] += 1
+            return real_cos_sin(x, prec)
+
+        def sign(*args):
+            before = calls["all"]
+            calls["sign"] += 1
+            try:
+                return real_sign(*args)
+            finally:
+                calls["in_sign"] += calls["all"] - before
+
+        # icos and isin reach mpi_cos_sin through libmpi, icos_sin directly
+        monkeypatch.setattr(libmpi, "mpi_cos_sin", cos_sin)
+        monkeypatch.setattr(exactnum, "mpi_cos_sin", cos_sin)
+        monkeypatch.setattr(analytic, "_sign_s", sign)
+        fine = refine_segment_root(root, Fraction(1, 10 ** 30), prec=256)
+        assert fine.t.width <= Fraction(1, 10 ** 30)
+        steps = calls["sign"] - 1  # the first call signs the lower end
+        assert steps > 50
+        # both ends once, then the moved end once per step
+        assert calls["all"] - calls["in_sign"] == steps + 2
 
 
 class TestMaxModulus:

@@ -84,9 +84,10 @@ class TestGoldenBytes:
     kernel instead of full factorizations, and (the 14/9 fallback and the
     pair sweep) before the cofactors Q_n were cached and the integer gcd
     skipped its round trip through Fraction, (b = 6, 10, 13) before the
-    window scan moved from interval products to fixed-point integers, and
+    window scan moved from interval products to fixed-point integers,
     (the mod-p deciders) before the y-resultant moved from interpolation to
-    its closed form."""
+    its closed form, and (b = 30, 36 and the triple sweep) before F_p
+    arithmetic moved to the packed kernel and the triple gcds to ZZ."""
 
     A1 = {
         6: "5d341ec9f550b24eeb9f6e71286c2dad8d4ac2995d0a4e1f9b1a4d52c6c437fd",
@@ -97,6 +98,8 @@ class TestGoldenBytes:
         11: "036c00bda1d34de299f30df77edfa4c2d9d07b2af484ed44408acf82d18221eb",
         13: "831df0e4a6cd1a3103514cbf3af0703a9c07dfa9f501c4e761522cbc0b4e51f2",
         25: "af26c964a51b8d7a8b19d8b5dc5542821cb6d46742a73352011c6da6a6f00a93",
+        30: "b2f747eb1a20b507e356bddfd9ec351aedf1e06e64b24779aa5e82e95ec1c8e6",
+        36: "59509075ccff880971627acc98094db1a34ffe7079192353480edf48a6f8825e",
         42: "eff2b1be4ca684efd122718bd9d9603e470d17e293722a485161a36895a95ca9",
     }
     GENERAL_BOUNDS = {
@@ -115,6 +118,10 @@ class TestGoldenBytes:
     # file-name order
     PAIR_SWEEP_60 = \
         "ec9d530f6c1a07e1f20447d55b352e3c8e5fd4de72168955473e335c712fa79d"
+    # the 575 triple certificates for a + b + c <= 30, concatenated in
+    # file-name order
+    TRIPLE_SWEEP_30 = \
+        "00d1e7ff50c0ea9a541f4507dce92779ac0d6662c0f8e9a79ce30fabcea416bc"
     # the mod-p certificates of the benchmark with a >= 2, concatenated in
     # this order
     MOD_P = ((2, 9, 40, 1000003), (3, 8, 40, 1000003), (4, 9, 50, 1000003),
@@ -160,6 +167,15 @@ class TestGoldenBytes:
         for f in sorted(tmp_path.iterdir(), key=lambda f: f.name):
             digest.update(f.read_bytes())
         assert digest.hexdigest() == self.PAIR_SWEEP_60
+
+    def test_triple_sweep_certificates(self, tmp_path):
+        spec = SweepSpec("triple", {"sum_max": 30}, [], workers=1,
+                         outdir=str(tmp_path))
+        assert run_sweep(spec)["instances"] == 575
+        digest = hashlib.sha256()
+        for f in sorted(tmp_path.iterdir(), key=lambda f: f.name):
+            digest.update(f.read_bytes())
+        assert digest.hexdigest() == self.TRIPLE_SWEEP_30
 
     def test_roots_json(self, capsys):
         assert main(["roots", "--n", "10", "--json"]) == 0

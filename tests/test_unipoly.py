@@ -310,6 +310,151 @@ class TestResultant:
         assert powersum._y_resultant(a, b, ring) == oracle
 
 
+# -- schoolbook oracle for the packed F_p kernel --------------------------------
+
+KERNEL_PRIMES = (2, 3, 7, 101, 2 ** 31 - 1, 1073741827)
+
+
+def _sb_trim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _sb_mul(a: list, b: list, p: int) -> list:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = (out[i + j] + x * y) % p
+    return _sb_trim(out)
+
+
+def _sb_divmod(a: list, b: list, p: int) -> tuple[list, list]:
+    db = len(b) - 1
+    inv = pow(b[-1], -1, p)
+    r = list(a)
+    q = [0] * max(len(a) - db, 0)
+    for i in range(len(a) - 1, db - 1, -1):
+        c = r[i] * inv % p
+        q[i - db] = c
+        for j, y in enumerate(b):
+            r[i - db + j] = (r[i - db + j] - c * y) % p
+    return _sb_trim(q), _sb_trim(r[:db])
+
+
+def _sb_gcd(a: list, b: list, p: int) -> list:
+    while b:
+        a, b = b, _sb_divmod(a, b, p)[1]
+    if not a:
+        return []
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _sb_powmod(a: list, e: int, f: list, p: int) -> list:
+    out, base = [1], _sb_divmod(a, f, p)[1]
+    while e:
+        if e & 1:
+            out = _sb_divmod(_sb_mul(out, base, p), f, p)[1]
+        base = _sb_divmod(_sb_mul(base, base, p), f, p)[1]
+        e >>= 1
+    return _sb_divmod(out, f, p)[1]
+
+
+@st.composite
+def _fp_polys(draw, count: int, nonzero_last: int = 0):
+    """p and `count` coefficient lists of length 0..64 over F_p; the last
+    `nonzero_last` of them are nonzero."""
+    p = draw(st.sampled_from(KERNEL_PRIMES))
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    polys = []
+    for k in range(count):
+        nonzero = k >= count - nonzero_last
+        c = draw(st.lists(coeff, min_size=int(nonzero), max_size=64))
+        if nonzero:
+            c[-1] = c[-1] or 1
+        polys.append(_sb_trim(c))
+    return p, polys
+
+
+class TestFpKernel:
+    """The packed F_p kernel against the schoolbook oracle above, on random
+    inputs and on the pinned edge cases: zero, constants, and the largest
+    slot load, all coefficients p - 1 at the maximum length."""
+
+    @staticmethod
+    def frobenius(h: list, f: list, p: int) -> list:
+        mod = unipoly._FpModulus(f, p)
+        rows = mod.power_rows(mod.powmod([0, 1], p))
+        return mod.apply(h, rows)
+
+    @given(_fp_polys(2))
+    @settings(max_examples=150, deadline=None)
+    def test_mul(self, data):
+        p, (a, b) = data
+        assert unipoly._fp_mul(a, b, p) == _sb_mul(a, b, p)
+        assert unipoly._fp_mul(a, a, p) == _sb_mul(a, a, p)
+
+    @given(_fp_polys(2, nonzero_last=1))
+    @settings(max_examples=150, deadline=None)
+    def test_divmod_and_gcd(self, data):
+        p, (a, b) = data
+        assert unipoly._fp_divmod(a, b, p) == _sb_divmod(a, b, p)
+        assert unipoly._fp_gcd(a, b, p) == _sb_gcd(a, b, p)
+
+    @given(_fp_polys(3, nonzero_last=1))
+    @settings(max_examples=100, deadline=None)
+    def test_mulmod(self, data):
+        p, (a, b, f) = data
+        assume(len(f) >= 2)
+        a, b = _sb_divmod(a, f, p)[1], _sb_divmod(b, f, p)[1]
+        mod = unipoly._FpModulus(f, p)
+        assert mod.mulmod(a, b) == _sb_divmod(_sb_mul(a, b, p), f, p)[1]
+        assert mod.mulmod(a, a) == _sb_divmod(_sb_mul(a, a, p), f, p)[1]
+
+    @given(_fp_polys(2, nonzero_last=1))
+    @settings(max_examples=30, deadline=None)
+    def test_frobenius_step(self, data):
+        # (sum h_i x^i)^p = sum h_i x^(i p) over F_p
+        p, (h, f) = data
+        assume(len(f) >= 2)
+        h = _sb_divmod(h, f, p)[1]
+        assert self.frobenius(h, f, p) == _sb_powmod(h, p, f, p)
+
+    @pytest.mark.parametrize("p", KERNEL_PRIMES)
+    def test_edge_cases(self, p):
+        full = [p - 1] * 64
+        f = [p - 1] * 65
+        mod = unipoly._FpModulus(f, p)
+        for a, b in (([], full), (full, []), ([], []), ([5 % p or 1], full),
+                     (full, [p - 1]), (full, full)):
+            assert unipoly._fp_mul(a, b, p) == _sb_mul(a, b, p)
+            assert mod.mulmod(a, b) == _sb_divmod(_sb_mul(a, b, p), f, p)[1]
+            if b:
+                assert unipoly._fp_divmod(a, b, p) == _sb_divmod(a, b, p)
+            assert unipoly._fp_gcd(a, b, p) == _sb_gcd(a, b, p)
+        assert mod.mulmod(full, full) == \
+            _sb_divmod(_sb_mul(full, full, p), f, p)[1]
+        assert self.frobenius(full, f, p) == _sb_powmod(full, p, f, p)
+        assert self.frobenius([], f, p) == []
+        assert mod.powmod(full, 0) == [1]
+
+    def test_exactpoly_gf_routes_through_the_kernel(self, monkeypatch):
+        calls = []
+        for name in ("_fp_mul", "_fp_divmod", "_fp_gcd"):
+            real = getattr(unipoly, name)
+            monkeypatch.setattr(unipoly, name, lambda *a, real=real, name=name:
+                                calls.append(name) or real(*a))
+        f = ExactPoly([3, 1, 4, 1, 5], GF(101))
+        g = ExactPoly([2, 7, 1], GF(101))
+        f * g
+        f.divmod(g)
+        poly_gcd(f, g)  # Euclid calls _fp_divmod in turn
+        assert calls[:3] == ["_fp_mul", "_fp_divmod", "_fp_gcd"]
+
+
 class TestFactorModP:
     def test_product_reconstruction(self):
         p = 101

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import (AmbiguousEnclosure, DomainError, PreconditionUnverifiable,
-                     PrecisionExhausted, VerificationFailed, WidthUnreachable)
+from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
+                     VerificationFailed, WidthUnreachable)
 from . import exactnum
 from .exactnum import (ComplexBox, RealInterval, iatan2, icos, icos_sin,
                        iexp, ilog, isqrt, pi_interval)
@@ -171,15 +171,6 @@ def _t_of(u: Fraction, prec: int) -> RealInterval:
 def refine_segment_root(root: SegmentRoot, target_width,
                         prec: int = 256) -> SegmentRoot:
     return _bisect_root(root.n, root.u_lo, root.u_hi, target_width, prec)
-
-
-def eval_p_on_box(n: int, box: ComplexBox) -> ComplexBox:
-    """Interval evaluation of P_n on a complex box (Horner)."""
-    coeffs = build_pq(n).P.coeffs
-    acc = ComplexBox(0, 0)
-    for c in reversed(coeffs):
-        acc = acc * box + ComplexBox(int(c), 0)
-    return acc
 
 
 def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInterval:
@@ -358,28 +349,6 @@ def general_bounds(a: int, parity_profile: str = "other",
             RealInterval(c_max, c_max, prec=prec), verdict,
             details={"c_max": c_max})
     return reports
-
-
-def ten_delta_check(w: ComplexBox, delta: RealInterval) -> BoundReport:
-    """Re-check of the near-unit-circle inequality |w^2 + w + 1| <= 10 delta.
-
-    Preconditions (|w|, |1+w| within [e^-delta, e^delta], delta <= 1/10) are
-    verified as non-refutation of the enclosures; a certified violation
-    raises PreconditionUnverifiable.
-    """
-    if delta.lo < 0 or delta.lo > Fraction(1, 10):
-        raise PreconditionUnverifiable("delta outside [0, 1/10]")
-    lo_bound = iexp(-delta)
-    hi_bound = iexp(delta)
-    for mod in (w.abs(), (w + 1).abs()):
-        if mod.hi < lo_bound.lo or mod.lo > hi_bound.hi:
-            raise PreconditionUnverifiable(
-                "modulus enclosure certifies a precondition violation")
-    value = (w * w + w + 1).abs()
-    threshold = delta * 10
-    verdict = "Satisfied" if value.lo <= threshold.hi else "Violated"
-    return BoundReport("ten-delta inequality", {"w": w, "delta": delta},
-                       value, verdict, details={"threshold_hi": threshold.hi})
 
 
 # -- the finite window scan ---------------------------------------------------

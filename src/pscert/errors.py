@@ -37,10 +37,6 @@ class DegreeMismatch(PscertError):
     """Non-homogeneous input where a homogeneous polynomial is required."""
 
 
-class PreconditionUnverifiable(PscertError):
-    """Interval enclosures are too wide to verify a bound's hypotheses."""
-
-
 class VerificationFailed(PscertError):
     """An independent re-check of a computed result failed."""
 

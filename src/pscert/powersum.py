@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BadPrime, DivisionFailure
-from .unipoly import (ExactPoly, GF, QQ, QuotientElem, ZZ, factor_mod_p,
-                      poly_gcd, quotient_poly_gcd, squarefree_part)
+from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, factor_mod_p,
+                      poly_gcd, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -150,12 +150,6 @@ def _strip_trivial(f: ExactPoly) -> ExactPoly:
     return f
 
 
-def _y_poly(exp: int, ring) -> list[ExactPoly]:
-    """1 + x^e + y^e as a y-coefficient list over K[x]."""
-    const = ExactPoly([1] + [0] * (exp - 1) + [1], ring)
-    return [const] + [ExactPoly.zero(ring)] * (exp - 1) + [ExactPoly.one(ring)]
-
-
 def _y_resultant(a: int, b: int, ring) -> ExactPoly:
     """Res_y(1 + x^a + y^a, 1 + x^b + y^b) in closed form.  With
     u = 1 + x^a, v = 1 + x^b and g = gcd(a, b) it is
@@ -173,21 +167,64 @@ def _y_resultant(a: int, b: int, ring) -> ExactPoly:
 
 
 def _y_existence(q: ExactPoly, exps: tuple[int, int, int]):
-    """For squarefree q over a field, decide on which factors of q the three
-    y-polynomials share a common y-root, via quotient-ring gcds with dynamic
-    splitting.  Returns (factors_with_root, factors_without)."""
+    """For squarefree monic q over a field, decide on which factors of q the
+    three curves 1 + x^e + y^e share a y-root.  Returns
+    (factors_with_root, factors_without); their product is q.
+
+    Over K[x]/(q) each curve is the binomial y^e - c with c = -1 - x^e, and
+    a gcd of binomials is again a binomial.  For e >= f >= 1, over a field:
+    if e = f there is a common root iff c = d; if d = 0 the only candidate
+    root is y = 0, a common root iff c = 0; otherwise
+    gcd(y^e - c, y^f - d) = gcd(y^f - d, y^(e-f) - c/d), since
+    y^e = d y^(e-f) modulo y^f - d.  The exponents run through Euclid.
+    K[x]/(q) is a product of fields, so every zero test splits q into the
+    factor where the element vanishes and the factor where it is a unit
+    (`_split`), and the loop goes on over each factor (dynamic evaluation,
+    Della Dora-Dicrescenzo-Duval 1985).  An irreducible q never splits."""
     ring = q.ring
-    polys = []
-    for e in exps:
-        ypoly = [QuotientElem(c, q) for c in _y_poly(e, ring)]
-        polys.append(ypoly)
     with_root, without = [], []
-    for modulus, gcd_y in quotient_poly_gcd(polys):
-        if len(gcd_y) - 1 >= 1:
-            with_root.append(modulus)
-        else:
-            without.append(modulus)
+    # a factor m of q and the binomials (e, c) whose common y-roots over
+    # K[x]/(m) are still open; the first two fold into one binomial
+    stack = [(q, [(e, ExactPoly([-1] + [0] * (e - 1) + [-1], ring))
+                  for e in exps])]
+    while stack:
+        m, binomials = stack.pop()
+        if len(binomials) == 1:
+            with_root.append(m)
+            continue
+        (e, c), (f, d), *rest = binomials
+        if e < f:
+            (e, c), (f, d) = (f, d), (e, c)
+        c, d = c % m, d % m
+        for part, vanishes in _split(c - d if e == f else d, m):
+            if e == f:
+                if vanishes:
+                    stack.append((part, [(e, c)] + rest))
+                else:
+                    without.append(part)
+            elif vanishes:  # d = 0: y = 0 is a common root iff c = 0
+                for sub, c_zero in _split(c, part):
+                    if c_zero:
+                        stack.append((sub, [(f, d)] + rest))
+                    else:
+                        without.append(sub)
+            else:
+                g, s = _half_xgcd(d % part, part)  # s d = g, a unit
+                stack.append((part, [(f, d), (e - f, c * (s // g) % part)]
+                              + rest))
     return with_root, without
+
+
+def _split(t: ExactPoly, m: ExactPoly) -> list[tuple[ExactPoly, bool]]:
+    """Split a squarefree monic m by t: pairs (factor, t vanishes on it),
+    gcd(m, t) where t is zero and m / gcd(m, t) where t is a unit, each
+    present only if nonconstant.  An unsplit m comes back as itself."""
+    g = poly_gcd(m, t)
+    if g.degree == 0:
+        return [(m, False)]
+    if g.degree == m.degree:
+        return [(m, True)]
+    return [(g, True), (m.exact_div(g), False)]
 
 
 def triple_zset(a: int, b: int, c: int):
@@ -266,7 +303,10 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     chart cover: (z=0, y=1) via univariate gcd, the point (1,0,0), and
     (z=1) by eliminating y with the closed-form resultants of p_a with p_b
     and with p_c (`_y_resultant`), then a y-existence check on each
-    irreducible factor of their gcd."""
+    irreducible factor of their gcd.  `factor_mod_p` finds every factor,
+    whatever its multiplicity, and `_y_existence` runs its binomial Euclid
+    over each one; an irreducible modulus never splits, so each check is a
+    plain yes or no."""
     if not 0 < a < b < c:
         raise ValueError("need 0 < a < b < c")
     if p == 2:
@@ -308,7 +348,7 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
                                  witness=("chart z=1", "shared components"))
     if h.degree < 1:
         return RegSeqVerdict(exps, field, "Regular")
-    for q, _mult in factor_mod_p(squarefree_part(h)):
+    for q, _mult in factor_mod_p(h):
         with_root, _ = _y_existence(q.monic(), exps)
         if with_root:
             return RegSeqVerdict(exps, field, "NotRegular",

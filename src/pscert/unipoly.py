@@ -6,9 +6,12 @@ sequence over Z (deterministic), with a modular shortcut for detecting
 trivial gcds: if the gcd mod a prime not dividing either leading
 coefficient is constant, the rational gcd is constant.
 
-Also provides: univariate resultants, squarefree part, factorization over
-F_p, multi-prime irreducibility certificates over Z, and quotient-ring
-arithmetic with dynamic splitting.
+Also provides: univariate resultants, squarefree part over Z and Q,
+factorization over F_p, multi-prime irreducibility certificates over Z, and
+`_half_xgcd`, the inverse modulo a polynomial.  The one gcd over K[x]/(q)
+the deciders need is that of the binomials y^e - c, a binomial whose
+exponent comes from Euclid on the exponents; `powersum._y_existence` runs
+it and divides by `_half_xgcd` inverses.
 
 All F_p arithmetic runs in one packed kernel on flat int lists (`_fp_mul`,
 `_fp_divmod`, `_fp_gcd`, and `_FpModulus` for a fixed modulus); the GF
@@ -536,6 +539,18 @@ def _pseudo_rem(a: ExactPoly, b: ExactPoly) -> ExactPoly:
     return r.to_ring(ZZ)
 
 
+def _half_xgcd(a: ExactPoly, m: ExactPoly):
+    """gcd(a, m) plus the Bezout coefficient of a: s a = gcd mod m, so s
+    divided by a constant gcd is the inverse of a modulo m."""
+    r0, r1 = m, a
+    s0, s1 = ExactPoly.zero(a.ring), ExactPoly.one(a.ring)
+    while not r1.is_zero():
+        q, r = r0.divmod(r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    return r0, s0
+
+
 def resultant(f: ExactPoly, g: ExactPoly):
     """Resultant of univariate polynomials; exact scalar in the coefficient
     ring.  Zero iff the inputs share a nonconstant factor."""
@@ -544,16 +559,15 @@ def resultant(f: ExactPoly, g: ExactPoly):
     ring = f.ring
     if isinstance(ring, tuple):
         p = ring[1]
-        return _resultant_field(f, g, lambda c: pow(c, -1, p),
-                                lambda x: x % p)
+        return _resultant_field(f, g, lambda x: x % p)
     fq, gq = f.to_ring(QQ), g.to_ring(QQ)
-    res = _resultant_field(fq, gq, lambda c: Fraction(1) / c, lambda x: x)
+    res = _resultant_field(fq, gq, lambda x: x)
     if ring == ZZ:
         return int(res)
     return res
 
 
-def _resultant_field(f: ExactPoly, g: ExactPoly, inv, norm):
+def _resultant_field(f: ExactPoly, g: ExactPoly, norm):
     zero = _zero(f.ring)
     if f.is_zero() or g.is_zero():
         return norm(zero)
@@ -562,7 +576,7 @@ def _resultant_field(f: ExactPoly, g: ExactPoly, inv, norm):
     sign = 1
     while True:
         if b.degree == 0:
-            acc = norm(acc * _pow(b.leading(), a.degree, norm))
+            acc = norm(acc * pow(b.leading(), a.degree))
             return norm(acc if sign > 0 else -acc)
         if a.degree < b.degree:
             if (a.degree * b.degree) % 2:
@@ -574,24 +588,22 @@ def _resultant_field(f: ExactPoly, g: ExactPoly, inv, norm):
             return norm(zero)
         if (a.degree * b.degree) % 2:
             sign = -sign
-        acc = norm(acc * _pow(b.leading(), a.degree - r.degree, norm))
+        acc = norm(acc * pow(b.leading(), a.degree - r.degree))
         a, b = b, r
 
 
-def _pow(base, e, norm):
-    out = 1
-    for _ in range(e):
-        out = norm(out * base)
-    return out
-
-
 def squarefree_part(f: ExactPoly) -> ExactPoly:
-    """Product of the distinct irreducible factors of f (primitive over Z/Q,
-    monic over prime fields)."""
+    """Product of the distinct irreducible factors of f over Z or Q
+    (primitive over Z, monic over Q).  Over F_p, f / gcd(f, f') drops every
+    factor whose multiplicity p divides, so a prime field raises
+    RingMismatch; `factor_mod_p` finds all factors there."""
+    if isinstance(f.ring, tuple):
+        raise RingMismatch("squarefree_part needs ZZ or QQ; over a prime "
+                           "field use factor_mod_p")
     if f.is_zero():
         raise ZeroDivisionError("squarefree part of zero")
     if f.is_constant():
-        return _gcd_normalize(f) if not f.is_zero() else f
+        return _gcd_normalize(f)
     g = poly_gcd(f, f.derivative())
     if g.degree == 0:
         return _gcd_normalize(f)
@@ -765,18 +777,21 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
     achievable = None
     primes_used = []
     patterns = []
-    disc = resultant(fz, fz.derivative())
-    if disc == 0:  # no prime would be usable
+    if deg < 1 or poly_gcd(fz, fz.derivative()).degree > 0:
+        # a repeated factor over Q repeats mod every prime: none is usable
         raise DomainError("certify_irreducible needs a squarefree "
                           "nonconstant polynomial")
     gen = _primes_from((1 << 30) + 1)
     while len(primes_used) < prime_budget:
         p = next(gen)
-        if fz.leading() % p == 0 or disc % p == 0:
+        if fz.leading() % p == 0:
             continue
-        # p divides neither the leading coefficient nor the discriminant,
-        # so f mod p is squarefree of full degree
-        degs = _ddf_pattern(fz.to_ring(GF(p)).monic())
+        fp = fz.to_ring(GF(p))
+        if len(_fp_gcd(fp.coeffs, fp.derivative().coeffs, p)) > 1:
+            # f mod p has a repeated factor: p divides the discriminant
+            continue
+        # f mod p is squarefree of full degree
+        degs = _ddf_pattern(fp.monic())
         primes_used.append(p)
         patterns.append(degs)
         sums = _subset_sums(degs)
@@ -784,163 +799,3 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
         if achievable == frozenset({0, deg}):
             return IrreducibilityCertificate(fz, primes_used, patterns, "Irreducible")
     return IrreducibilityCertificate(fz, primes_used, patterns, "Inconclusive")
-
-
-# -- quotient-ring arithmetic with dynamic splitting --------------------------
-
-
-@dataclass
-class Split:
-    """Nontrivial factorization of a quotient modulus, discovered during an
-    attempted inversion.  A normal outcome, not an error."""
-    factors: tuple[ExactPoly, ExactPoly]
-
-
-@dataclass(frozen=True)
-class QuotientElem:
-    representative: ExactPoly
-    modulus: ExactPoly
-
-    def __post_init__(self):
-        object.__setattr__(self, "representative",
-                           self.representative % self.modulus)
-
-    def _check(self, other: "QuotientElem"):
-        if self.modulus != other.modulus:
-            raise RingMismatch("mismatched quotient moduli")
-
-    def __add__(self, other):
-        self._check(other)
-        return QuotientElem(self.representative + other.representative, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return QuotientElem(self.representative - other.representative, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return QuotientElem(self.representative * other.representative, self.modulus)
-
-    def is_zero(self) -> bool:
-        return self.representative.is_zero()
-
-    def inverse_or_split(self):
-        """Inverse when the representative is a unit mod the modulus;
-        otherwise a Split of the modulus."""
-        g, s = _half_xgcd(self.representative, self.modulus)
-        if g.degree == 0:
-            inv = s.scale(_inv_scalar(g.leading(), self.modulus.ring))
-            return QuotientElem(inv, self.modulus)
-        co = self.modulus.exact_div(g)
-        return Split((_gcd_normalize(g), _gcd_normalize(co)))
-
-
-def _inv_scalar(c, ring: RingTag):
-    if ring == QQ:
-        return Fraction(1) / c
-    if isinstance(ring, tuple):
-        return pow(c, -1, ring[1])
-    raise RingMismatch("inverse needs a field")
-
-
-def _half_xgcd(a: ExactPoly, m: ExactPoly):
-    """gcd(a, m) plus the Bezout coefficient of a."""
-    r0, r1 = m, a
-    s0, s1 = ExactPoly.zero(a.ring), ExactPoly.one(a.ring)
-    while not r1.is_zero():
-        q, r = r0.divmod(r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    return r0, s0
-
-
-def quotient_poly_gcd(polys: Sequence[Sequence[QuotientElem]]):
-    """gcd of y-polynomials with coefficients in K[x]/(q), with dynamic
-    splitting of the modulus.
-
-    Each y-polynomial is a list of QuotientElem (constant term first).
-    Returns a list of (modulus factor, gcd as list of ExactPoly reps) pairs
-    covering all branches of the splitting tree.
-    """
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    modulus = polys[0][0].modulus
-    raw = [[c.representative for c in p] for p in polys]
-    return _qgcd_branch(raw, modulus)
-
-
-def _qgcd_branch(raw_polys, modulus: ExactPoly):
-    polys = []
-    for p in raw_polys:
-        coeffs = [c % modulus for c in p]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        if coeffs:
-            polys.append(coeffs)
-    if not polys:
-        return [(modulus, [])]
-    g = polys[0]
-    for p in polys[1:]:
-        branches = _euclid_quotient(g, p, modulus)
-        if any(m.degree != modulus.degree for m, _ in branches):
-            # the modulus split: redo the whole fold on every factor
-            return [out for m, _ in branches
-                    for out in _qgcd_branch(raw_polys, m)]
-        g = branches[0][1]
-    return _make_monic_branch(g, modulus)
-
-
-def _euclid_quotient(a, b, modulus: ExactPoly):
-    """One Euclidean gcd over K[x]/(q)[y]; yields (modulus, gcd) and may
-    instead surface a split by yielding sub-branches."""
-    a = [c % modulus for c in a]
-    b = [c % modulus for c in b]
-    while True:
-        b = _trim(b, modulus)
-        if not b:
-            return [(modulus, _trim(a, modulus))]
-        lead = QuotientElem(b[-1], modulus)
-        inv = lead.inverse_or_split()
-        if isinstance(inv, Split):
-            results = []
-            for fac in inv.factors:
-                results.extend(_qgcd_branch([a, b], fac))
-            return results
-        binv = inv.representative
-        bm = [c * binv % modulus for c in b]
-        r = _poly_mod_quotient(a, bm, modulus)
-        a, b = bm, r
-
-
-def _trim(p, modulus):
-    p = [c % modulus for c in p]
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _poly_mod_quotient(a, b_monic, modulus):
-    a = [c % modulus for c in a]
-    db = len(b_monic) - 1
-    while len(a) - 1 >= db:
-        if a[-1].is_zero():
-            a.pop()
-            continue
-        c = a[-1]
-        shift = len(a) - 1 - db
-        for i, bc in enumerate(b_monic):
-            a[shift + i] = (a[shift + i] - c * bc) % modulus
-        a.pop()
-    return a
-
-
-def _make_monic_branch(g, modulus):
-    """Branches (modulus factor, monic gcd) for g; a zero-divisor leading
-    coefficient splits the modulus and each factor is normalized anew."""
-    g = _trim(g, modulus)
-    if not g:
-        return [(modulus, [])]
-    inv = QuotientElem(g[-1], modulus).inverse_or_split()
-    if isinstance(inv, Split):
-        return [out for fac in inv.factors for out in _qgcd_branch([g], fac)]
-    return [(modulus, [c * inv.representative % modulus for c in g])]

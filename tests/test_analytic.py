@@ -11,15 +11,22 @@ from mpmath.libmp import libmpi
 from pscert import analytic, exactnum
 from pscert.analytic import (BoundReport, SegmentRoot, _exceeds,
                              _fixed_point_distance, _sign_s, bound_14_9,
-                             c_small_threshold, close_window, eval_p_on_box,
-                             general_bounds, isolate_segment_roots, lmn3_c_max,
-                             lmn_lower, max_modulus, refine_segment_root,
-                             ten_delta_check, top_modulus, window_theta)
-from pscert.errors import (AmbiguousEnclosure, DomainError,
-                           PreconditionUnverifiable)
+                             c_small_threshold, close_window, general_bounds,
+                             isolate_segment_roots, lmn3_c_max, lmn_lower,
+                             max_modulus, refine_segment_root, top_modulus,
+                             window_theta)
+from pscert.errors import AmbiguousEnclosure, DomainError
 from pscert.exactnum import (ComplexBox, RealInterval, isqrt,
                              nearest_integer_distance)
 from pscert.powersum import build_pq
+
+
+def eval_p_on_box(n: int, box: ComplexBox) -> ComplexBox:
+    """Interval evaluation of P_n on a complex box (Horner)."""
+    acc = ComplexBox(0, 0)
+    for c in reversed(build_pq(n).P.coeffs):
+        acc = acc * box + ComplexBox(int(c), 0)
+    return acc
 
 
 def eval_q_on_box(n: int, box: ComplexBox) -> ComplexBox:
@@ -261,33 +268,6 @@ class TestGeneralBounds:
     def test_requires_a_at_least_2(self):
         with pytest.raises(ValueError):
             general_bounds(1)
-
-
-class TestTenDelta:
-    def test_omega_exact_zero_delta(self):
-        im = isqrt(RealInterval(Fraction(3, 4), prec=128))
-        w = ComplexBox(Fraction(-1, 2), im)
-        rep = ten_delta_check(w, RealInterval(0, 0))
-        assert rep.verdict == "Satisfied"
-        assert rep.value.hi < Fraction(1, 10 ** 30)
-
-    def test_near_omega(self):
-        w = ComplexBox(Fraction(-1, 2), Fraction(87, 100))
-        rep = ten_delta_check(w, RealInterval(Fraction(1, 100),
-                                              Fraction(1, 100)))
-        assert rep.verdict == "Satisfied"
-        assert rep.value.hi <= Fraction(1, 10)
-
-    def test_precondition_violation(self):
-        w = ComplexBox(Fraction(5), Fraction(0))
-        with pytest.raises(PreconditionUnverifiable):
-            ten_delta_check(w, RealInterval(Fraction(1, 100),
-                                            Fraction(1, 100)))
-
-    def test_delta_range(self):
-        w = ComplexBox(Fraction(1), Fraction(0))
-        with pytest.raises(PreconditionUnverifiable):
-            ten_delta_check(w, RealInterval(Fraction(1), Fraction(1)))
 
 
 class TestCloseWindow:

@@ -1,4 +1,5 @@
-"""Soundness checks must survive `python -O`, which strips `assert`."""
+"""Soundness checks must survive `python -O`, which strips `assert`, and
+the package must not lean on sympy, which only the tests use."""
 
 import ast
 import os
@@ -17,6 +18,23 @@ def test_no_assert_statements_in_package():
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under -O: {found}"
+
+
+def test_package_does_not_import_sympy():
+    # sympy is a test oracle only; the certifier must not depend on it
+    found = []
+    for path in sorted((SRC / "pscert").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "sympy"]
+    assert not found, f"sympy imported by the package: {found}"
 
 
 def test_cofactor_check_raises_under_optimize():

@@ -1,5 +1,6 @@
 """Exact univariate polynomial arithmetic: gcd, resultants, factorization
-over prime fields, irreducibility certificates, and quotient-ring gcds."""
+over prime fields, irreducibility certificates, and the y-gcds of the
+power-sum binomials over K[x]/(q)."""
 
 import hashlib
 import os
@@ -18,10 +19,9 @@ from hypothesis import strategies as st
 from pscert import powersum, unipoly
 from pscert.errors import DivisionFailure, DomainError, RingMismatch
 from pscert.powersum import build_pq
-from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, QuotientElem,
+from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
                             certify_irreducible, ddf_degrees, factor_mod_p,
-                            poly_gcd, quotient_poly_gcd, resultant,
-                            squarefree_part)
+                            poly_gcd, resultant, squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
@@ -41,6 +41,12 @@ def _sympy_poly(f: ExactPoly, x):
 def _from_sympy(poly, ring) -> ExactPoly:
     return ExactPoly([Fraction(int(c.p), int(c.q))
                       for c in reversed(poly.all_coeffs())], ring)
+
+
+def _y_poly(exp: int, ring) -> list[ExactPoly]:
+    """1 + x^e + y^e as a y-coefficient list over K[x]."""
+    const = ExactPoly([1] + [0] * (exp - 1) + [1], ring)
+    return [const] + [ExactPoly.zero(ring)] * (exp - 1) + [ExactPoly.one(ring)]
 
 
 def resultant_bivariate(f_y, g_y) -> ExactPoly:
@@ -296,13 +302,11 @@ class TestResultant:
     @settings(max_examples=30, deadline=None)
     def test_closed_form_matches_interpolation(self, a, b, p):
         assume(a != b)
-        rational = resultant_bivariate(powersum._y_poly(a, QQ),
-                                       powersum._y_poly(b, QQ))
+        rational = resultant_bivariate(_y_poly(a, QQ), _y_poly(b, QQ))
         assert powersum._y_resultant(a, b, QQ) == rational
         ring = GF(p)
         if p > 2 * a * b + a + b + 1:
-            oracle = resultant_bivariate(powersum._y_poly(a, ring),
-                                         powersum._y_poly(b, ring))
+            oracle = resultant_bivariate(_y_poly(a, ring), _y_poly(b, ring))
         else:
             # too few interpolation nodes in GF(p); both polynomials are
             # monic in y, so the rational resultant reduces mod p
@@ -489,6 +493,19 @@ class TestFactorModP:
         assert sf.to_ring(QQ).monic() == \
             (ExactPoly([1, 1], ZZ) * ExactPoly([1, 0, 1], ZZ)).to_ring(QQ).monic()
 
+    def test_multiplicity_divisible_by_p(self):
+        # over GF(3) the derivative of (x + 1)^3 is 0, so f / gcd(f, f')
+        # would drop that factor.  squarefree_part refuses a prime field,
+        # and factor_mod_p, which peels off p-th powers, finds every factor.
+        ring = GF(3)
+        lin, other = ExactPoly([1, 1], ring), ExactPoly([2, 1], ring)
+        cube = lin * lin * lin
+        for f in (cube * other, cube):
+            with pytest.raises(RingMismatch):
+                squarefree_part(f)
+        assert factor_mod_p(cube * other) == [(lin, 3), (other, 1)]
+        assert factor_mod_p(cube) == [(lin, 3)]
+
 
 class TestDistinctDegree:
     @pytest.mark.parametrize("b", [12, 25, 42])
@@ -578,8 +595,9 @@ class TestIrreducibility:
 
     @pytest.mark.parametrize("coeffs", [[1, 2, 1], [3]])
     def test_zero_discriminant_raises(self, coeffs):
-        # (x+1)^2 and a constant: resultant(f, f') = 0, so every prime
-        # divides it; run in a subprocess so that a hang fails the test
+        # (x+1)^2 repeats a factor modulo every prime, and a constant has
+        # no pattern to read; run in a subprocess so that a hang fails the
+        # test
         script = textwrap.dedent(f"""
             from pscert.errors import DomainError
             from pscert.unipoly import ZZ, ExactPoly, certify_irreducible
@@ -600,6 +618,14 @@ class TestIrreducibility:
             pytest.fail(f"certify_irreducible({coeffs}) did not return")
         assert proc.returncode == 0, proc.stderr
 
+    def test_skips_prime_dividing_discriminant(self):
+        # f = x^2 - 3 p0 for the first prime p0 the search tries: f mod p0
+        # is x^2, a repeated factor, so p0 must not be used
+        p0 = next(unipoly._primes_from((1 << 30) + 1))
+        cert = certify_irreducible(ExactPoly([-3 * p0, 0, 1], ZZ))
+        assert cert.verdict == "Irreducible"
+        assert p0 not in cert.primes
+
     def test_patterns_consistent(self):
         f = ExactPoly([2, 0, 0, 0, 0, 0, 1], ZZ)
         cert = certify_irreducible(f)
@@ -607,75 +633,111 @@ class TestIrreducibility:
             assert sum(pat) == f.degree
 
 
+def _product(factors, ring) -> ExactPoly:
+    out = ExactPoly.one(ring)
+    for f in factors:
+        out = out * f
+    return out
+
+
+@st.composite
+def _y_existence_inputs(draw):
+    """A field, exponents a < b < c <= 8, and a squarefree monic q of degree
+    at most 8 built from x, x + 1, x - 1, x^2 + x + 1, the x^e + 1 and one
+    random monic factor, each taken while the degree stays at most 8."""
+    ring = draw(st.sampled_from([QQ, GF(2), GF(3), GF(7), GF(13)]))
+    exps = tuple(sorted(draw(st.sets(st.integers(min_value=1, max_value=8),
+                                     min_size=3, max_size=3))))
+    pool = [[0, 1], [1, 1], [-1, 1], [1, 1, 1]]
+    pool += [[1] + [0] * (e - 1) + [1] for e in exps]
+    pool.append(draw(st.lists(st.integers(min_value=-5, max_value=5),
+                              min_size=1, max_size=3)) + [1])
+    picks = draw(st.permutations(pool))[:draw(st.integers(1, 4))]
+    prod = ExactPoly.one(ring)
+    for coeffs in picks:
+        factor = ExactPoly(coeffs, ring)
+        if prod.degree + factor.degree <= 8:
+            prod = prod * factor
+    x = sympy.Symbol("x")
+    domain = {} if ring == QQ else {"modulus": ring[1]}
+    sqf = sympy.Poly([int(c) for c in reversed(prod.coeffs)], x,
+                     **domain).sqf_part().monic()
+    return ring, exps, _from_sympy(sqf, ring)
+
+
 class TestQuotientGcd:
+    """`powersum._y_existence`: the common y-roots of 1 + x^e + y^e,
+    e = a, b, c, over K[x]/(q), by a Euclid on the binomials y^e - c that
+    splits q at each zero test.  Pinned cases over GF(101) cover every
+    branch kept, a coefficient that vanishes on one factor only, and a
+    split modulus; a hypothesis test checks the result against sympy's
+    lex Groebner basis."""
+
     def test_split_on_reducible_modulus(self):
-        p = 7
-        ring = GF(p)
+        ring = GF(7)
         modulus = ExactPoly([6, 0, 1], ring)  # x^2 - 1 = (x-1)(x+1)
-        elem = QuotientElem(ExactPoly([6, 1], ring), modulus)  # x - 1
-        out = elem.inverse_or_split()
-        from pscert.unipoly import Split
-        assert isinstance(out, Split)
-        degs = sorted(f.degree for f in out.factors)
-        assert degs == [1, 1]
+        parts = powersum._split(ExactPoly([6, 1], ring), modulus)  # x - 1
+        assert parts == [(ExactPoly([6, 1], ring), True),
+                         (ExactPoly([1, 1], ring), False)]
 
     def test_invertible_element(self):
-        p = 7
-        ring = GF(p)
+        ring = GF(7)
         modulus = ExactPoly([1, 0, 1], ring)  # irreducible mod 7
-        elem = QuotientElem(ExactPoly([0, 1], ring), modulus)
-        inv = elem.inverse_or_split()
-        assert isinstance(inv, QuotientElem)
-        prod = elem * inv
-        assert prod.representative == ExactPoly.one(ring)
+        x = ExactPoly([0, 1], ring)
+        g, s = _half_xgcd(x, modulus)
+        assert g.degree == 0
+        assert (s // g) * x % modulus == ExactPoly.one(ring)
+        assert powersum._split(x, modulus) == [(modulus, False)]
 
     def test_quotient_poly_gcd_branches(self):
-        p = 7
-        ring = GF(p)
-        # modulus splits; y - x shares a root with y^2 - x^2 on both branches
-        modulus = ExactPoly([6, 0, 1], ring)
-        f = [QuotientElem(ExactPoly([0, 6], ring), modulus),
-             QuotientElem(ExactPoly.one(ring), modulus)]  # y - x
-        g = [QuotientElem(ExactPoly([0, 0, 6], ring), modulus),
-             QuotientElem(ExactPoly.zero(ring), modulus),
-             QuotientElem(ExactPoly.one(ring), modulus)]  # y^2 - x^2
-        branches = quotient_poly_gcd([f, g])
-        assert all(len(gcd_y) - 1 >= 1 for _, gcd_y in branches)
-        total = ExactPoly.one(ring)
-        for mod, _ in branches:
-            total = total * mod
-        assert total.monic() == modulus.monic()
+        # q = x (x + 1), exponents (1, 3, 5): the common roots are y = -1
+        # over x = 0 and y = 0 over x = -1.  Modulo q, -1 - x^5 = -1 - x^3
+        # = -1 - x, which vanishes on x + 1 only, so q splits and each
+        # factor keeps its root.
+        ring = GF(101)
+        q = ExactPoly([0, 1, 1], ring)
+        with_root, without = powersum._y_existence(q, (1, 3, 5))
+        assert sorted(with_root, key=lambda f: f.coeffs) == \
+            [ExactPoly([0, 1], ring), ExactPoly([1, 1], ring)]
+        assert without == []
 
     def test_quotient_poly_gcd_keeps_every_branch(self):
-        # modulus (x-1)(x-2) over GF(101); gcd(y - 1, y - x) has degree 1 on
-        # the x-1 branch and is constant on the x-2 branch
+        # q = x (x - 1), exponents (3, 5, 7): y = -1 is a common root over
+        # x = 0; over x = 1, y^3 = y^5 = -2 forces y^2 = 1 and then
+        # y^3 = -2 fails.  The last zero test splits q and both factors
+        # are kept, one on each side.
         ring = GF(101)
-        modulus = ExactPoly([2, -3, 1], ring)
-        f = [QuotientElem(ExactPoly([-1], ring), modulus),
-             QuotientElem(ExactPoly.one(ring), modulus)]  # y - 1
-        g = [QuotientElem(ExactPoly([0, -1], ring), modulus),
-             QuotientElem(ExactPoly.one(ring), modulus)]  # y - x
-        branches = quotient_poly_gcd([f, g])
-        total = ExactPoly.one(ring)
-        for mod, _ in branches:
-            total = total * mod
-        assert total.monic() == modulus.monic()
-        by_root = {mod.monic(): gcd_y for mod, gcd_y in branches}
-        assert len(by_root[ExactPoly([-1, 1], ring)]) == 2
-        assert len(by_root[ExactPoly([-2, 1], ring)]) == 1
+        q = ExactPoly([0, -1, 1], ring)
+        with_root, without = powersum._y_existence(q, (3, 5, 7))
+        assert with_root == [ExactPoly([0, 1], ring)]
+        assert without == [ExactPoly([-1, 1], ring)]
 
     def test_zero_divisor_leading_coefficient_splits(self):
-        # 5 + (x-1) y modulo (x-1)(x-2) over GF(101): the leading coefficient
-        # vanishes on the x-1 branch, where the gcd is the constant 5
+        # q = (x + 1)(x - 1), exponents (3, 5, 7): d = -1 - x^3 vanishes
+        # on x + 1 only.  There y = 0 is the only candidate root, and it is
+        # one since -1 - x^5 vanishes too; over x = 1 there is no root.
         ring = GF(101)
-        modulus = ExactPoly([2, -3, 1], ring)
-        f = [QuotientElem(ExactPoly([5], ring), modulus),
-             QuotientElem(ExactPoly([-1, 1], ring), modulus)]
-        branches = quotient_poly_gcd([f])
-        total = ExactPoly.one(ring)
-        for mod, _ in branches:
-            total = total * mod
-        assert total.monic() == modulus.monic()
-        by_root = {mod.monic(): gcd_y for mod, gcd_y in branches}
-        assert by_root[ExactPoly([-1, 1], ring)] == [ExactPoly.one(ring)]
-        assert len(by_root[ExactPoly([-2, 1], ring)]) == 2
+        q = ExactPoly([-1, 0, 1], ring)
+        with_root, without = powersum._y_existence(q, (3, 5, 7))
+        assert with_root == [ExactPoly([1, 1], ring)]
+        assert without == [ExactPoly([-1, 1], ring)]
+
+    @given(_y_existence_inputs())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_groebner_elimination(self, inputs):
+        # the factors with a root multiply to the monic generator of the
+        # elimination ideal (q, 1 + x^e + y^e) in K[x], which for a
+        # squarefree q is the product of its factors over which the
+        # three curves meet
+        ring, exps, q = inputs
+        with_root, without = powersum._y_existence(q, exps)
+        assert _product(with_root + without, ring) == q
+        x, y = sympy.symbols("x y")
+        domain = {} if ring == QQ else {"modulus": ring[1]}
+        gens = [sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                            for c in reversed(q.coeffs)], x, **domain).as_expr()]
+        gens += [1 + x ** e + y ** e for e in exps]
+        basis = sympy.groebner(gens, y, x, order="lex", **domain)
+        (elim,) = [g for g in basis.exprs if not g.has(y)]
+        oracle = _from_sympy(sympy.Poly(elim, x, **domain).monic(), ring)
+        assert _product(with_root, ring) == oracle

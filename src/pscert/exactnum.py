@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath.libmp import from_float, from_int, from_rational, mpf_lt
+from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_cmp,
+                          mpf_lt, mpf_neg, mpf_pos, mpf_sign)
 from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_cos_sin,
                                  mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
                                  mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
@@ -87,13 +88,13 @@ class RealInterval:
         return self.lo <= q <= self.hi
 
     def contains_zero(self) -> bool:
-        return self.lo <= 0 <= self.hi
+        return _sign(self._mpi[0]) <= 0 <= _sign(self._mpi[1])
 
     def is_positive(self) -> bool:
-        return self.lo > 0
+        return _sign(self._mpi[0]) > 0
 
     def is_negative(self) -> bool:
-        return self.hi < 0
+        return _sign(self._mpi[1]) < 0
 
     def at_prec(self, prec: int) -> "RealInterval":
         """The same endpoints, relabelled: later operations run at `prec`."""
@@ -154,11 +155,16 @@ class RealInterval:
         return RealInterval._wrap(mpi_neg(self._mpi, self.prec), self.prec)
 
     def __abs__(self):
-        if self.lo >= 0:
+        lo, hi = self._mpi
+        if _sign(lo) >= 0:
             return self
-        if self.hi <= 0:
+        if _sign(hi) <= 0:
             return -self
-        return RealInterval(0, max(-self.lo, self.hi), prec=self.prec)
+        neg_lo = mpf_neg(lo)
+        top = neg_lo if mpf_cmp(neg_lo, hi) > 0 else hi
+        # rounded up at prec, as an endpoint built from its exact value is
+        return RealInterval._wrap((fzero, mpf_pos(top, self.prec, "c")),
+                                  self.prec)
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -191,6 +197,14 @@ def _endpoint_raw(x, upper: bool, prec: int):
     if isinstance(x, float):
         return from_float(x)
     raise TypeError(f"cannot build interval endpoint from {type(x)!r}")
+
+
+def _sign(raw) -> int:
+    """Sign of a raw mpf endpoint, compared without building a Fraction;
+    a non-finite endpoint raises as `_mpf_to_fraction` does."""
+    if not raw[1] and raw[2]:
+        raise DomainError("non-finite interval endpoint")
+    return mpf_sign(raw)
 
 
 def _mpf_to_fraction(raw) -> Fraction:

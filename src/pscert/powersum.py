@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import BadPrime, DivisionFailure
+from .errors import BadPrime, DivisionFailure, VerificationFailed
 from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, factor_mod_p,
                       poly_gcd, squarefree_part)
 
@@ -25,6 +25,7 @@ class PQDecomposition:
     C: ExactPoly  # over ZZ
     Q: ExactPoly  # over QQ, P = C * Q exactly
     Q_zz: ExactPoly  # over ZZ, the primitive part of Q (positive leading)
+    R: ExactPoly  # over ZZ, the invariant form: Q_zz = w^(2k) R(W / w^2)
 
 
 @dataclass
@@ -91,30 +92,85 @@ def build_pq(n: int) -> PQDecomposition:
 
 @lru_cache(maxsize=None)
 def _pq(n: int) -> PQDecomposition:
+    """The decomposition of P_n, with the invariant form R_n of Q_n.
+
+    The roots of Q_n are closed under z -> 1/z and z -> -1-z, and
+    p_n(1, z, -1-z) has e1 = 0, so by Newton's identities it is a weighted
+    form in e2 = -(w + 1) and e3 = -w, with w = z^2 + z.  Hence, with
+    W = (w + 1)^3 and k = deg(Q_n) / 6,
+    Q_n(z) = sum_j r_j W^j w^(2(k-j)) = w^(2k) R_n(W / w^2),
+    where R_n(J) = sum_j r_j J^j has degree k and r_k = Q_n(0) != 0.
+    `_invariant_form` peels R_n off Q_n over ZZ and raises
+    VerificationFailed unless the identity holds exactly."""
     P = build_p(n)
     C = trivial_factor(n)
     try:
         Q = P.to_ring(QQ).exact_div(C.to_ring(QQ))
     except DivisionFailure as exc:  # pragma: no cover - would be a bug
         raise DivisionFailure(f"C_{n} does not divide P_{n}") from exc
-    return PQDecomposition(n, P, C, Q, Q.primitive_part())
+    Q_zz = Q.primitive_part()
+    return PQDecomposition(n, P, C, Q, Q_zz, _invariant_form(Q_zz))
+
+
+def _invariant_form(q: ExactPoly) -> ExactPoly:
+    """R over ZZ with q = sum_j r_j W^j w^(2(k-j)), w = z^2 + z,
+    W = (w + 1)^3, k = deg(q) / 6 and R(J) = sum_j r_j J^j, for an integer
+    polynomial q.  First q = S(w) by repeated division by z^2 + z, where
+    each remainder must be a constant; then r_k, ..., r_0 in turn are read
+    off the low end of S and r_j (w + 1)^(3j) w^(2(k-j)) is subtracted.
+    The form is exact only if nothing is left and r_k = q(0) is nonzero;
+    anything else raises VerificationFailed."""
+    if q.constant() == 0:
+        raise VerificationFailed("invariant form needs q(0) = r_k != 0")
+    s, rest = [], list(q.coeffs)
+    while rest:
+        for i in range(len(rest) - 1, 1, -1):  # divide by z^2 + z
+            rest[i - 1] -= rest[i]
+        if len(rest) > 1 and rest[1]:
+            raise VerificationFailed("q is not a polynomial in z^2 + z")
+        s.append(rest[0])
+        rest = rest[2:]
+    k = q.degree // 6
+    r = [0] * (k + 1)
+    for j in range(k, -1, -1):
+        low = 2 * (k - j)
+        r[j] = rj = s[low]
+        if rj:
+            for i in range(3 * j + 1):
+                s[low + i] -= rj * math.comb(3 * j, i)
+    if any(s):
+        raise VerificationFailed("q is not a form in (z^2 + z + 1)^3 and "
+                                 "(z^2 + z)^2")
+    return ExactPoly(r, ZZ)
 
 
 def pair_zset(b: int, c: int) -> ZSet:
     """Z(b, c): roots of gcd(Q_b, Q_c), plus trivial-zero flags from the
-    parity / mod-3 divisibility rules."""
+    parity / mod-3 divisibility rules.  The gcd is decided on the invariant
+    forms R_b, R_c first (see `_pair_gcd`)."""
     if not 2 <= b < c:
         raise ValueError("need 2 <= b < c")
-    qb = build_pq(b).Q_zz
-    qc = build_pq(c).Q_zz
-    g = poly_gcd(qb, qc).to_ring(QQ).monic() \
-        if not (qb.is_constant() or qc.is_constant()) else ExactPoly.one(QQ)
+    pb, pc = build_pq(b), build_pq(c)
     return ZSet(
-        defining_poly=g,
+        defining_poly=_pair_gcd(pb.Q_zz, pb.R, pc.Q_zz, pc.R),
         zero_minus_one_present=(b * c) % 2 != 0,
         cube_roots_present=(b % 3 != 0 and c % 3 != 0),
         exponents=(b, c),
     )
+
+
+def _pair_gcd(qb: ExactPoly, rb: ExactPoly, qc: ExactPoly,
+              rc: ExactPoly) -> ExactPoly:
+    """Monic gcd(qb, qc) over QQ, for cofactors with invariant forms rb, rc
+    (`_invariant_form`).  A common root z0 of qb and qc has w(z0) != 0,
+    since at w = 0 each form equals its r_k != 0; so J(z0) = W / w^2 is a
+    finite common root of rb and rc.  A constant gcd(rb, rc), of degree at
+    most deg(q) / 6, therefore proves gcd(qb, qc) = 1.  Only a nonconstant
+    one sends the pair to the z-degree gcd, which gives the exact zero set."""
+    if (rb.is_constant() or rc.is_constant()
+            or poly_gcd(rb, rc).is_constant()):
+        return ExactPoly.one(QQ)
+    return poly_gcd(qb, qc).to_ring(QQ).monic()
 
 
 def _system_polys(a: int, b: int, c: int, ring=ZZ) -> list[ExactPoly]:

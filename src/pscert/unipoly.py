@@ -6,12 +6,12 @@ sequence over Z (deterministic), with a modular shortcut for detecting
 trivial gcds: if the gcd mod a prime not dividing either leading
 coefficient is constant, the rational gcd is constant.
 
-Also provides: univariate resultants, squarefree part over Z and Q,
-factorization over F_p, multi-prime irreducibility certificates over Z, and
-`_half_xgcd`, the inverse modulo a polynomial.  The one gcd over K[x]/(q)
-the deciders need is that of the binomials y^e - c, a binomial whose
-exponent comes from Euclid on the exponents; `powersum._y_existence` runs
-it and divides by `_half_xgcd` inverses.
+Also provides: the squarefree part over Z and Q, factorization over F_p,
+multi-prime irreducibility certificates over Z, and `_half_xgcd`, the
+inverse modulo a polynomial.  The one gcd over K[x]/(q) the deciders need
+is that of the binomials y^e - c, a binomial whose exponent comes from
+Euclid on the exponents; `powersum._y_existence` runs it and divides by
+`_half_xgcd` inverses.
 
 All F_p arithmetic runs in one packed kernel on flat int lists (`_fp_mul`,
 `_fp_divmod`, `_fp_gcd`, and `_FpModulus` for a fixed modulus); the GF
@@ -467,7 +467,7 @@ class _FpModulus:
                                 self.n, self.p))
 
 
-# -- gcd and resultants -------------------------------------------------------
+# -- gcd -----------------------------------------------------------------------
 
 
 def poly_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
@@ -549,47 +549,6 @@ def _half_xgcd(a: ExactPoly, m: ExactPoly):
         r0, r1 = r1, r
         s0, s1 = s1, s0 - q * s1
     return r0, s0
-
-
-def resultant(f: ExactPoly, g: ExactPoly):
-    """Resultant of univariate polynomials; exact scalar in the coefficient
-    ring.  Zero iff the inputs share a nonconstant factor."""
-    if f.ring != g.ring:
-        raise RingMismatch(f"{f.ring} vs {g.ring}")
-    ring = f.ring
-    if isinstance(ring, tuple):
-        p = ring[1]
-        return _resultant_field(f, g, lambda x: x % p)
-    fq, gq = f.to_ring(QQ), g.to_ring(QQ)
-    res = _resultant_field(fq, gq, lambda x: x)
-    if ring == ZZ:
-        return int(res)
-    return res
-
-
-def _resultant_field(f: ExactPoly, g: ExactPoly, norm):
-    zero = _zero(f.ring)
-    if f.is_zero() or g.is_zero():
-        return norm(zero)
-    acc = _one(f.ring)
-    a, b = f, g
-    sign = 1
-    while True:
-        if b.degree == 0:
-            acc = norm(acc * pow(b.leading(), a.degree))
-            return norm(acc if sign > 0 else -acc)
-        if a.degree < b.degree:
-            if (a.degree * b.degree) % 2:
-                sign = -sign
-            a, b = b, a
-            continue
-        r = a % b
-        if r.is_zero():
-            return norm(zero)
-        if (a.degree * b.degree) % 2:
-            sign = -sign
-        acc = norm(acc * pow(b.leading(), a.degree - r.degree))
-        a, b = b, r
 
 
 def squarefree_part(f: ExactPoly) -> ExactPoly:

@@ -4,8 +4,9 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath.libmp import finf, from_rational
 
 from pscert.errors import AmbiguousEnclosure, DomainError
 from pscert.exactnum import (ComplexBox, RealInterval, UnityRoot,
@@ -85,6 +86,62 @@ class TestRealInterval:
         b = RealInterval(1, 3)
         assert a.intersect(b).lo == 1 and a.intersect(b).hi == 2
         assert a.hull(b).lo == 0 and a.hull(b).hi == 3
+
+
+NEGATIVE_ZERO = (1, 0, 0, 0)  # a raw mpf zero with its sign bit set
+
+
+def _raw(q, bits: int, upper: bool):
+    if q == "-0":
+        return NEGATIVE_ZERO
+    return from_rational(q.numerator, q.denominator, bits,
+                         "c" if upper else "f")
+
+
+def _fraction_abs(iv: RealInterval) -> RealInterval:
+    """`abs` as it reads on exact Fraction endpoints."""
+    if iv.lo >= 0:
+        return iv
+    if iv.hi <= 0:
+        return -iv
+    return RealInterval(0, max(-iv.lo, iv.hi), prec=iv.prec)
+
+
+class TestRawComparisons:
+    """The sign tests and `abs` compare raw mpf endpoints; each must give
+    what the same comparison gives on exact Fraction endpoints, including
+    exact zero, a negative zero and equal endpoints, and with endpoints
+    carrying more bits than the interval's precision."""
+
+    endpoint = st.one_of(rationals, st.sampled_from([Fraction(0), "-0"]))
+
+    @given(a=endpoint, b=st.one_of(st.none(), endpoint),
+           bits=st.sampled_from([8, 53, 200]),
+           prec=st.sampled_from([4, 16, 64, 128]))
+    @example(a=Fraction(0), b=None, bits=53, prec=64)
+    @example(a="-0", b=None, bits=53, prec=64)
+    @example(a="-0", b=Fraction(3), bits=53, prec=64)
+    @example(a=Fraction(-3), b="-0", bits=53, prec=64)
+    @example(a=Fraction(-5, 3), b=None, bits=200, prec=4)
+    @example(a=Fraction(-7, 3), b=Fraction(7, 3), bits=200, prec=4)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_fraction_comparisons(self, a, b, bits, prec):
+        b = a if b is None else b
+        lo_q, hi_q = sorted((a, b), key=lambda q: 0 if q == "-0" else q)
+        iv = RealInterval._wrap((_raw(lo_q, bits, False),
+                                 _raw(hi_q, bits, True)), prec)
+        lo, hi = iv.lo, iv.hi
+        assert iv.contains_zero() == (lo <= 0 <= hi)
+        assert iv.is_positive() == (lo > 0)
+        assert iv.is_negative() == (hi < 0)
+        got, want = abs(iv), _fraction_abs(iv)
+        assert (got._mpi, got.prec) == (want._mpi, want.prec)
+
+    def test_non_finite_endpoint_raises(self):
+        iv = RealInterval._wrap((from_rational(-1, 1, 53, "f"), finf), 64)
+        for check in (iv.contains_zero, iv.is_negative, iv.__abs__):
+            with pytest.raises(DomainError):
+                check()
 
 
 class TestTranscendental:

@@ -2,12 +2,15 @@
 
 import dataclasses
 import inspect
+from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pscert import powersum
-from pscert.errors import BadPrime
+from pscert import powersum, unipoly
+from pscert.errors import BadPrime, VerificationFailed
 from pscert.pipeline import SweepSpec, certify_a1, run_sweep
 from pscert.powersum import (build_p, build_pq, pair_zset, regseq2,
                              regseq3_mod_p, regseq3_rational, trivial_factor,
@@ -103,6 +106,94 @@ class TestPairZSet:
         # Q_2 is constant: the nontrivial zero set is empty by definition
         z = pair_zset(2, 8)
         assert z.is_empty
+
+    def test_sweep_gcds_run_on_invariant_forms(self, monkeypatch):
+        # a pair sweep to 60 decides every pair on R_b, R_c (degree <= 10)
+        # and never reaches the z-degree subresultant gcd
+        degrees = []
+
+        def recording_gcd(f, g):
+            degrees.append((f.degree, g.degree))
+            return poly_gcd(f, g)
+
+        def no_subresultant(f, g):
+            raise AssertionError("z-degree gcd reached")
+
+        monkeypatch.setattr(powersum, "poly_gcd", recording_gcd)
+        monkeypatch.setattr(unipoly, "_subresultant_gcd", no_subresultant)
+        out = run_sweep(SweepSpec("pair-a1", {"b_max": 60, "c_max": 60}, []))
+        assert out["instances"] == 1711 and out["counts"]["undecided"] == 0
+        assert len(degrees) == 1431  # both cofactors nonconstant
+        assert max(max(d) for d in degrees) <= 10
+
+
+def _expand_form(r: ExactPoly) -> ExactPoly:
+    """sum_j r_j W^j w^(2(k-j)) in z, with w = z^2 + z, W = (w + 1)^3 and
+    k = deg r, by ExactPoly products."""
+    w = ExactPoly([0, 1, 1], ZZ)
+    cube = ExactPoly([1, 1, 1], ZZ)
+    cube = cube * cube * cube
+    k = r.degree
+    out = ExactPoly.zero(ZZ)
+    for j, rj in enumerate(r.coeffs):
+        term = ExactPoly([rj], ZZ)
+        for _ in range(j):
+            term = term * cube
+        for _ in range(2 * (k - j)):
+            term = term * w
+        out = out + term
+    return out
+
+
+def _sympy_monic_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
+    z = sympy.Symbol("z")
+    pf, pg = (sympy.Poly(list(reversed(h.coeffs)), z, domain="QQ")
+              for h in (f, g))
+    h = sympy.gcd(pf, pg).monic()
+    return ExactPoly([Fraction(int(c.p), int(c.q))
+                      for c in reversed(h.all_coeffs())], QQ)
+
+
+class TestInvariantForm:
+    def test_reexpands_to_cofactor(self):
+        for n in range(2, 121):
+            pq = build_pq(n)
+            assert pq.Q_zz.degree % 6 == 0, n
+            assert pq.R.degree == pq.Q_zz.degree // 6, n
+            assert _expand_form(pq.R) == pq.Q_zz, n
+
+    def test_peel_raises_off_the_form(self):
+        z = ExactPoly([0, 1], ZZ)
+        w = ExactPoly([0, 1, 1], ZZ)
+        for n in (8, 12, 60):
+            q = build_pq(n).Q_zz
+            for bad in (q + z,  # not a polynomial in w
+                        q + w,  # a polynomial in w, but not a form
+                        q * w):
+                with pytest.raises(VerificationFailed):
+                    powersum._invariant_form(bad)
+        # r_k = q(0) = 0: the zero polynomial and w^3
+        for bad in (ExactPoly.zero(ZZ), w * w * w):
+            with pytest.raises(VerificationFailed):
+                powersum._invariant_form(bad)
+
+    forms = st.lists(st.integers(min_value=-5, max_value=5), min_size=1,
+                     max_size=4).filter(lambda c: c[-1] != 0)
+
+    @given(common=forms, first=forms, second=forms)
+    @settings(max_examples=60, deadline=None)
+    def test_pair_gcd_matches_sympy(self, common, first, second):
+        # plant a common factor F(J) into R1 = F A and R2 = F B; the pair
+        # gcd, through the invariant forms and, when their gcd is
+        # nonconstant, the z-degree fallback, must be sympy's gcd in z
+        f = ExactPoly(common, ZZ)
+        r1, r2 = f * ExactPoly(first, ZZ), f * ExactPoly(second, ZZ)
+        q1, q2 = _expand_form(r1), _expand_form(r2)
+        assert powersum._invariant_form(q1) == r1
+        assert powersum._invariant_form(q2) == r2
+        got = powersum._pair_gcd(q1, r1, q2, r2)
+        want = _sympy_monic_gcd(q1, q2)
+        assert got.degree == want.degree and got == want
 
 
 class TestTripleZSet:

@@ -21,7 +21,7 @@ from pscert.errors import DivisionFailure, DomainError, RingMismatch
 from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
                             certify_irreducible, ddf_degrees, factor_mod_p,
-                            poly_gcd, resultant, squarefree_part)
+                            poly_gcd, squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
@@ -47,6 +47,48 @@ def _y_poly(exp: int, ring) -> list[ExactPoly]:
     """1 + x^e + y^e as a y-coefficient list over K[x]."""
     const = ExactPoly([1] + [0] * (exp - 1) + [1], ring)
     return [const] + [ExactPoly.zero(ring)] * (exp - 1) + [ExactPoly.one(ring)]
+
+
+def resultant(f: ExactPoly, g: ExactPoly):
+    """Oracle: resultant of univariate polynomials by a Euclid over the
+    field, an exact scalar in the coefficient ring.  Zero iff the inputs
+    share a nonconstant factor."""
+    if f.ring != g.ring:
+        raise RingMismatch(f"{f.ring} vs {g.ring}")
+    ring = f.ring
+    if isinstance(ring, tuple):
+        p = ring[1]
+        return _resultant_field(f, g, lambda x: x % p)
+    fq, gq = f.to_ring(QQ), g.to_ring(QQ)
+    res = _resultant_field(fq, gq, lambda x: x)
+    if ring == ZZ:
+        return int(res)
+    return res
+
+
+def _resultant_field(f: ExactPoly, g: ExactPoly, norm):
+    zero = Fraction(0) if f.ring == QQ else 0
+    if f.is_zero() or g.is_zero():
+        return norm(zero)
+    acc = Fraction(1) if f.ring == QQ else 1
+    a, b = f, g
+    sign = 1
+    while True:
+        if b.degree == 0:
+            acc = norm(acc * pow(b.leading(), a.degree))
+            return norm(acc if sign > 0 else -acc)
+        if a.degree < b.degree:
+            if (a.degree * b.degree) % 2:
+                sign = -sign
+            a, b = b, a
+            continue
+        r = a % b
+        if r.is_zero():
+            return norm(zero)
+        if (a.degree * b.degree) % 2:
+            sign = -sign
+        acc = norm(acc * pow(b.leading(), a.degree - r.degree))
+        a, b = b, r
 
 
 def resultant_bivariate(f_y, g_y) -> ExactPoly:

@@ -1,11 +1,21 @@
 """Certified numerics for the zero-geometry and diophantine bounds.
 
-Roots of Q_n on the canonical segment Re(z) = -1/2, t > sqrt(3)/2 are
-isolated through the sign pattern of s(theta) = 2 cos(n theta)
-+ (2|cos theta|)^n on theta = k pi / n inside (pi/2, 2pi/3), where the sign
-is exact: the second term is strictly below 2 there, so the grid sign is
-(-1)^k.  Brackets are refined by interval bisection.  Every bound evaluation
-returns a BoundReport whose verdict is derived from interval endpoints only.
+The roots of Q_n on the canonical segment z = -1/2 + i t, t > sqrt(3)/2,
+are located by integers alone.  On the segment w = z^2 + z = -rho with
+rho = |z|^2 = 1/4 + t^2, so the invariant form R_n of `powersum` gives
+Q_zz(z) = S_n(rho) = sum_j r_j (1 - rho)^(3j) rho^(2(k-j)), and the
+segment roots are the k = deg R_n roots of S_n in (1, inf).  The count law
+certifies them: R_n(-J) has exactly k coefficient sign changes, so by
+Descartes' rule there are at most k, and k disjoint dyadic rho-brackets
+with a strict sign change of S_n show at least k, each simple.  Integer
+Newton refines a bracket, and u* = atan2(sqrt(rho* - 1/4), -1/2) / pi
+encloses the root's angle theta = u* pi in (pi/2, 2pi/3).
+
+The recorded enclosures come from bisecting theta = u pi with rational u,
+where t = -tan(u pi) / 2: each step only compares its midpoint with the
+enclosure of u*, exactly, and cos and sin are taken at the last few
+bracket ends only.  Every bound evaluation returns a BoundReport whose
+verdict is derived from interval endpoints only.
 """
 
 from __future__ import annotations
@@ -13,12 +23,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
                      VerificationFailed, WidthUnreachable)
 from . import exactnum
-from .exactnum import (ComplexBox, RealInterval, iatan2, icos, icos_sin,
+from .exactnum import (ComplexBox, RealInterval, iatan2, icos_sin,
                        iexp, ilog, isqrt, pi_interval)
 from .powersum import build_pq
 
@@ -29,7 +40,7 @@ class SegmentRoot:
     theta = u * pi with exact rational u endpoints."""
     n: int
     t: RealInterval
-    u_lo: Fraction  # theta bracket (u_lo * pi, u_hi * pi), s-sign known at ends
+    u_lo: Fraction  # theta bracket (u_lo * pi, u_hi * pi) of this root alone
     u_hi: Fraction
 
     def alpha(self, prec: int = 128) -> ComplexBox:
@@ -46,45 +57,192 @@ class BoundReport:
     details: dict = dc_field(default_factory=dict)
 
 
+# -- the exact layer: squared moduli of the segment roots ---------------------
+
+
+def _int_sign(x: int) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [_int_sign(c) for c in coeffs if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _taylor_shift(a: list[int]) -> list[int]:
+    """Coefficients of a(x + 1), lowest first."""
+    a = list(a)
+    for i in range(len(a) - 1):
+        for j in range(len(a) - 2, i - 1, -1):
+            a[j] += a[j + 1]
+    return a
+
+
+def _scaled(s, x: int, b: int) -> int:
+    """2^(b d) s(x / 2^b) for s of degree d, exactly (Horner)."""
+    acc, scale = 0, 1
+    for c in reversed(s):
+        acc = acc * x + c * scale
+        scale <<= b
+    return acc
+
+
+@lru_cache(maxsize=None)
+def _segment_form(n: int) -> tuple[tuple[int, ...], tuple]:
+    """S_n and one bracket per segment root, certified by the count law.
+
+    S_n(rho) = sum_j r_j (1 - rho)^(3j) rho^(2(k-j)), built from the
+    invariant form R_n(J) = sum_j r_j J^j, is Q_zz on the segment, where
+    w = -rho and W = (1 - rho)^3 with rho = 1/4 + t^2.  J = (1 - rho)^3 /
+    rho^2 maps (1, inf) decreasingly onto (-inf, 0), so the roots of S_n
+    above 1 are the negative roots of R_n, with multiplicity.  The count
+    law: R_n(-J) must have k = deg R_n coefficient sign changes, so by
+    Descartes' rule S_n has at most k roots above 1; k disjoint brackets
+    with a strict sign change each then hold exactly one simple root each.
+    Either check failing raises VerificationFailed.  A bracket is
+    (lo, hi, b, sign of S_n at lo / 2^b), the root lies in
+    (lo / 2^b, hi / 2^b), and the brackets are listed by decreasing rho,
+    which is increasing u."""
+    r = [int(c) for c in build_pq(n).R.coeffs]
+    k = len(r) - 1
+    if _sign_changes(c if j % 2 == 0 else -c for j, c in enumerate(r)) != k:
+        raise VerificationFailed(f"R_{n}(-J) does not have {k} sign changes")
+    s = [0] * (3 * k + 1)
+    for j, rj in enumerate(r):
+        for i in range(3 * j + 1):
+            s[2 * (k - j) + i] += (-1) ** i * math.comb(3 * j, i) * rj
+    brackets = _sign_change_brackets(s)
+    if len(brackets) != k:
+        raise VerificationFailed(
+            f"found {len(brackets)} of the {k} segment roots of Q_{n}")
+    return tuple(s), tuple(reversed(brackets))
+
+
+def _sign_change_brackets(s: list[int]) -> list:
+    """Disjoint brackets (lo, hi, b, sign at lo) in (1, inf), increasing,
+    each with a strict sign change of s at its dyadic ends.  They are
+    found by bisection on Descartes counts of integer Taylor shifts
+    (Vincent-Collins-Akritas); the counts only steer the search, and only
+    the end signs and the count law certify the result."""
+    d = len(s) - 1
+    if d < 1:
+        return []
+    # every root lies below 1 + max|s_i| / |s_d| <= 1 + 2^e (Cauchy)
+    e = (max(abs(c) for c in s[:-1]) // abs(s[-1]) + 1).bit_length()
+    # p(x) = s(1 + 2^e x) maps (1, 1 + 2^e) onto (0, 1); an entry of `todo`
+    # is (p, l, depth) for the interval 1 + 2^e (l + (0, 1)) / 2^depth
+    todo = [([c << (e * i) for i, c in enumerate(_taylor_shift(s))], 0, 0)]
+    out = []
+    while todo:
+        p, l, depth = todo.pop()
+        count = _sign_changes(_taylor_shift(p[::-1]))
+        if count == 1:
+            lo = (1 << depth) + (l << e)
+            hi = lo + (1 << e)
+            sign_lo = _int_sign(_scaled(s, lo, depth))
+            if sign_lo * _int_sign(_scaled(s, hi, depth)) < 0:
+                out.append((lo, hi, depth, sign_lo))
+        elif count > 1 and depth < 256:  # past that, give up on the root
+            half = [c << (d - i) for i, c in enumerate(p)]  # 2^d p(x / 2)
+            todo.append((_taylor_shift(half), 2 * l + 1, depth + 1))
+            todo.append((half, 2 * l, depth + 1))
+    return out
+
+
+def _refine(s, lo: int, hi: int, b: int, sign_lo: int, bits: int) -> tuple:
+    """Narrow the bracket (lo, hi) / 2^b of a single root of s, with
+    sign(s(lo / 2^b)) = sign_lo, to at most two grid steps of 2^-bits.
+
+    Integer Newton runs on the grid x / 2^b and doubles b each round.  A
+    Newton point x is accepted only after s is checked to change sign
+    strictly between x - 1 and x + 1, inside the current bracket; otherwise
+    one exact bisection step is taken.  The bracket never leaves the
+    starting one, so it keeps its single root."""
+    ds = [i * c for i, c in enumerate(s)][1:]
+    while b < bits or hi - lo > 2:
+        if b < bits:
+            nb = min(max(2 * b, 32), bits)
+            lo, hi, b = lo << (nb - b), hi << (nb - b), nb
+        x = (lo + hi) // 2
+        slope = _scaled(ds, x, b)
+        if slope:
+            x -= _scaled(s, x, b) // slope
+            if lo <= x - 1 and x + 1 <= hi:
+                sign_x = _int_sign(_scaled(s, x - 1, b))
+                if sign_x * _int_sign(_scaled(s, x + 1, b)) < 0:
+                    lo, hi, sign_lo = x - 1, x + 1, sign_x
+                    continue
+        mid = (lo + hi) // 2
+        sign_mid = _int_sign(_scaled(s, mid, b))
+        if sign_mid == 0:  # the root is mid itself
+            lo, hi = mid - 1, mid + 1
+            sign_lo = _int_sign(_scaled(s, lo, b))
+        elif sign_mid == sign_lo:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, b, sign_lo
+
+
+@lru_cache(maxsize=None)
+def _rho_bracket(n: int, i: int, bits: int) -> tuple:
+    """The i-th segment root's bracket of `_segment_form`, refined to at
+    most two steps of 2^-bits (from the one at bits // 2, which is cached)."""
+    s, brackets = _segment_form(n)
+    start = brackets[i]
+    if bits // 2 > start[2]:
+        start = _rho_bracket(n, i, bits // 2)
+    return _refine(s, *start, bits)
+
+
+@lru_cache(maxsize=None)
+def _u_root(n: int, i: int, bits: int) -> tuple[Fraction, Fraction]:
+    """Exact ends of an enclosure of u* = atan2(sqrt(rho* - 1/4), -1/2) / pi,
+    the i-th segment root in increasing u, at `bits` bits."""
+    lo, hi, b, _ = _rho_bracket(n, i, bits)
+    rho = RealInterval(Fraction(lo, 1 << b), Fraction(hi, 1 << b), prec=bits)
+    theta = iatan2(isqrt(rho - Fraction(1, 4)),
+                   RealInterval(Fraction(-1, 2), prec=bits))
+    u = theta / pi_interval(bits)
+    return u.lo, u.hi
+
+
+def _roots_below(n: int, u: Fraction, bits: int) -> Optional[int]:
+    """How many segment roots have u* < u, comparing u with enclosures of
+    u* that start at `bits` bits and double while u lies inside one; None
+    if u still does at the cap."""
+    k = len(_segment_form(n)[1])
+    for i in range(k):
+        b = bits
+        lo, hi = _u_root(n, i, b)
+        while lo <= u <= hi:
+            if b >= 2 * exactnum.MAX_PREC:
+                return None
+            b *= 2
+            lo, hi = _u_root(n, i, b)
+        if u < lo:
+            return i
+    return k
+
+
 # -- segment root isolation ---------------------------------------------------
 
 
-def _sign_s(u: Fraction, n: int, prec: int = 64) -> int:
-    """Certified sign of s(u*pi) = 2 cos(n u pi) + (2 cos(u pi))^n for
-    u in (1/2, 2/3); 0 if undecidable at the cap."""
-    while True:
-        theta = pi_interval(prec) * u
-        val = 2 * icos(theta * n) + (2 * abs(icos(theta))) ** n
-        if val.is_positive():
-            return 1
-        if val.is_negative():
-            return -1
-        if prec >= exactnum.MAX_PREC:
-            return 0
-        prec *= 2
-
-
-def _sample_points(n: int, shrink: int) -> list[tuple[Fraction, int | None]]:
-    """(u, known sign or None) pairs covering (1/2, 2/3); grid signs exact."""
-    pts: list[tuple[Fraction, int | None]] = []
+def _sample_points(n: int, shrink: int) -> list[Fraction]:
+    """Points covering (1/2, 2/3): the grid k/n and one point past each end
+    of it, with midpoints added when shrink > 0."""
     grid = [k for k in range(n // 2 + 1, (2 * n) // 3 + 1)
             if Fraction(1, 2) < Fraction(k, n) < Fraction(2, 3)]
     lo_gap = (Fraction(grid[0], n) - Fraction(1, 2)) if grid else Fraction(1, 6)
     hi_gap = (Fraction(2, 3) - Fraction(grid[-1], n)) if grid else Fraction(1, 6)
     delta_lo = lo_gap / (2 ** shrink)
     delta_hi = hi_gap / (2 ** shrink)
-    pts.append((Fraction(1, 2) + delta_lo / 2, None))
-    for k in grid:
-        pts.append((Fraction(k, n), 1 if k % 2 == 0 else -1))
-    pts.append((Fraction(2, 3) - delta_hi / 2, None))
+    pts = [Fraction(1, 2) + delta_lo / 2]
+    pts += [Fraction(k, n) for k in grid]
+    pts.append(Fraction(2, 3) - delta_hi / 2)
     if shrink > 0:
         # midpoint refinement pass for stubborn counts
-        refined: list[tuple[Fraction, int | None]] = []
-        for (u1, s1), (u2, s2) in zip(pts, pts[1:]):
-            refined.append((u1, s1))
-            refined.append(((u1 + u2) / 2, None))
-        refined.append(pts[-1])
-        pts = refined
+        pts = sorted(pts + [(u1 + u2) / 2 for u1, u2 in zip(pts, pts[1:])])
     return pts
 
 
@@ -92,43 +250,43 @@ def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
                           prec: int = 128) -> list[SegmentRoot]:
     """All roots of Q_n on the segment, each refined to the target t-width.
 
-    The number of sign-change brackets must equal deg(Q_n)/6; a persistent
-    mismatch is a hard error.
+    A pair of neighbouring sample points is a bracket iff an odd number of
+    segment roots lies between them, counted exactly by `_roots_below`;
+    that is where s(theta) changes sign.  The sample points shrink until
+    there are deg(Q_n)/6 brackets.
     """
     if n < 6:
         raise ValueError("need n >= 6")
-    qdeg = build_pq(n).Q.degree
-    expected = qdeg // 6
+    expected = len(_segment_form(n)[1])
     if expected == 0:
         return []
     for shrink in range(0, 8):
         pts = _sample_points(n, shrink)
-        signs = []
-        ok = True
-        for u, s in pts:
-            if s is None:
-                s = _sign_s(u, n)
-                if s == 0:
-                    ok = False
-                    break
-            signs.append((u, s))
-        if not ok:
+        below = [_roots_below(n, u, 2 * prec) for u in pts]
+        if None in below:
             continue
-        brackets = [(u1, u2) for (u1, s1), (u2, s2) in zip(signs, signs[1:])
-                    if s1 != s2]
+        brackets = [(u1, u2) for u1, u2, c1, c2
+                    in zip(pts, pts[1:], below, below[1:]) if (c2 - c1) % 2]
         if len(brackets) == expected:
             roots = [_bisect_root(n, u1, u2, target_width, prec)
                      for (u1, u2) in brackets]
             # theta increasing <-> t decreasing; report in increasing t
             roots.sort(key=lambda r: r.t.lo)
             return roots
-    raise RuntimeError(
-        f"segment sign changes never matched deg(Q_{n})/6 = {expected}")
+    raise VerificationFailed(
+        f"sample points never separated the {expected} segment roots of Q_{n}")
 
 
 def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
                  prec: int) -> SegmentRoot:
-    s_lo = _sign_s(u_lo, n, prec)
+    """Bisect the bracket (u_lo, u_hi) of one segment root down to a
+    t-enclosure of the target width.  A step keeps the half that holds the
+    root, found by counting exactly the roots below its midpoint."""
+    bits = 2 * prec
+    i = _roots_below(n, u_lo, bits)
+    if i is None or _roots_below(n, u_hi, bits) != i + 1:
+        raise VerificationFailed(
+            f"({u_lo}, {u_hi}) does not hold exactly one segment root of Q_{n}")
     target = Fraction(target_width)
     # t at the bracket ends by (u, prec): a step moves one end only, and an
     # escalation recomputes both
@@ -141,18 +299,20 @@ def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
         return t_at[key]
 
     while True:
-        # t is decreasing in u on (1/2, 2/3)
-        t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
-        if t.width <= target:
-            return SegmentRoot(n, t, u_lo, u_hi)
+        # t is decreasing in u, with |dt/du| = (pi/2) sec^2(pi u) >= 2 pi on
+        # (1/2, 2/3): no t-enclosure is narrower than 6 (u_hi - u_lo)
+        if 6 * (u_hi - u_lo) <= target:
+            t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
+            if t.width <= target:
+                return SegmentRoot(n, t, u_lo, u_hi)
         mid = (u_lo + u_hi) / 2
-        s_mid = _sign_s(mid, n, prec)
-        if s_mid == 0:
+        below = _roots_below(n, mid, bits)
+        if below is None:  # mid still inside the enclosure of u* at the cap
             if prec >= exactnum.MAX_PREC:
                 raise WidthUnreachable(f"precision cap at n={n}")
             prec *= 2
             continue
-        if s_mid == s_lo:
+        if below == i:  # the root lies in (mid, u_hi)
             u_lo = mid
         else:
             u_hi = mid

@@ -1,24 +1,44 @@
 """Certified root isolation on the canonical segment and the bound family."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import libmpi
 
 from pscert import analytic, exactnum
 from pscert.analytic import (BoundReport, SegmentRoot, _exceeds,
-                             _fixed_point_distance, _sign_s, bound_14_9,
-                             c_small_threshold, close_window, general_bounds,
-                             isolate_segment_roots, lmn3_c_max, lmn_lower,
-                             max_modulus, refine_segment_root, top_modulus,
-                             window_theta)
-from pscert.errors import AmbiguousEnclosure, DomainError
-from pscert.exactnum import (ComplexBox, RealInterval, isqrt,
-                             nearest_integer_distance)
+                             _fixed_point_distance, _rho_bracket,
+                             _roots_below, _sample_points, _segment_form,
+                             bound_14_9, c_small_threshold, close_window,
+                             general_bounds, isolate_segment_roots,
+                             lmn3_c_max, lmn_lower, max_modulus,
+                             refine_segment_root, top_modulus, window_theta)
+from pscert.errors import AmbiguousEnclosure, DomainError, VerificationFailed
+from pscert.exactnum import (ComplexBox, RealInterval, icos, isqrt,
+                             nearest_integer_distance, pi_interval)
 from pscert.powersum import build_pq
+from pscert.unipoly import ZZ, ExactPoly
+
+
+def _sign_s(u: Fraction, n: int, prec: int = 64) -> int:
+    """Trigonometric oracle: certified sign of s(u pi) = 2 cos(n u pi)
+    + (2 cos(u pi))^n for u in (1/2, 2/3), which has the sign of P_n at
+    -1/2 + i t with t = -tan(u pi) / 2; 0 if undecidable at the cap."""
+    while True:
+        theta = pi_interval(prec) * u
+        val = 2 * icos(theta * n) + (2 * abs(icos(theta))) ** n
+        if val.is_positive():
+            return 1
+        if val.is_negative():
+            return -1
+        if prec >= exactnum.MAX_PREC:
+            return 0
+        prec *= 2
 
 
 def eval_p_on_box(n: int, box: ComplexBox) -> ComplexBox:
@@ -39,7 +59,7 @@ def eval_q_on_box(n: int, box: ComplexBox) -> ComplexBox:
 
 class TestIsolation:
     def test_count_law(self):
-        for n in range(6, 41):
+        for n in range(6, 61):
             q = build_pq(n).Q
             roots = isolate_segment_roots(n) if q.degree else []
             assert len(roots) == q.degree // 6, n
@@ -57,7 +77,7 @@ class TestIsolation:
             assert _sign_s(root.u_lo, 14) * _sign_s(root.u_hi, 14) == -1
 
     def test_root_certification(self):
-        for n in range(6, 31):
+        for n in range(6, 61):
             if build_pq(n).Q.degree == 0:
                 continue
             for root in isolate_segment_roots(n):
@@ -82,35 +102,159 @@ class TestIsolation:
         assert fine.t.width <= Fraction(1, 10 ** 30)
         assert root.t.lo <= fine.t.lo and fine.t.hi <= root.t.hi
 
-    def test_bisection_takes_one_cos_sin_per_step_for_t(self, monkeypatch):
-        """Each step computes t at the moved bracket end only, with one
-        mpi_cos_sin call; _sign_s takes its own calls at the midpoint."""
+    def test_bracket_must_hold_exactly_one_root(self):
+        (root,) = isolate_segment_roots(8)  # u* is about 0.5625
+        for u_lo, u_hi in ((Fraction(3, 5), Fraction(13, 20)),
+                           (Fraction(51, 100), Fraction(53, 100))):
+            empty = SegmentRoot(8, root.t, u_lo, u_hi)
+            with pytest.raises(VerificationFailed):
+                refine_segment_root(empty, Fraction(1, 10 ** 30))
+        roots = isolate_segment_roots(25)
+        three = SegmentRoot(25, roots[0].t, roots[-1].u_lo, roots[0].u_hi)
+        with pytest.raises(VerificationFailed):
+            refine_segment_root(three, Fraction(1, 10 ** 30))
+
+    def test_bisection_takes_no_trigonometry_per_step(self, monkeypatch):
+        """The bisection steers by exact comparison with u*, so the only
+        cos-sin enclosures are t at the last few bracket ends."""
         (root,) = isolate_segment_roots(8)
-        calls = {"all": 0, "sign": 0, "in_sign": 0}
-        real_cos_sin, real_sign = libmpi.mpi_cos_sin, analytic._sign_s
+        calls = {"cos_sin": 0, "cos": 0}
+        real_cos_sin, real_cos = libmpi.mpi_cos_sin, libmpi.mpi_cos
 
         def cos_sin(x, prec):
-            calls["all"] += 1
+            calls["cos_sin"] += 1
             return real_cos_sin(x, prec)
 
-        def sign(*args):
-            before = calls["all"]
-            calls["sign"] += 1
-            try:
-                return real_sign(*args)
-            finally:
-                calls["in_sign"] += calls["all"] - before
+        def cos(x, prec):
+            calls["cos"] += 1
+            return real_cos(x, prec)
 
-        # icos and isin reach mpi_cos_sin through libmpi, icos_sin directly
-        monkeypatch.setattr(libmpi, "mpi_cos_sin", cos_sin)
-        monkeypatch.setattr(exactnum, "mpi_cos_sin", cos_sin)
-        monkeypatch.setattr(analytic, "_sign_s", sign)
+        # icos reaches mpi_cos through exactnum, icos_sin mpi_cos_sin
+        for module in (libmpi, exactnum):
+            monkeypatch.setattr(module, "mpi_cos_sin", cos_sin)
+            monkeypatch.setattr(module, "mpi_cos", cos)
         fine = refine_segment_root(root, Fraction(1, 10 ** 30), prec=256)
         assert fine.t.width <= Fraction(1, 10 ** 30)
-        steps = calls["sign"] - 1  # the first call signs the lower end
-        assert steps > 50
-        # both ends once, then the moved end once per step
-        assert calls["all"] - calls["in_sign"] == steps + 2
+        halvings = (root.u_hi - root.u_lo) / (fine.u_hi - fine.u_lo)
+        assert halvings.denominator == 1 and halvings > 2 ** 50
+        assert int(halvings).bit_count() == 1  # each step halves
+        assert calls["cos_sin"] <= 8
+        assert calls["cos"] == 0
+
+    def test_classification_matches_trig_oracle(self):
+        """sign s(u) = sigma_n sign(lc S_n) (-1)^N(u), N(u) the number of
+        roots with u* < u, and sigma_n = sign(C_n on the segment)
+        sign(lc Q / lc Q_zz); seeded u in (1/2, 2/3) for n = 6..60."""
+        rng = random.Random(11)
+        for n in range(6, 61):
+            pq = build_pq(n)
+            if pq.R.degree == 0:
+                continue
+            s = _segment_form(n)[0]
+            sigma = (_sign_on_segment(pq.C) * _sign(pq.Q.coeffs[-1])
+                     * _sign(pq.Q_zz.coeffs[-1]) * _sign(s[-1]))
+            for _ in range(8):
+                u = Fraction(1, 2) + Fraction(rng.randrange(1, 10 ** 6),
+                                              6 * 10 ** 6)
+                assert _sign_s(u, n) == sigma * (-1) ** _roots_below(n, u, 128), (n, u)
+            for u in _sample_points(n, 0):
+                assert _sign_s(u, n) == sigma * (-1) ** _roots_below(n, u, 256), (n, u)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _sign_on_segment(c) -> int:
+    """Sign of the real value of C_n at -1/2 + i, exact in Q(i)."""
+    re, im = Fraction(0), Fraction(0)
+    for a in reversed(c.coeffs):  # (re + i im) (-1/2 + i) + a
+        re, im = -re / 2 - im + a, re - im / 2
+    assert im == 0
+    return _sign(re)
+
+
+class TestExactLayer:
+    """The exact integer layer against sympy: the count law, the brackets
+    and their Newton refinements."""
+
+    SPREAD = (8, 11, 13, 19, 25, 30, 36, 42, 49, 53, 60)
+
+    @staticmethod
+    def _polys(n):
+        J, rho = sympy.symbols("J rho")
+        r = [int(c) for c in build_pq(n).R.coeffs]
+        R = sympy.Poly(list(reversed(r)), J)
+        S = sympy.Poly(list(reversed(_segment_form(n)[0])), rho)
+        return R, S, J, rho
+
+    @staticmethod
+    def _ends(lo, hi, b):
+        return sympy.Rational(lo, 2 ** b), sympy.Rational(hi, 2 ** b)
+
+    def test_counts_match_sympy(self):
+        for n in range(6, 61):
+            R, S, J, rho = self._polys(n)
+            k = R.degree()
+            R_neg = sympy.Poly(R.as_expr().subs(J, -J), J)
+            assert R_neg.count_roots(0, None) == k, n
+            assert S.count_roots(1, None) == k, n
+            # S_n = sum_j r_j (1 - rho)^(3j) rho^(2(k-j))
+            one_minus, x = sympy.Poly(1 - rho, rho), sympy.Poly(rho, rho)
+            assert S == sum((c * one_minus ** (3 * j) * x ** (2 * (k - j))
+                             for j, c in enumerate(reversed(R.all_coeffs()))),
+                            sympy.Poly(0, rho)), n
+
+    def test_brackets_hold_one_sympy_root_each(self):
+        for n in self.SPREAD:
+            _, S, _, _ = self._polys(n)
+            brackets = _segment_form(n)[1]  # by decreasing rho
+            k, roots = len(brackets), S.real_roots()  # by increasing rho
+            assert len(roots) == k or bool(roots[-k - 1] < 1), n
+            for (lo, hi, b, sign_lo), x in zip(brackets, reversed(roots)):
+                lo_q, hi_q = self._ends(lo, hi, b)
+                # brackets are disjoint, so each holds exactly this root
+                assert bool(lo_q < x) and bool(x < hi_q), n
+                assert int(sympy.sign(S.eval(lo_q))) == sign_lo != 0, n
+            ends = [Fraction(lo, 2 ** b) for lo, hi, b, _ in brackets]
+            tops = [Fraction(hi, 2 ** b) for lo, hi, b, _ in brackets]
+            assert all(lo >= hi for lo, hi in zip(ends, tops[1:])), n
+
+    def test_refined_brackets_hold_their_root(self):
+        """A sub-bracket of a one-root bracket with a strict sign change of
+        S_n at its ends (sympy's exact evaluation) holds that root."""
+        for n in self.SPREAD:
+            _, S, _, _ = self._polys(n)
+            for i, (lo0, hi0, b0, _) in enumerate(_segment_form(n)[1]):
+                for bits in (64, 128, 512):
+                    lo, hi, b, sign_lo = _rho_bracket(n, i, bits)
+                    assert b == max(bits, b0) and 0 < hi - lo <= 2, (n, i)
+                    assert lo0 << (b - b0) <= lo and hi <= hi0 << (b - b0)
+                    lo_q, hi_q = self._ends(lo, hi, b)
+                    assert int(sympy.sign(S.eval(lo_q))) == sign_lo != 0
+                    assert int(sympy.sign(S.eval(hi_q))) == -sign_lo
+
+    def test_top_bracket_inside_max_modulus_squared(self):
+        for n in (8, 11, 25, 42):
+            lo, hi, b, _ = _rho_bracket(n, 0, 128)
+            mm2 = max_modulus(n) ** 2
+            assert mm2.lo < Fraction(lo, 2 ** b) < Fraction(hi, 2 ** b) < mm2.hi
+
+    @pytest.mark.parametrize("r, why", [
+        ([20, 126, 75, -5], "sign changes"),  # R_25 with r_3 negated: 2 of 3
+        ([1, 1, 1], "found 0 of the 2"),      # 2 sign changes, no real root
+    ])
+    def test_count_law_failure_raises(self, monkeypatch, r, why):
+        class Fake:
+            R = ExactPoly(r, ZZ)
+        monkeypatch.setattr(analytic, "build_pq",
+                            lambda n: Fake if n == 25 else build_pq(n))
+        _segment_form.cache_clear()
+        try:
+            with pytest.raises(VerificationFailed, match=why):
+                isolate_segment_roots(25)
+        finally:
+            _segment_form.cache_clear()
 
 
 class TestMaxModulus:

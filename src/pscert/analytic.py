@@ -537,9 +537,10 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     in [m A_lo, m A_hi] / 2^K, and that interval is stepped from one m to the
     next by adding A_lo and A_hi.  The integer part of an endpoint is its
     top bits (>> K) and its distance to the nearest integer comes from its
-    low K bits; the threshold is compared by cross-multiplying.  Nothing is
-    rounded, so each enclosure is no wider than an outward-rounded interval
-    product m * (pi/|theta|) would be.
+    low K bits; it is compared with floor(threshold * 2^K), computed once
+    per scan (`_scan_limit`).  Nothing is rounded, so each enclosure is no
+    wider than an outward-rounded interval product m * (pi/|theta|) would
+    be.
     """
     if c_lo >= c_hi:
         return BoundReport("window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
@@ -567,7 +568,7 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     k = max(lo.denominator, hi.denominator).bit_length() - 1
     a_lo, a_hi = ((q.numerator << k) // q.denominator for q in (lo, hi))
     window_lo, window_hi = c_lo << k, c_hi << k
-    bound = threshold.hi
+    limit = _scan_limit(threshold.hi, k)
 
     m_lo = max(1, window_lo // a_hi)
     m_hi = -(-window_hi // a_lo)
@@ -580,7 +581,7 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
             dist = _fixed_point_distance(x_lo, x_hi, k)
             if min_dist is None or dist < min_dist:
                 min_dist = dist
-            if not _exceeds(dist, k, bound):
+            if dist <= limit:
                 return BoundReport(
                     "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
                     pi_over_theta, "Undecided",
@@ -612,6 +613,7 @@ def _fixed_point_distance(x_lo: int, x_hi: int, k: int) -> int:
     return min(f_lo, one - f_lo, f_hi, one - f_hi)
 
 
-def _exceeds(dist: int, k: int, bound: Fraction) -> bool:
-    """Exactly whether dist / 2^k > bound."""
-    return dist * bound.denominator > bound.numerator << k
+def _scan_limit(bound: Fraction, k: int) -> int:
+    """floor(bound * 2^k): an integer dist has dist / 2^k > bound exactly
+    when dist > floor(bound * 2^k)."""
+    return (bound.numerator << k) // bound.denominator

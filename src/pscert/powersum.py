@@ -173,18 +173,6 @@ def _pair_gcd(qb: ExactPoly, rb: ExactPoly, qc: ExactPoly,
     return poly_gcd(qb, qc).to_ring(QQ).monic()
 
 
-def _system_polys(a: int, b: int, c: int, ring=ZZ) -> list[ExactPoly]:
-    """The three x-polynomials every alpha in Z(a,b,c) must satisfy:
-    (1+x^i)^j - (-1)^{i+j} (1+x^j)^i for pairs of exponents."""
-    out = []
-    for (i, j) in ((a, b), (a, c), (b, c)):
-        left = _one_plus_pow(i, j, ring)
-        right = _one_plus_pow(j, i, ring)
-        sign = 1 if (i + j) % 2 == 0 else -1
-        out.append(left - right.scale(sign))
-    return out
-
-
 def _one_plus_pow(i: int, j: int, ring) -> ExactPoly:
     """(1 + x^i)^j expanded: the binomial C(j, k) at x^(i k)."""
     coeffs = [0] * (i * j + 1)
@@ -193,17 +181,67 @@ def _one_plus_pow(i: int, j: int, ring) -> ExactPoly:
     return ExactPoly(coeffs, ring)
 
 
-def _strip_trivial(f: ExactPoly) -> ExactPoly:
-    """Remove all factors x, x+1, x^2+x+1 from a rational polynomial."""
-    for lin in (ExactPoly([0, 1], QQ), ExactPoly([1, 1], QQ),
-                ExactPoly([1, 1, 1], QQ)):
-        while not f.is_constant():
-            q, r = f.divmod(lin)
-            if r.is_zero():
-                f = q
-            else:
-                break
-    return f
+@lru_cache(maxsize=None)
+def _reciprocal_form(i: int, j: int) -> ExactPoly:
+    """F over ZZ with f = x^e (1 + x)^r x^(deg F) F(x + 1/x), r in {0, 1},
+    for the pair polynomial f = (1 + x^i)^j - (-1)^(i+j) (1 + x^j)^i.
+    x^(ij) f(1/x) = f(x), so f / x^e is palindromic; f(1) = 2^j -+ 2^i != 0
+    for i != j, so it is never anti-palindromic.  Cached per pair: callers
+    must not mutate F."""
+    sign = 1 if (i + j) % 2 == 0 else -1
+    return _palindromic_form([
+        u - sign * v for u, v in zip(_one_plus_pow(i, j, ZZ).coeffs,
+                                     _one_plus_pow(j, i, ZZ).coeffs)])
+
+
+def _palindromic_form(c: list) -> ExactPoly:
+    """F over ZZ with sum_k c_k x^k = x^e (1 + x)^r x^(deg F) F(x + 1/x),
+    r in {0, 1}, for the coefficients c of a nonzero integer polynomial.
+    After x^e is stripped, an odd degree is divided once by x + 1, and the
+    even palindrome c_0..c_(2m) left is x^m (c_m + sum_(k>=1) c_(m+k)
+    V_k(x + 1/x)), with V_k(x + 1/x) = x^k + x^(-k): V_0 = 2, V_1 = y,
+    V_(k+1) = y V_k - V_(k-1).  A nonzero remainder or a coefficient list
+    that is not its own reverse raises VerificationFailed."""
+    if not any(c):
+        raise VerificationFailed("the zero polynomial has no reciprocal form")
+    e = next(k for k, ck in enumerate(c) if ck)
+    c = c[e:]
+    while not c[-1]:
+        c.pop()
+    if len(c) % 2 == 0:  # odd degree: synthetic division by x + 1
+        for k in range(len(c) - 1, 0, -1):
+            c[k - 1] -= c[k]
+        if c[0]:
+            raise VerificationFailed("x + 1 does not divide an odd-degree "
+                                     "palindrome")
+        c = c[1:]
+    if c != c[::-1]:
+        raise VerificationFailed("the polynomial is not palindromic")
+    m = len(c) // 2
+    out = [0] * (m + 1)
+    out[0] = c[m]
+    v_prev, v = [2], [0, 1]
+    for k in range(1, m + 1):
+        ck = c[m + k]
+        if ck:
+            for t, vt in enumerate(v):
+                out[t] += ck * vt
+        v_next = [0] + v  # y V_k - V_(k-1)
+        for t, wt in enumerate(v_prev):
+            v_next[t] -= wt
+        v_prev, v = v, v_next
+    return ExactPoly(out, ZZ)
+
+
+def _from_reciprocal(G: ExactPoly) -> ExactPoly:
+    """x^(deg G) G(x + 1/x) over QQ, by Horner on the homogenised form:
+    H <- (x^2 + 1) H + g_k x^(d-k) for k = d-1, ..., 0, from H = g_d."""
+    d = G.degree
+    h = [G.leading()]
+    for k in range(d - 1, -1, -1):
+        h = [u + v for u, v in zip(h + [0, 0], [0, 0] + h)]
+        h[d - k] += G.coeffs[k]
+    return ExactPoly(h, QQ)
 
 
 def _y_resultant(a: int, b: int, ring) -> ExactPoly:
@@ -285,19 +323,13 @@ def _split(t: ExactPoly, m: ExactPoly) -> list[tuple[ExactPoly, bool]]:
 
 def triple_zset(a: int, b: int, c: int):
     """Z(a, b, c) for 2 <= a < b < c, gcd 1: gcd of the three pair
-    polynomials, trivial factors stripped, then the mandatory y-existence
-    check on the surviving squarefree residual."""
+    polynomials, trivial factors stripped (`_triple_gcd`), then the
+    mandatory y-existence check on the surviving squarefree residual."""
     if not (2 <= a < b < c):
         raise ValueError("need 2 <= a < b < c")
     if math.gcd(math.gcd(a, b), c) != 1:
         raise ValueError("need gcd(a, b, c) = 1")
-    polys = _system_polys(a, b, c)
-    g = polys[0]
-    for p in polys[1:]:
-        if g.is_constant():
-            break
-        g = poly_gcd(g, p)
-    g = _strip_trivial(g.to_ring(QQ).monic())
+    g = _triple_gcd(a, b, c)
     flags = dict(
         zero_minus_one_present=(a * b * c) % 2 != 0,
         cube_roots_present=(a % 3 and b % 3 and c % 3) != 0,
@@ -313,6 +345,33 @@ def triple_zset(a: int, b: int, c: int):
     for fac in with_root:
         poly = poly * fac
     return ZSet(poly.monic(), **flags)
+
+
+def _triple_gcd(a: int, b: int, c: int) -> ExactPoly:
+    """The monic gcd over QQ of the pair polynomials f_ab, f_ac, f_bc with
+    every factor x, x + 1 and x^2 + x + 1 removed, for any a < b < c.
+
+    It is decided on the reciprocal forms (`_reciprocal_form`): with
+    Phi(G) = x^(deg G) G(x + 1/x), multiplicative and free of the root 0,
+    Phi(y - y0) = x^2 - y0 x + 1 has two distinct roots unless y0 = +-2,
+    so Phi commutes with gcd away from y = +-2.  y = 2 (x = 1) is never a
+    root, as f(1) != 0; y = -2 gives x + 1 and y = -1 gives x^2 + x + 1,
+    so stripping y + 2 and y + 1 from G = gcd(F_ab, F_ac, F_bc) first
+    leaves Phi(G) equal to the stripped gcd of the f, exactly."""
+    g = _reciprocal_form(a, b)
+    for i, j in ((a, c), (b, c)):
+        if g.is_constant():
+            break
+        g = poly_gcd(g, _reciprocal_form(i, j))
+    g = g.to_ring(QQ).monic()
+    # y + 2 = (x + 1)^2 / x and y + 1 = (x^2 + x + 1) / x
+    for lin in (ExactPoly([2, 1], QQ), ExactPoly([1, 1], QQ)):
+        while not g.is_constant():
+            q, r = g.divmod(lin)
+            if not r.is_zero():
+                break
+            g = q
+    return _from_reciprocal(g)  # monic, as g is
 
 
 def regseq2(a: int, b: int, characteristic: int = 0) -> RegSeqVerdict:

@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from mpmath.libmp import libmpi
 
 from pscert import analytic, exactnum
-from pscert.analytic import (BoundReport, SegmentRoot, _exceeds,
+from pscert.analytic import (BoundReport, SegmentRoot,
                              _fixed_point_distance, _rho_bracket,
-                             _roots_below, _sample_points, _segment_form,
+                             _roots_below, _sample_points, _scan_limit,
+                             _segment_form,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
                              lmn3_c_max, lmn_lower, max_modulus,
@@ -496,7 +497,7 @@ class TestFixedPointScan:
         assert Fraction(dist, one) == oracle
         assert (dist == 0) == (math.ceil(x.lo) <= x.hi)
         bound = oracle + Fraction(shift, 2 * one if den is None else den)
-        assert _exceeds(dist, k, bound) == (oracle > bound)
+        assert (dist > _scan_limit(bound, k)) == (oracle > bound)
 
 
 class TestVerdictStability:

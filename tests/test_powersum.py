@@ -196,6 +196,107 @@ class TestInvariantForm:
         assert got.degree == want.degree and got == want
 
 
+def _pair_poly(i: int, j: int) -> ExactPoly:
+    """(1+x^i)^j - (-1)^{i+j} (1+x^j)^i over ZZ."""
+    sign = 1 if (i + j) % 2 == 0 else -1
+    return (powersum._one_plus_pow(i, j, ZZ)
+            - powersum._one_plus_pow(j, i, ZZ).scale(sign))
+
+
+def _system_polys(a: int, b: int, c: int) -> list[ExactPoly]:
+    """The three x-polynomials every alpha in Z(a,b,c) must satisfy."""
+    return [_pair_poly(i, j) for (i, j) in ((a, b), (a, c), (b, c))]
+
+
+def _strip_trivial(f: ExactPoly) -> ExactPoly:
+    """Remove all factors x, x+1, x^2+x+1 from a rational polynomial."""
+    for lin in (ExactPoly([0, 1], QQ), ExactPoly([1, 1], QQ),
+                ExactPoly([1, 1, 1], QQ)):
+        while not f.is_constant():
+            q, r = f.divmod(lin)
+            if r.is_zero():
+                f = q
+            else:
+                break
+    return f
+
+
+def _x_gcd(a: int, b: int, c: int) -> ExactPoly:
+    """The stripped monic gcd of the three pair polynomials at full
+    x-degree: the oracle for `powersum._triple_gcd`."""
+    polys = _system_polys(a, b, c)
+    g = polys[0]
+    for p in polys[1:]:
+        if g.is_constant():
+            break
+        g = poly_gcd(g, p)
+    return _strip_trivial(g.to_ring(QQ).monic())
+
+
+def _expand_reciprocal(F: ExactPoly) -> ExactPoly:
+    """x^(deg F) F(x + 1/x) = sum_k F_k x^(d-k) (x^2 + 1)^k over ZZ, with
+    (x^2 + 1)^k expanded by the binomial theorem (Pascal's rows)."""
+    d = F.degree
+    out = [0] * (2 * d + 1)
+    row = [1]
+    for k, fk in enumerate(F.coeffs):
+        for t, binom in enumerate(row):
+            out[d - k + 2 * t] += fk * binom
+        row = [u + v for u, v in zip(row + [0], [0] + row)]
+    return ExactPoly(out, ZZ)
+
+
+class TestReciprocalForm:
+    @given(ij=st.tuples(st.integers(1, 40), st.integers(1, 40))
+           .filter(lambda t: t[0] < t[1]))
+    @settings(max_examples=60, deadline=None)
+    def test_reexpands_to_pair_poly(self, ij):
+        # f = x^e (1 + x)^r x^(deg F) F(x + 1/x) with r in {0, 1}
+        i, j = ij
+        f = _pair_poly(i, j)
+        F = powersum._reciprocal_form(i, j)
+        e = next(k for k, fk in enumerate(f.coeffs) if fk)
+        r = f.degree - e - 2 * F.degree
+        assert r in (0, 1)
+        rebuilt = _expand_reciprocal(F) * ExactPoly.monomial(e, 1, ZZ)
+        if r:
+            rebuilt = rebuilt * ExactPoly([1, 1], ZZ)
+        assert rebuilt == f
+
+    def test_never_vanishes_at_two(self):
+        # F(2) = f(1) / 2^r with f(1) = 2^j -+ 2^i != 0: x = 1 is no root
+        for j in range(2, 31):
+            for i in range(1, j):
+                f1 = 2 ** j - (-1) ** (i + j) * 2 ** i
+                assert powersum._reciprocal_form(i, j)(2) in (f1, f1 // 2)
+
+    def test_peel_raises_off_the_form(self):
+        for i, j in ((2, 3), (3, 5), (4, 7), (6, 11)):
+            f = list(_pair_poly(i, j).coeffs)
+            e = next(k for k, fk in enumerate(f) if fk)
+            for k in (e, e + 1, e + 2):  # break the palindrome
+                bad = list(f)
+                bad[k] += 1
+                with pytest.raises(VerificationFailed):
+                    powersum._palindromic_form(bad)
+        # anti-palindromes x - 1 and x^3 - x, and the zero polynomial
+        for bad in ([-1, 1], [0, -1, 0, 1], [0, 0, 0]):
+            with pytest.raises(VerificationFailed):
+                powersum._palindromic_form(bad)
+
+    def test_halved_gcd_matches_x_gcd(self):
+        # every a < b < c with a + b + c <= 30, a = 1 and gcd > 1 included
+        nonconstant = 0
+        for a in range(1, 30):
+            for b in range(a + 1, 30):
+                for c in range(b + 1, 31 - a - b):
+                    got = powersum._triple_gcd(a, b, c)
+                    want = _x_gcd(a, b, c)
+                    assert repr(got) == repr(want), (a, b, c)
+                    nonconstant += not want.is_constant()
+        assert nonconstant == 28
+
+
 class TestTripleZSet:
     def test_known_empty(self):
         assert triple_zset(2, 3, 4).is_empty

@@ -12,7 +12,6 @@ import json
 import sys
 from fractions import Fraction
 
-from . import exactnum
 from .analytic import isolate_segment_roots, top_modulus
 from .criteria import (ExponentSet, conjecture4_conditions,
                        factorial_divisibility, normal4)
@@ -89,11 +88,6 @@ def _emit(payload: dict, as_json: bool, lines: list[str]):
             print(line)
 
 
-def _verdict_code(verdict: str) -> int:
-    return 2 if verdict.lower() in ("unknown", "undecided", "inconclusive") \
-        else 0
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -148,7 +142,7 @@ def cmd_regseq(args) -> int:
           args.json,
           [f"{v.verdict} over {v.field}"
            + (f" (witness: {v.witness})" if v.witness is not None else "")])
-    return _verdict_code(v.verdict)
+    return 0
 
 
 def cmd_modp(args) -> int:
@@ -159,7 +153,7 @@ def cmd_modp(args) -> int:
           args.json,
           [f"{v.verdict} over GF({args.p})"
            + (f" (witness: {v.witness})" if v.witness is not None else "")])
-    return _verdict_code(v.verdict)
+    return 0
 
 
 def cmd_criteria(args) -> int:
@@ -262,8 +256,6 @@ def _add_globals(parser, suppress: bool):
     parser.add_argument("--precision", type=int,
                         default=d if suppress else 128,
                         help="starting working precision in bits")
-    parser.add_argument("--max-precision", type=int, default=d,
-                        help="precision escalation cap in bits")
     parser.add_argument("--threads", type=int, default=d,
                         help="worker count for sweeps")
     parser.add_argument("--json", action="store_true",
@@ -358,9 +350,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    old_max_prec = exactnum.MAX_PREC
-    if args.max_precision:
-        exactnum.MAX_PREC = args.max_precision
     try:
         return args.fn(args)
     except Exception as exc:
@@ -371,8 +360,6 @@ def main(argv=None) -> int:
             print(f"error: {diag['error']}: {diag['message']}",
                   file=sys.stderr)
         return 1
-    finally:
-        exactnum.MAX_PREC = old_max_prec
 
 
 if __name__ == "__main__":

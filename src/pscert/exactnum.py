@@ -10,33 +10,32 @@ operation runs at the largest precision among its interval operands, and an
 int or Fraction operand is rounded outward at that precision; a unary
 function runs at its operand's precision; pi_interval takes the precision
 as an argument; constructors default to DEFAULT_PREC (64 bits).  Callers
-escalate by relabelling with at_prec, up to a hard cap (default 16384 bits,
-override with the PSCERT_MAX_PRECISION environment variable).  The interval
-code neither reads nor writes mpmath's global context, so it is thread-safe.
-ComplexBox is a pair of RealIntervals.
+escalate by relabelling with at_prec, up to the fixed cap MAX_PREC (16384
+bits).  The interval code neither reads nor writes mpmath's global context,
+so it is thread-safe.  ComplexBox is a pair of RealIntervals.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from mpmath.libmp import (from_float, from_int, from_rational, fzero, mpf_cmp,
-                          mpf_lt, mpf_neg, mpf_pos, mpf_sign)
+from mpmath.libmp import (from_int, from_rational, fzero, mpf_cmp, mpf_lt,
+                          mpf_neg, mpf_pos, mpf_sign)
 from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_cos_sin,
                                  mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
                                  mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
                                  mpi_sub)
 
-from .errors import AmbiguousEnclosure, DivisionFailure, DomainError
+from .errors import AmbiguousEnclosure, DomainError
+from .unipoly import ExactPoly, ZZ
 
 Rational = Fraction
 
 DEFAULT_PREC = 64
-MAX_PREC = int(os.environ.get("PSCERT_MAX_PRECISION", "16384"))
+MAX_PREC = 16384
 
 
 class RealInterval:
@@ -194,8 +193,6 @@ def _endpoint_raw(x, upper: bool, prec: int):
                              "c" if upper else "f")
     if isinstance(x, int):
         return from_int(x)
-    if isinstance(x, float):
-        return from_float(x)
     raise TypeError(f"cannot build interval endpoint from {type(x)!r}")
 
 
@@ -365,14 +362,6 @@ class ComplexBox:
     def abs(self) -> RealInterval:
         return isqrt(self.re ** 2 + self.im ** 2)
 
-    def abs2(self) -> RealInterval:
-        return self.re ** 2 + self.im ** 2
-
-    def arg(self) -> RealInterval:
-        if self.re.contains_zero() and self.im.contains_zero():
-            raise DomainError("argument of a box containing zero")
-        return iatan2(self.im, self.re)
-
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
 
@@ -432,41 +421,14 @@ class UnityRoot:
         return f"UnityRoot(order={self.order}, exponent={self.exponent})"
 
 
-# Cyclotomic-quotient machinery for deciding vanishing of short sums of
-# roots of unity exactly.  Polynomials here are plain integer coefficient
-# lists, constant term first.
-
-
-def _zpoly_divmod(a: list[int], b: list[int]):
-    # b monic
-    a = a[:]
-    q = [0] * max(1, len(a) - len(b) + 1)
-    db = len(b) - 1
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        c = a[-1]
-        shift = len(a) - len(b)
-        q[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] -= c * bi
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
-
-
 @lru_cache(maxsize=None)
 def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
     """Integer coefficients of the n-th cyclotomic polynomial."""
-    poly = [-1] + [0] * (n - 1) + [1]  # x^n - 1
+    poly = ExactPoly([-1] + [0] * (n - 1) + [1], ZZ)  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _zpoly_divmod(poly, list(cyclotomic_coeffs(d)))
-            if rem:
-                raise DivisionFailure(f"Phi_{d} does not divide x^{n} - 1")
-    return tuple(poly)
+            poly = poly.exact_div(ExactPoly(cyclotomic_coeffs(d), ZZ))
+    return tuple(poly.coeffs)
 
 
 def unity_sum_is_zero(roots: Iterable[UnityRoot]) -> bool:
@@ -480,6 +442,5 @@ def unity_sum_is_zero(roots: Iterable[UnityRoot]) -> bool:
     coeffs = [0] * lcm
     for r in roots:
         coeffs[r.exponent * (lcm // r.order) % lcm] += 1
-    phi = list(cyclotomic_coeffs(lcm))
-    _, rem = _zpoly_divmod(coeffs, phi)
-    return not rem
+    phi = ExactPoly(cyclotomic_coeffs(lcm), ZZ)
+    return ExactPoly(coeffs, ZZ).divmod(phi)[1].is_zero()

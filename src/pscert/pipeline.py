@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
@@ -251,9 +251,7 @@ def certify_triple(a: int, b: int, c: int) -> Certificate:
     cert.add_step("regular-sequence", {"exponents": list(verdict.exponents)},
                   {"witness": repr(verdict.witness) if verdict.witness else None},
                   verdict.verdict)
-    if verdict.verdict == "Unknown":
-        cert.conclusion = {"status": "undecided"}
-    elif verdict.verdict == "Regular":
+    if verdict.verdict == "Regular":
         cert.conclusion = {"status": "empty"}
     else:
         trivial = isinstance(verdict.witness, str)
@@ -269,9 +267,8 @@ def certify_mod_p(a: int, b: int, c: int, p: int) -> Certificate:
                   {"exponents": [a, b, c], "p": p},
                   {"witness": repr(verdict.witness) if verdict.witness else None},
                   verdict.verdict)
-    cert.conclusion = {"status": {"Regular": "empty",
-                                  "NotRegular": "candidate",
-                                  "Unknown": "undecided"}[verdict.verdict]}
+    cert.conclusion = {"status": "empty" if verdict.verdict == "Regular"
+                       else "candidate"}
     return cert
 
 
@@ -333,30 +330,40 @@ def replay_certificate(cert_dict: dict) -> dict:
 # -- sweeps -------------------------------------------------------------------
 
 
+# the range keys each sweep mode reads; filters apply to pair-a1 only
+_RANGE_KEYS = {"pair-a1": {"b_max", "c_max"}, "triple": {"sum_max", "triples"},
+               "mod-p": {"instances"}}
+_PAIR_FILTERS = {"6|bc": lambda bc: bc % 6 == 0,
+                 "2!|bc": lambda bc: bc % 2 != 0,
+                 "3!|bc": lambda bc: bc % 3 != 0}
+
+
 @dataclass
 class SweepSpec:
+    """A sweep: its mode, the ranges it enumerates and the filters on
+    pair-a1.  An unknown mode, range key or filter raises ValueError."""
     mode: str  # "pair-a1" | "triple" | "mod-p"
     ranges: dict = field(default_factory=dict)
     filters: list = field(default_factory=list)
     workers: int = 1
     outdir: Optional[str] = None
 
+    def __post_init__(self):
+        if self.mode not in _RANGE_KEYS:
+            raise ValueError(f"unknown sweep mode {self.mode!r}")
+        extra = sorted(set(self.ranges) - _RANGE_KEYS[self.mode])
+        known = _PAIR_FILTERS if self.mode == "pair-a1" else {}
+        extra += [f for f in self.filters if f not in known]
+        if extra:
+            raise ValueError(f"unknown range keys or filters for sweep mode "
+                             f"{self.mode!r}: {extra}")
+
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":
-        return cls(mode=d["mode"], ranges=d.get("ranges", {}),
-                   filters=d.get("filters", []), workers=d.get("workers", 1),
-                   outdir=d.get("outdir"))
-
-
-def _pair_passes(b: int, c: int, filters) -> bool:
-    for f in filters:
-        if f == "6|bc" and (b * c) % 6 != 0:
-            return False
-        if f == "2!|bc" and (b * c) % 2 == 0:
-            return False
-        if f == "3!|bc" and (b * c) % 3 == 0:
-            return False
-    return True
+        extra = sorted(set(d) - {f.name for f in fields(cls)})
+        if extra:
+            raise ValueError(f"unknown sweep spec keys {extra}")
+        return cls(**d)
 
 
 def _sweep_instances(spec: SweepSpec) -> list[tuple]:
@@ -365,7 +372,7 @@ def _sweep_instances(spec: SweepSpec) -> list[tuple]:
         c_max = spec.ranges.get("c_max", b_max)
         return [("pair", b, c) for b in range(2, b_max + 1)
                 for c in range(b + 1, c_max + 1)
-                if _pair_passes(b, c, spec.filters)]
+                if all(_PAIR_FILTERS[f](b * c) for f in spec.filters)]
     if spec.mode == "triple":
         triples = spec.ranges.get("triples")
         if triples is None:
@@ -374,10 +381,8 @@ def _sweep_instances(spec: SweepSpec) -> list[tuple]:
                        for b in range(a + 1, s_max)
                        for c in range(b + 1, s_max) if a + b + c <= s_max]
         return [("triple", *t) for t in triples]
-    if spec.mode == "mod-p":
-        return [("mod-p", *inst["exps"], inst["p"])
-                for inst in spec.ranges.get("instances", [])]
-    raise ValueError(f"unknown sweep mode {spec.mode!r}")
+    return [("mod-p", *inst["exps"], inst["p"])
+            for inst in spec.ranges.get("instances", [])]
 
 
 def _run_instance(inst: tuple) -> tuple[str, bytes, str]:

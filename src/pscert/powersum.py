@@ -14,8 +14,8 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BadPrime, DivisionFailure, VerificationFailed
-from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, factor_mod_p,
-                      poly_gcd, squarefree_part)
+from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, _is_prime,
+                      factor_mod_p, poly_gcd, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class ZSet:
 class RegSeqVerdict:
     exponents: tuple
     field: str
-    verdict: str  # "Regular" | "NotRegular" | "Unknown"
+    verdict: str  # "Regular" | "NotRegular"
     witness: Optional[object] = None
 
 
@@ -249,7 +249,12 @@ def _y_resultant(a: int, b: int, ring) -> ExactPoly:
     u = 1 + x^a, v = 1 + x^b and g = gcd(a, b) it is
     (-1)^(a+g) ((-u)^(b/g) - (-v)^(a/g))^g: the b-th powers of the roots of
     y^a = -u run g times over the roots of z^(a/g) = (-u)^(b/g).  The
-    identity holds in Z[u, v], so over every ring."""
+    identity holds in Z[u, v], so over every ring.
+
+    For 0 < a < b it is never zero over GF(p) with p not dividing b: the
+    x^a coefficient of (-u)^(b/g) is +-(b/g), a unit mod p, and (-v)^(a/g)
+    holds only the powers x^(kb) with b > a, so the base is nonzero, and
+    so is its g-th power over a field."""
     g = math.gcd(a, b)
     u_pow = _one_plus_pow(a, b // g, ring).scale((-1) ** (b // g))
     v_pow = _one_plus_pow(b, a // g, ring).scale((-1) ** (a // g))
@@ -375,9 +380,12 @@ def _triple_gcd(a: int, b: int, c: int) -> ExactPoly:
 
 
 def regseq2(a: int, b: int, characteristic: int = 0) -> RegSeqVerdict:
-    """p_a, p_b in two variables: regular iff char != 2 and a/d or b/d even."""
+    """p_a, p_b in two variables: regular iff char != 2 and a/d or b/d even.
+    The characteristic must be 0 or a prime, else BadPrime is raised."""
     if a <= 0 or b <= 0 or a == b:
         raise ValueError("need distinct positive exponents")
+    if characteristic and not _is_prime(characteristic):
+        raise BadPrime(f"characteristic {characteristic} is not 0 or a prime")
     d = math.gcd(a, b)
     field = "QQ" if characteristic == 0 else f"GF({characteristic})"
     if characteristic == 2:
@@ -414,18 +422,20 @@ def regseq3_rational(a: int, b: int, c: int) -> RegSeqVerdict:
 
 def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     """Existence of a common projective zero of p_a, p_b, p_c over the
-    algebraic closure of F_p, for any odd p not dividing abc, by exhaustive
-    chart cover: (z=0, y=1) via univariate gcd, the point (1,0,0), and
-    (z=1) by eliminating y with the closed-form resultants of p_a with p_b
-    and with p_c (`_y_resultant`), then a y-existence check on each
-    irreducible factor of their gcd.  `factor_mod_p` finds every factor,
-    whatever its multiplicity, and `_y_existence` runs its binomial Euclid
-    over each one; an irreducible modulus never splits, so each check is a
-    plain yes or no."""
+    algebraic closure of F_p, for any odd prime p not dividing abc (else
+    BadPrime), by exhaustive chart cover: (z=0, y=1) via univariate gcd,
+    the point (1,0,0), and (z=1) by eliminating y with the closed-form
+    resultants of p_a with p_b and with p_c (`_y_resultant`), then a
+    y-existence check on each irreducible factor of their gcd.
+    `factor_mod_p` finds every factor, whatever its multiplicity, and
+    `_y_existence` runs its binomial Euclid over each one; an irreducible
+    modulus never splits, so each check is a plain yes or no."""
     if not 0 < a < b < c:
         raise ValueError("need 0 < a < b < c")
     if p == 2:
         raise BadPrime("p = 2 not supported")
+    if not _is_prime(p):
+        raise BadPrime(f"{p} is not a prime")
     if (a * b * c) % p == 0:
         raise BadPrime("p divides an exponent")
     ring = GF(p)
@@ -453,14 +463,7 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
 
     r12 = _y_resultant(a, b, ring)
     r13 = _y_resultant(a, c, ring)
-    h = poly_gcd(r12, r13) if not (r12.is_zero() or r13.is_zero()) else None
-    if h is None:
-        # a whole curve of common solutions of two of the equations
-        h = r12 if r13.is_zero() else r13
-        if h.is_zero():
-            # both eliminations degenerate; do not guess
-            return RegSeqVerdict(exps, field, "Unknown",
-                                 witness=("chart z=1", "shared components"))
+    h = poly_gcd(r12, r13)  # both nonzero, as p divides neither b nor c
     if h.degree < 1:
         return RegSeqVerdict(exps, field, "Regular")
     for q, _mult in factor_mod_p(h):

@@ -93,10 +93,6 @@ class ExactPoly:
         return cls([_one(ring)], ring)
 
     @classmethod
-    def x(cls, ring: RingTag = QQ) -> "ExactPoly":
-        return cls([_zero(ring), _one(ring)], ring)
-
-    @classmethod
     def monomial(cls, degree: int, coeff=1, ring: RingTag = QQ) -> "ExactPoly":
         return cls([_zero(ring)] * degree + [coeff], ring)
 
@@ -248,11 +244,8 @@ class ExactPoly:
         return self.divmod(self._coerce(other))[1]
 
     def exact_div(self, other: "ExactPoly") -> "ExactPoly":
-        if self.ring == ZZ:
-            q, r = self.to_ring(QQ).divmod(other.to_ring(QQ))
-            if not r.is_zero():
-                raise DivisionFailure("inexact polynomial division")
-            return q.to_ring(ZZ)
+        """The quotient, or DivisionFailure if the division leaves a
+        remainder or, over ZZ, has a quotient that is not integral."""
         q, r = self.divmod(other)
         if not r.is_zero():
             raise DivisionFailure("inexact polynomial division")
@@ -727,10 +720,10 @@ def _subset_sums(degrees: Sequence[int]) -> frozenset:
     return frozenset(sums)
 
 
-def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityCertificate:
+def certify_irreducible(f: ExactPoly) -> IrreducibilityCertificate:
     """Sufficient irreducibility certificate over Z via factor-degree patterns
-    modulo several large primes.  "Irreducible" is sound; "Inconclusive" is
-    always a permitted outcome."""
+    modulo up to 40 large primes.  "Irreducible" is sound; "Inconclusive"
+    is always a permitted outcome."""
     fz = f.to_ring(ZZ) if f.ring != ZZ else f
     deg = fz.degree
     achievable = None
@@ -741,7 +734,7 @@ def certify_irreducible(f: ExactPoly, prime_budget: int = 40) -> IrreducibilityC
         raise DomainError("certify_irreducible needs a squarefree "
                           "nonconstant polynomial")
     gen = _primes_from((1 << 30) + 1)
-    while len(primes_used) < prime_budget:
+    while len(primes_used) < 40:
         p = next(gen)
         if fz.leading() % p == 0:
             continue

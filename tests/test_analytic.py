@@ -14,12 +14,14 @@ from pscert import analytic, exactnum
 from pscert.analytic import (BoundReport, SegmentRoot,
                              _fixed_point_distance, _rho_bracket,
                              _roots_below, _sample_points, _scan_limit,
-                             _segment_form,
+                             _segment_form, _u_root,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
                              lmn3_c_max, lmn_lower, max_modulus,
                              refine_segment_root, top_modulus, window_theta)
-from pscert.errors import AmbiguousEnclosure, DomainError, VerificationFailed
+from pscert.errors import (AmbiguousEnclosure, DomainError,
+                           PrecisionExhausted, VerificationFailed,
+                           WidthUnreachable)
 from pscert.exactnum import (ComplexBox, RealInterval, icos, isqrt,
                              nearest_integer_distance, pi_interval)
 from pscert.powersum import build_pq
@@ -114,6 +116,19 @@ class TestIsolation:
         three = SegmentRoot(25, roots[0].t, roots[-1].u_lo, roots[0].u_hi)
         with pytest.raises(VerificationFailed):
             refine_segment_root(three, Fraction(1, 10 ** 30))
+
+    def test_roots_below_gives_up_at_the_cap(self, monkeypatch):
+        lo, hi = _u_root(8, 0, 128)
+        mid = (lo + hi) / 2
+        assert _roots_below(8, mid, 128) == 0  # enclosures double past 128
+        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
+        assert _roots_below(8, mid, 128) is None
+
+    def test_refinement_past_the_cap_is_unreachable(self, monkeypatch):
+        (root,) = isolate_segment_roots(8)
+        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
+        with pytest.raises(WidthUnreachable, match="precision cap"):
+            refine_segment_root(root, Fraction(1, 10 ** 60), prec=64)
 
     def test_bisection_takes_no_trigonometry_per_step(self, monkeypatch):
         """The bisection steers by exact comparison with u*, so the only
@@ -442,6 +457,12 @@ class TestCloseWindow:
         x = pi_interval(256) / theta
         d = nearest_integer_distance(x)
         assert Fraction(32, 100) < d.lo < d.hi < Fraction(33, 100)
+
+    def test_theta_too_wide_at_the_cap(self, monkeypatch):
+        (root,) = isolate_segment_roots(8)
+        monkeypatch.setattr(exactnum, "MAX_PREC", 128)
+        with pytest.raises(PrecisionExhausted, match="cannot narrow theta"):
+            close_window(8, root, 1, 10 ** 40, prec=128)
 
     def test_theta_touching_zero_is_a_domain_error(self, monkeypatch):
         (root,) = isolate_segment_roots(8)

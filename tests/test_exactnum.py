@@ -1,13 +1,19 @@
 """Interval kernel, exact root-of-unity arithmetic, and enclosure policies."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import finf, from_rational
 
+from pscert import exactnum
 from pscert.errors import AmbiguousEnclosure, DomainError
 from pscert.exactnum import (ComplexBox, RealInterval, UnityRoot,
                              cyclotomic_coeffs, iatan2, icos, icos_sin, iexp,
@@ -255,6 +261,12 @@ class TestUnityRoot:
             phi = sum(1 for k in range(1, n + 1) if math.gcd(k, n) == 1)
             assert len(cyclotomic_coeffs(n)) - 1 == phi
 
+    def test_cyclotomic_matches_sympy(self):
+        x = sympy.Symbol("x")
+        for n in range(1, 201):
+            oracle = sympy.Poly(sympy.cyclotomic_poly(n, x), x).all_coeffs()
+            assert cyclotomic_coeffs(n) == tuple(reversed(oracle)), n
+
     def test_sum_vanishing(self):
         omega = UnityRoot(3, 1)
         assert unity_sum_is_zero([omega, omega ** 2, UnityRoot(1, 0)])
@@ -265,3 +277,16 @@ class TestUnityRoot:
     @settings(max_examples=23, deadline=None)
     def test_full_orbit_sums_to_zero(self, n):
         assert unity_sum_is_zero([UnityRoot(n, j) for j in range(n)])
+
+
+class TestPrecisionCap:
+    def test_cap_is_a_constant(self):
+        # the environment has no say: a fresh interpreter with the old
+        # override variable set still reads the fixed cap
+        env = dict(os.environ, PSCERT_MAX_PRECISION="64",
+                   PYTHONPATH=str(Path(exactnum.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "from pscert import exactnum; print(exactnum.MAX_PREC)"],
+            env=env, capture_output=True, text=True, timeout=60, check=True)
+        assert int(out.stdout) == exactnum.MAX_PREC == 16384

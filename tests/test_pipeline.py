@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pscert import exactnum, pipeline
+from pscert import pipeline
 from pscert.cli import main, poly_str
 from pscert.exactnum import RealInterval
 from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
@@ -286,6 +286,34 @@ class TestSweep:
         assert summary["counts"]["undecided"] == 1
         assert summary["counts"]["empty"] == 1
 
+    def test_composite_modulus_is_undecided(self, tmp_path):
+        spec = SweepSpec("mod-p", {"instances": [
+            {"exps": [1, 6, 10], "p": 25}]}, outdir=str(tmp_path))
+        assert run_sweep(spec)["counts"]["undecided"] == 1
+        cert = json.loads((tmp_path / "mod-p-1-6-10-25.json").read_bytes())
+        assert cert["conclusion"]["status"] == "undecided"
+        assert "BadPrime" in cert["conclusion"]["error"]
+
+    @pytest.mark.parametrize("mode, ranges, filters", [
+        ("pair-a1", {"b_max": 6, "c_max": 8}, ["6 | bc"]),
+        ("pair-a1", {"bmax": 6}, []),
+        ("triple", {"sum_max": 9}, ["6|bc"]),
+        ("triple", {"b_max": 9}, []),
+        ("mod-p", {"instance": []}, []),
+        ("pairs", {}, []),
+    ])
+    def test_unknown_spec_entries_raise(self, mode, ranges, filters):
+        with pytest.raises(ValueError):
+            SweepSpec(mode, ranges, filters)
+
+    def test_from_dict_rejects_unknown_keys(self):
+        d = {"mode": "pair-a1", "ranges": {"b_max": 6, "c_max": 8},
+             "filters": ["6|bc"]}
+        spec = SweepSpec.from_dict(d)
+        assert run_sweep(spec)["instances"] == 9
+        with pytest.raises(ValueError, match="worker"):
+            SweepSpec.from_dict(dict(d, worker=2))
+
 
 class TestCli:
     def test_poly_str(self):
@@ -294,10 +322,13 @@ class TestCli:
         assert poly_str(ExactPoly([0, -1, 1], ZZ)) == "x^2 - x"
         assert poly_str(ExactPoly([], ZZ)) == "0"
 
-    def test_max_precision_is_restored(self, capsys):
-        before = exactnum.MAX_PREC
-        assert main(["--max-precision", "128", "roots", "--n", "8"]) == 0
-        assert exactnum.MAX_PREC == before
+    def test_max_precision_flag_is_gone(self, capsys):
+        # the cap is the constant exactnum.MAX_PREC; no option sets it
+        assert main(["--max-precision", "128", "roots", "--n", "8"]) == 1
+        assert main(["roots", "--n", "8", "--max-precision", "128"]) == 1
+        capsys.readouterr()
+        assert main(["--help"]) == 0
+        assert "--max-precision" not in capsys.readouterr().out
 
     def test_pq_exit_zero(self, capsys):
         assert main(["pq", "--n", "2"]) == 0

@@ -327,6 +327,12 @@ class TestRegSeq2:
     def test_char_2(self):
         assert regseq2(1, 2, characteristic=2).verdict == "NotRegular"
 
+    def test_characteristic_must_be_zero_or_prime(self):
+        assert regseq2(2, 3, 7).field == "GF(7)"
+        for char in (4, 25, -7, 1):
+            with pytest.raises(BadPrime):
+                regseq2(2, 3, char)
+
 
 class TestRegSeq3Rational:
     def test_all_odd(self):
@@ -387,6 +393,14 @@ class TestRegSeq3ModP:
             regseq3_mod_p(1, 2, 3, 2)
         with pytest.raises(BadPrime):
             regseq3_mod_p(1, 2, 3, 3)
+
+    @pytest.mark.parametrize("p", [25, -7, 1, 0, 91])
+    def test_modulus_must_be_prime(self, p):
+        # 25 is coprime to 1 * 6 * 10 and 2 * 3 * 4: no other check stops it
+        with pytest.raises(BadPrime):
+            regseq3_mod_p(1, 6, 10, p)
+        with pytest.raises(BadPrime):
+            regseq3_mod_p(2, 3, 4, p)
 
     def test_generic_prime_regular(self):
         assert regseq3_mod_p(1, 6, 100, 101).verdict == "Regular"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pscert import powersum, unipoly
@@ -182,6 +182,13 @@ class TestArithmetic:
         g = ExactPoly([1, 1], QQ)
         with pytest.raises(DivisionFailure):
             f.exact_div(g)
+
+    def test_exact_div_over_zz_needs_an_integral_quotient(self):
+        g = ExactPoly([2, 2], ZZ)  # 2x + 2, not primitive
+        assert (g * ExactPoly([3, 1], ZZ)).exact_div(g) == \
+            ExactPoly([3, 1], ZZ)
+        with pytest.raises(DivisionFailure):  # quotient (x + 1) / 2
+            ExactPoly([1, 2, 1], ZZ).exact_div(g)
 
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatch):
@@ -354,6 +361,18 @@ class TestResultant:
             # monic in y, so the rational resultant reduces mod p
             oracle = rational.to_ring(ring)
         assert powersum._y_resultant(a, b, ring) == oracle
+
+    @given(a=st.integers(min_value=1, max_value=30),
+           b=st.integers(min_value=2, max_value=30),
+           p=st.sampled_from([3, 5, 7, 11, 13, 101]))
+    @settings(max_examples=80, deadline=None)
+    @example(a=2, b=9, p=5)
+    @example(a=4, b=25, p=3)
+    def test_never_zero_mod_p(self, a, b, p):
+        # regseq3_mod_p takes gcd(r12, r13) with no zero branch: for a < b
+        # and p not dividing ab (p < b included) the resultant is nonzero
+        assume(a < b and (a * b) % p != 0)
+        assert not powersum._y_resultant(a, b, GF(p)).is_zero()
 
 
 # -- schoolbook oracle for the packed F_p kernel --------------------------------

@@ -421,7 +421,14 @@ def _interval_max(x: RealInterval, c: Fraction) -> RealInterval:
 
 def _c_bracket(rhs: RealInterval, prec: int = 128) -> tuple[int, str]:
     """Largest integer c with c / (log c)^2 <= rhs, by certified integer
-    bisection on the increasing branch (c >= 8 > e^2)."""
+    bisection on the increasing branch (c >= 8 > e^2).
+
+    The bracket [lo, hi] always has lo checked <= rhs and hi checked > rhs:
+    lo = 8 is checked first, hi doubles from 16 (each checked hi <= rhs
+    becomes the new lo) and bisection then closes the bracket.  A
+    comparison that stays undecided up to `exactnum.MAX_PREC`, an
+    unchecked c = 8, or a c past 10^30 gives "Undecided" with the c at
+    hand, never a claimed c_max."""
 
     def f(c: int, p: int) -> RealInterval:
         return RealInterval(c, c, prec=p) / ilog(RealInterval(c, c, prec=p)) ** 2
@@ -438,21 +445,21 @@ def _c_bracket(rhs: RealInterval, prec: int = 128) -> tuple[int, str]:
                 return None
             p *= 2
 
-    hi = 16
-    while cmp_le(hi) is True:
-        hi *= 2
+    lo, hi = 8, 16
+    if cmp_le(lo) is not True:
+        return lo, "Undecided"
+    while (res := cmp_le(hi)) is True:
+        lo, hi = hi, 2 * hi
         if hi > 10 ** 30:
             return hi, "Undecided"
-    lo = 8
+    if res is None:
+        return hi, "Undecided"
     while hi - lo > 1:
         mid = (lo + hi) // 2
         res = cmp_le(mid)
         if res is None:
             return mid, "Undecided"
-        if res:
-            lo = mid
-        else:
-            hi = mid
+        lo, hi = (mid, hi) if res else (lo, mid)
     return lo, "Satisfied"
 
 
@@ -528,9 +535,11 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     """Certify that no integer c in (c_lo, c_hi] can satisfy the near-integer
     condition |c theta + m pi| <= 9 |zeta|^{-c}.
 
-    Enumerates every integer m with m pi/|theta| in the window and certifies
-    that the distance from m pi/|theta| to the nearest integer exceeds the
-    scaled threshold 9 |zeta|^{-c_lo} / |theta|.
+    Enumerates every integer m whose enclosure of m pi/|theta| reaches above
+    c_lo and starts no further than the threshold above c_hi, so that c_hi
+    itself is covered, and certifies that the distance from m pi/|theta| to
+    the nearest integer exceeds the scaled threshold
+    9 |zeta|^{-c_lo} / |theta|.
 
     The scan runs in exact fixed point.  The dyadic endpoints of the
     pi/|theta| enclosure are A_lo / 2^K and A_hi / 2^K, so m pi/|theta| lies
@@ -570,29 +579,27 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     window_lo, window_hi = c_lo << k, c_hi << k
     limit = _scan_limit(threshold.hi, k)
 
-    m_lo = max(1, window_lo // a_hi)
-    m_hi = -(-window_hi // a_lo)
-    x_lo, x_hi = m_lo * a_lo, m_lo * a_hi
-    m_checked = 0
+    # m A_hi > c_lo 2^K and m A_lo <= c_hi 2^K + limit
+    m_range = range(max(1, window_lo // a_hi + 1),
+                    (window_hi + limit) // a_lo + 1)
+    x_lo, x_hi = m_range.start * a_lo, m_range.start * a_hi
     min_dist = None
-    for m in range(m_lo, m_hi + 1):
-        if x_lo <= window_hi and x_hi > window_lo:
-            m_checked += 1
-            dist = _fixed_point_distance(x_lo, x_hi, k)
-            if min_dist is None or dist < min_dist:
-                min_dist = dist
-            if dist <= limit:
-                return BoundReport(
-                    "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
-                    pi_over_theta, "Undecided",
-                    details={"offending_m": m,
-                             "distance": float(Fraction(dist, 1 << k))})
+    for m in m_range:
+        dist = _fixed_point_distance(x_lo, x_hi, k)
+        if min_dist is None or dist < min_dist:
+            min_dist = dist
+        if dist <= limit:
+            return BoundReport(
+                "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
+                pi_over_theta, "Undecided",
+                details={"offending_m": m,
+                         "distance": float(Fraction(dist, 1 << k))})
         x_lo += a_lo
         x_hi += a_hi
     return BoundReport(
         "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
         pi_over_theta, "Satisfied",
-        details={"m_count": m_checked,
+        details={"m_count": len(m_range),
                  "min_distance": (float(Fraction(min_dist, 1 << k))
                                   if min_dist is not None else None),
                  "pi_over_theta": (float(lo), float(hi))})

@@ -104,8 +104,8 @@ def conjecture4_conditions(A: ExponentSet) -> CriterionResult:
 def normal4(a: int, b: int) -> CriterionResult:
     """Normality of C[x1..x4]/(p_a, p_b) for a < b.
 
-    a = 1: normal iff b is even.  a > 1: normal iff nu_2(a) != nu_2(b) and
-    (nu_3(a) != nu_3(b) or nu_3(a) = nu_3(b) = nu_3(b - a)).
+    a = 1: normal iff b is even.  a > 1: normal iff neither root-of-unity
+    rule holds (`_unity_rule`, q = 2 and q = 3), i.e. no unity case does.
     """
     if not 0 < a < b:
         raise ValueError("need 0 < a < b")
@@ -113,16 +113,26 @@ def normal4(a: int, b: int) -> CriterionResult:
         holds = b % 2 == 0
         details = {"a": 1, "b even": holds}
     else:
-        c2 = nu(2, a) != nu(2, b)
-        n3a, n3b, n3d = nu(3, a), nu(3, b), nu(3, b - a)
-        c3 = (n3a != n3b) or (n3a == n3b == n3d)
+        c2, c3 = not _unity_rule(2, a, b), not _unity_rule(3, a, b)
         holds = c2 and c3
         details = {
             "nu_2(a) != nu_2(b)": c2,
             "nu_3 condition": c3,
-            "nu_3 values (a, b, b-a)": (n3a, n3b, n3d),
+            "nu_3 values (a, b, b-a)": (nu(3, a), nu(3, b), nu(3, b - a)),
         }
     return CriterionResult("normal domain (4 variables)", holds, details)
+
+
+def _unity_rule(q: int, a: int, b: int) -> bool:
+    """nu_q(a) = nu_q(b) < nu_q(|b - a|).  For q = 2 the equality implies
+    the inequality: a = 2^e a', b = 2^e b' with a', b' odd, so 2^(e+1)
+    divides b - a."""
+    return nu(q, a) == nu(q, b) < nu(q, abs(b - a))
+
+
+# case -> (q, j): the rule for q decides the case, and the witness is
+# alpha^j for each listed j, with alpha of order q^(nu_q(a) + 1)
+_UNITY_CASES = {1: (2, (1,)), 2: (3, (1, 2)), 3: (2, (1, 2, 1))}
 
 
 def roots_of_unity_case(case: int, a: int, b: int) -> CriterionResult:
@@ -134,43 +144,24 @@ def roots_of_unity_case(case: int, a: int, b: int) -> CriterionResult:
       3: alpha^a + beta^a + gamma^a + 1 = 0  <=> nu_2(a) = nu_2(b)
 
     When the predicate holds, minimal-order witnesses are emitted and their
-    defining equations verified by exact root-of-unity arithmetic.
+    defining equations verified by exact root-of-unity arithmetic: alpha
+    has order q^(nu_q(a) + 1), so alpha^(q^nu_q(a)) is -1 (q = 2) or omega
+    (q = 3).
     """
     if a == b or a <= 0 or b <= 0:
         raise ValueError("need distinct positive a, b")
+    if case not in _UNITY_CASES:
+        raise ValueError("case must be 1, 2, or 3")
+    q, powers = _UNITY_CASES[case]
     k = abs(b - a)
-    if case == 1:
-        holds = nu(2, a) == nu(2, b)
-        witness = None
-        if holds:
-            e = nu(2, a)
-            alpha = UnityRoot(2 ** (e + 1), 1)  # alpha^{2^e} = -1
-            witness = _verified_witness((alpha,), a, k)
-        return CriterionResult("unity case 1", holds,
-                               {"nu_2(a)": nu(2, a), "nu_2(b)": nu(2, b)},
-                               witness)
-    if case == 2:
-        n3a, n3b, n3d = nu(3, a), nu(3, b), nu(3, k)
-        holds = n3a == n3b < n3d
-        witness = None
-        if holds:
-            e = n3a
-            alpha = UnityRoot(3 ** (e + 1), 1)  # alpha^{3^e} = omega
-            witness = _verified_witness((alpha, alpha ** 2), a, k)
-        return CriterionResult("unity case 2", holds,
-                               {"nu_3 values (a, b, b-a)": (n3a, n3b, n3d)},
-                               witness)
-    if case == 3:
-        holds = nu(2, a) == nu(2, b)
-        witness = None
-        if holds:
-            e = nu(2, a)
-            alpha = UnityRoot(2 ** (e + 1), 1)
-            witness = _verified_witness((alpha, alpha ** 2, alpha), a, k)
-        return CriterionResult("unity case 3", holds,
-                               {"nu_2(a)": nu(2, a), "nu_2(b)": nu(2, b)},
-                               witness)
-    raise ValueError("case must be 1, 2, or 3")
+    holds = _unity_rule(q, a, b)
+    witness = None
+    if holds:
+        alpha = UnityRoot(q ** (nu(q, a) + 1), 1)
+        witness = _verified_witness(tuple(alpha ** j for j in powers), a, k)
+    details = ({"nu_2(a)": nu(2, a), "nu_2(b)": nu(2, b)} if q == 2 else
+               {"nu_3 values (a, b, b-a)": (nu(3, a), nu(3, b), nu(3, k))})
+    return CriterionResult(f"unity case {case}", holds, details, witness)
 
 
 def _verified_witness(roots: tuple, a: int, k: int) -> tuple:

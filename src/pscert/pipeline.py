@@ -10,7 +10,6 @@ dyadics, so replay comparisons can be byte-for-byte.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -294,31 +293,34 @@ def certify_general_bounds(a: int, parity: str = "other",
 
 def replay_certificate(cert_dict: dict) -> dict:
     """Re-run a certificate's pipeline from its recorded inputs and compare;
-    any difference in steps, verdicts, or conclusion is reported."""
+    any difference in steps, verdicts, or conclusion is reported.  A sweep's
+    error certificate (inputs {"instance": [...]}) is re-run as that sweep
+    instance."""
     kind = cert_dict["kind"]
     inputs = cert_dict["inputs"]
     prec = 128
     for entry in cert_dict.get("precision_trace", []):
         prec = entry["prec"]
         break
-    if kind == "a1-pipeline":
-        fresh = certify_a1(inputs["b"], prec=prec)
+    if "instance" in inputs:
+        fd = json.loads(_run_instance((kind, *inputs["instance"]))[1])
+    elif kind == "a1-pipeline":
+        fd = certify_a1(inputs["b"], prec=prec).as_dict()
     elif kind == "pair":
-        fresh = certify_pair(inputs["b"], inputs["c"])
+        fd = certify_pair(inputs["b"], inputs["c"]).as_dict()
     elif kind == "triple":
-        fresh = certify_triple(inputs["a"], inputs["b"], inputs["c"])
+        fd = certify_triple(inputs["a"], inputs["b"], inputs["c"]).as_dict()
     elif kind == "mod-p":
-        fresh = certify_mod_p(inputs["a"], inputs["b"], inputs["c"],
-                              inputs["p"])
+        fd = certify_mod_p(inputs["a"], inputs["b"], inputs["c"],
+                           inputs["p"]).as_dict()
     elif kind == "general-bounds":
         r = inputs.get("r")
-        fresh = certify_general_bounds(
+        fd = certify_general_bounds(
             inputs["a"], inputs.get("parity", "other"), inputs.get("b"),
-            interval_from_json(r) if r else None, prec=prec)
+            interval_from_json(r) if r else None, prec=prec).as_dict()
     else:
         return {"match": False, "diffs": [f"unknown kind {kind}"]}
     diffs = []
-    fd = fresh.as_dict()
     for key in ("steps", "conclusion", "caveats"):
         # canonical JSON so tuple/list round-trips compare equal
         if json.dumps(fd[key], sort_keys=True) != \
@@ -410,6 +412,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     are collected in input order."""
     instances = _sweep_instances(spec)
     if spec.workers > 1 and len(instances) > 1:
+        # imported only here, so that serial runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             results = list(pool.map(_run_instance, instances, chunksize=8))
     else:

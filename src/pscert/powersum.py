@@ -67,19 +67,20 @@ def build_p(n: int, ring=ZZ) -> ExactPoly:
 
 
 def trivial_factor(n: int, ring=ZZ) -> ExactPoly:
-    """The factor of P_n supported on {0, -1, omega, omega^2}, by n mod 6."""
-    z = ExactPoly([0, 1], ring)
-    z1 = ExactPoly([1, 1], ring)
-    w = ExactPoly([1, 1, 1], ring)
-    table = {
-        0: ExactPoly([1], ring),
-        1: z * z1 * w * w,
-        2: w,
-        3: z * z1,
-        4: w * w,
-        5: z * z1 * w,
-    }
-    return table[n % 6]
+    """The factor of P_n supported on {0, -1, omega, omega^2}: z (z + 1)
+    if n is odd, times (z^2 + z + 1)^m with m = 0, 2, 1 for n = 0, 1, 2
+    mod 3 (omega is a double root of P_n when n = 1 mod 3)."""
+    c = ExactPoly([0, 1, 1] if n % 2 else [1], ring)
+    for _ in range((0, 2, 1)[n % 3]):
+        c = c * ExactPoly([1, 1, 1], ring)
+    return c
+
+
+def _trivial_zeros(*exps: int) -> tuple[bool, bool]:
+    """(every exponent odd, 3 divides no exponent): whether the power sums
+    share the trivial zeros z in {0, -1}, i.e. coordinates 0 and +-1, and
+    the cube-root zeros (1, omega, omega^2)."""
+    return all(e % 2 for e in exps), all(e % 3 for e in exps)
 
 
 def build_pq(n: int) -> PQDecomposition:
@@ -151,12 +152,8 @@ def pair_zset(b: int, c: int) -> ZSet:
     if not 2 <= b < c:
         raise ValueError("need 2 <= b < c")
     pb, pc = build_pq(b), build_pq(c)
-    return ZSet(
-        defining_poly=_pair_gcd(pb.Q_zz, pb.R, pc.Q_zz, pc.R),
-        zero_minus_one_present=(b * c) % 2 != 0,
-        cube_roots_present=(b % 3 != 0 and c % 3 != 0),
-        exponents=(b, c),
-    )
+    return ZSet(_pair_gcd(pb.Q_zz, pb.R, pc.Q_zz, pc.R),
+                *_trivial_zeros(b, c), (b, c))
 
 
 def _pair_gcd(qb: ExactPoly, rb: ExactPoly, qc: ExactPoly,
@@ -335,21 +332,12 @@ def triple_zset(a: int, b: int, c: int):
     if math.gcd(math.gcd(a, b), c) != 1:
         raise ValueError("need gcd(a, b, c) = 1")
     g = _triple_gcd(a, b, c)
-    flags = dict(
-        zero_minus_one_present=(a * b * c) % 2 != 0,
-        cube_roots_present=(a % 3 and b % 3 and c % 3) != 0,
-        exponents=(a, b, c),
-    )
-    if g.is_constant():
-        return ZSet(ExactPoly.one(QQ), **flags)
-    q = squarefree_part(g).to_ring(QQ).monic()
-    with_root, _ = _y_existence(q, (a, b, c))
-    if not with_root:
-        return ZSet(ExactPoly.one(QQ), **flags)
     poly = ExactPoly.one(QQ)
-    for fac in with_root:
-        poly = poly * fac
-    return ZSet(poly.monic(), **flags)
+    if not g.is_constant():
+        q = squarefree_part(g).to_ring(QQ).monic()
+        for fac in _y_existence(q, (a, b, c))[0]:
+            poly = poly * fac
+    return ZSet(poly.monic(), *_trivial_zeros(a, b, c), (a, b, c))
 
 
 def _triple_gcd(a: int, b: int, c: int) -> ExactPoly:
@@ -390,7 +378,7 @@ def regseq2(a: int, b: int, characteristic: int = 0) -> RegSeqVerdict:
     field = "QQ" if characteristic == 0 else f"GF({characteristic})"
     if characteristic == 2:
         return RegSeqVerdict((a, b), field, "NotRegular", witness="char 2")
-    if (a // d) % 2 == 0 or (b // d) % 2 == 0:
+    if not _trivial_zeros(a // d, b // d)[0]:
         return RegSeqVerdict((a, b), field, "Regular")
     return RegSeqVerdict((a, b), field, "NotRegular",
                          witness="both reduced exponents odd: common zero (1, -1)")
@@ -403,18 +391,14 @@ def regseq3_rational(a: int, b: int, c: int) -> RegSeqVerdict:
     d = math.gcd(math.gcd(a, b), c)
     a, b, c = a // d, b // d, c // d
     exps = (a, b, c)
-    if (a * b * c) % 2 != 0:
+    all_odd, no_three = _trivial_zeros(*exps)
+    if all_odd:
         return RegSeqVerdict(exps, "QQ", "NotRegular",
                              witness="trivial zeros {0, -1}: all exponents odd")
-    if a % 3 and b % 3 and c % 3:
+    if no_three:
         return RegSeqVerdict(exps, "QQ", "NotRegular",
                              witness="trivial cube-root zeros: 3 divides no exponent")
-    if a == 1:
-        z = pair_zset(b, c)
-        if z.is_empty:
-            return RegSeqVerdict(exps, "QQ", "Regular")
-        return RegSeqVerdict(exps, "QQ", "NotRegular", witness=z.defining_poly)
-    z = triple_zset(a, b, c)
+    z = pair_zset(b, c) if a == 1 else triple_zset(a, b, c)
     if z.is_empty:
         return RegSeqVerdict(exps, "QQ", "Regular")
     return RegSeqVerdict(exps, "QQ", "NotRegular", witness=z.defining_poly)

@@ -22,7 +22,7 @@ from pscert.analytic import (BoundReport, SegmentRoot,
 from pscert.errors import (AmbiguousEnclosure, DomainError,
                            PrecisionExhausted, VerificationFailed,
                            WidthUnreachable)
-from pscert.exactnum import (ComplexBox, RealInterval, icos, isqrt,
+from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isqrt,
                              nearest_integer_distance, pi_interval)
 from pscert.powersum import build_pq
 from pscert.unipoly import ZZ, ExactPoly
@@ -420,6 +420,17 @@ class TestGeneralBounds:
         assert rep.verdict == "Satisfied"
         assert rep.details["c_max"] > 0
 
+    def test_c_bracket_start_is_checked(self):
+        # 8 / (log 8)^2 = 1.85 > 1: no c >= 8 qualifies
+        assert analytic._c_bracket(RealInterval(1)) == (8, "Undecided")
+
+    def test_c_bracket_undecided_doubling_is_no_c_max(self, monkeypatch):
+        # an rhs enclosing 32 / (log 32)^2 leaves c = 32 undecided at the cap
+        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
+        c = RealInterval(32, 32, prec=64)
+        rhs = c / ilog(c) ** 2
+        assert analytic._c_bracket(rhs, 64)[1] == "Undecided"
+
     def test_unity_exclusion_direction(self):
         big_r = RealInterval(Fraction(4), Fraction(4), prec=128)
         rep = general_bounds(2, "other", b=20, r=big_r)["unity_exclusion"]
@@ -457,6 +468,15 @@ class TestCloseWindow:
         x = pi_interval(256) / theta
         d = nearest_integer_distance(x)
         assert Fraction(32, 100) < d.lo < d.hi < Fraction(33, 100)
+
+    def test_value_just_above_c_hi_is_scanned(self):
+        # 34 pi/|theta| = 198571.0078 lies within the threshold 0.0124 of
+        # c = 198571, which is in the window (15, 198571]
+        (root,) = isolate_segment_roots(8)
+        for c_hi in (198571, 198572):
+            rep = close_window(8, root, 15, c_hi)
+            assert rep.verdict == "Undecided", c_hi
+            assert rep.details["offending_m"] == 34
 
     def test_theta_too_wide_at_the_cap(self, monkeypatch):
         (root,) = isolate_segment_roots(8)

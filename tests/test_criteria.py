@@ -84,6 +84,13 @@ class TestNormal4:
         with pytest.raises(ValueError):
             normal4(3, 3)
 
+    def test_a_greater_one_iff_no_unity_case(self):
+        for a in range(2, 201):
+            for b in range(a + 1, 201):
+                no_case = not any(roots_of_unity_case(case, a, b).holds
+                                  for case in (1, 2, 3))
+                assert normal4(a, b).holds == no_case, (a, b)
+
 
 class TestRootsOfUnity:
     def test_bruteforce_equivalence(self):

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -239,6 +241,15 @@ class TestReplay:
         blob = certify_mod_p(1, 6, 100, 4594399).json_bytes()
         assert replay_certificate(json.loads(blob))["match"]
 
+    def test_sweep_error_certificate_replay(self):
+        _, blob, status = pipeline._run_instance(("mod-p", 1, 6, 10, 25))
+        assert status == "undecided"
+        d = json.loads(blob)
+        assert replay_certificate(d)["match"]
+        d["conclusion"]["error"] = "BadPrime('5 is not a prime')"
+        assert replay_certificate(d) == {"match": False,
+                                         "diffs": ["conclusion"]}
+
     def test_tampered_certificate_detected(self):
         d = json.loads(certify_a1(8).json_bytes())
         d["conclusion"]["c_lo"] = 1
@@ -269,6 +280,15 @@ class TestSweep:
             blobs.append({f.name: f.read_bytes()
                           for f in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
+
+    def test_serial_import_leaves_multiprocessing_out(self):
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        code = ("import sys, pscert.pipeline; "
+                "print('multiprocessing' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "False"
 
     def test_mod_p_sweep(self):
         spec = SweepSpec("mod-p", {"instances": [

@@ -2,6 +2,7 @@
 
 import dataclasses
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,22 @@ class TestBuild:
         assert trivial_factor(9) == z * z1
         assert trivial_factor(10) == w * w
         assert trivial_factor(11) == z * z1 * w
+
+    def test_trivial_factor_is_the_trivial_part(self):
+        # C_n divides P_n and leaves no zero at 0, -1 or omega behind
+        w = ExactPoly([1, 1, 1], QQ)
+        for n in range(2, 201):
+            q = build_p(n).to_ring(QQ).exact_div(trivial_factor(n, QQ))
+            assert q(0) != 0 and q(-1) != 0, n
+            assert not (q % w).is_zero(), n
+
+    @given(st.lists(st.integers(1, 10 ** 6), min_size=2, max_size=3))
+    def test_trivial_zeros_match_parity_and_mod3(self, exps):
+        # 2 and 3 are prime: a product is odd, or prime to 3, iff every
+        # factor is
+        prod = math.prod(exps)
+        assert powersum._trivial_zeros(*exps) == (prod % 2 != 0,
+                                                  prod % 3 != 0)
 
     def test_vacuous_cofactors(self):
         for n in (2, 3, 4, 5, 7):

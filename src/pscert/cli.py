@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Every subcommand prints a human-readable report, or a JSON document under
---json.  Exit codes: 0 for a conclusive result, 2 for an undecided one,
-1 for usage or internal errors.
+--json (before or after the subcommand); --precision follows only the
+subcommands that read it.  Exit codes: 0 for a conclusive result, 2 for an
+undecided one, 1 for usage or internal errors.
 """
 
 from __future__ import annotations
@@ -48,6 +49,14 @@ def poly_str(p: ExactPoly, var: str = "x") -> str:
     for t in parts[1:]:
         out += f" - {t[1:]}" if t.startswith("-") else f" + {t}"
     return out
+
+
+def _bits(text: str) -> int:
+    # escalation doubles the precision, so from 0 or below it never ends
+    bits = int(text)
+    if bits < 1:
+        raise argparse.ArgumentTypeError("precision must be at least 1 bit")
+    return bits
 
 
 def _exps(text: str) -> list[int]:
@@ -145,17 +154,6 @@ def cmd_regseq(args) -> int:
     return 0
 
 
-def cmd_modp(args) -> int:
-    exps = _exps(args.exps)
-    v = regseq3_mod_p(exps[0], exps[1], exps[2], args.p)
-    _emit({"exponents": list(v.exponents), "p": args.p, "verdict": v.verdict,
-           "witness": repr(v.witness)},
-          args.json,
-          [f"{v.verdict} over GF({args.p})"
-           + (f" (witness: {v.witness})" if v.witness is not None else "")])
-    return 0
-
-
 def cmd_criteria(args) -> int:
     A = ExponentSet(_exps(args.set))
     results = [factorial_divisibility(A)]
@@ -211,8 +209,6 @@ def cmd_roots(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    if args.a != 1:
-        raise ValueError("only the first-exponent-1 pipeline is implemented")
     cert = certify_a1(args.b, prec=args.precision)
     if args.emit:
         with open(args.emit, "wb") as fh:
@@ -220,7 +216,7 @@ def cmd_certify(args) -> int:
     _emit(cert.as_dict(), args.json,
           [f"kind: {cert.kind}", f"conclusion: {cert.conclusion}"]
           + [f"caveat: {c}" for c in cert.caveats])
-    return 0 if cert.conclusion.get("status") == "closed" else 2
+    return 0 if cert.conclusive else 2
 
 
 def cmd_bounds(args) -> int:
@@ -233,14 +229,12 @@ def cmd_bounds(args) -> int:
     _emit(cert.as_dict(), args.json,
           [f"{s['op']}: {s['verdict']}  {s['outputs']}"
            for s in cert.steps])
-    return 0 if cert.conclusion["status"] == "decided" else 2
+    return 0 if cert.conclusive else 2
 
 
 def cmd_sweep(args) -> int:
     with open(args.spec) as fh:
         spec = SweepSpec.from_dict(json.load(fh))
-    if args.threads:
-        spec.workers = args.threads
     summary = run_sweep(spec)
     _emit(summary, args.json,
           [f"mode: {summary['mode']}, instances: {summary['instances']}",
@@ -251,85 +245,79 @@ def cmd_sweep(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _add_globals(parser, suppress: bool):
-    d = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--precision", type=int,
-                        default=d if suppress else 128,
-                        help="starting working precision in bits")
-    parser.add_argument("--threads", type=int, default=d,
-                        help="worker count for sweeps")
-    parser.add_argument("--json", action="store_true",
-                        default=d if suppress else False,
-                        help="machine-readable output")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pscert",
         description="emptiness certification for power-sum zero sets")
-    _add_globals(parser, suppress=False)
+    parser.add_argument("--json", action="store_true",
+                        help="machine-readable output")
+    # --json also after the verb; its default there is SUPPRESS, so an
+    # absent verb-level flag leaves the top-level value standing
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true",
+                         default=argparse.SUPPRESS,
+                         help="machine-readable output")
+    precision = argparse.ArgumentParser(add_help=False)
+    precision.add_argument("--precision", type=_bits, default=128,
+                           help="starting working precision in bits")
     sub = parser.add_subparsers(dest="command", required=True)
-    _orig_add = sub.add_parser
 
-    def add_parser(*a, **kw):
-        p = _orig_add(*a, **kw)
-        _add_globals(p, suppress=True)
-        return p
-
-    sub.add_parser = add_parser
-
-    p = sub.add_parser("pq", help="P_n, trivial factor, cofactor")
+    p = sub.add_parser("pq", parents=[as_json],
+                       help="P_n, trivial factor, cofactor")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(fn=cmd_pq)
 
-    p = sub.add_parser("pair", help="nontrivial common zeros of two cofactors")
+    p = sub.add_parser("pair", parents=[as_json],
+                       help="nontrivial common zeros of two cofactors")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.set_defaults(fn=cmd_pair)
 
-    p = sub.add_parser("triple", help="three-exponent nontrivial zero set")
+    p = sub.add_parser("triple", parents=[as_json],
+                       help="three-exponent nontrivial zero set")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--c", type=int, required=True)
     p.set_defaults(fn=cmd_triple)
 
-    p = sub.add_parser("regseq", help="regular-sequence verdict")
+    p = sub.add_parser("regseq", parents=[as_json],
+                       help="regular-sequence verdict")
     p.add_argument("--exps", required=True, help="comma-separated exponents")
     p.add_argument("--char", type=int, default=0)
     p.set_defaults(fn=cmd_regseq)
 
-    p = sub.add_parser("modp", help="regular sequence over a prime field")
-    p.add_argument("--exps", required=True)
-    p.add_argument("--p", type=int, required=True)
-    p.set_defaults(fn=cmd_modp)
-
-    p = sub.add_parser("criteria", help="arithmetic criteria on an exponent set")
+    p = sub.add_parser("criteria", parents=[as_json],
+                       help="arithmetic criteria on an exponent set")
     p.add_argument("--set", required=True)
     p.set_defaults(fn=cmd_criteria)
 
-    p = sub.add_parser("normal4", help="normality in four variables")
+    p = sub.add_parser("normal4", parents=[as_json],
+                       help="normality in four variables")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.set_defaults(fn=cmd_normal4)
 
-    p = sub.add_parser("member", help="graded ideal membership")
+    p = sub.add_parser("member", parents=[as_json],
+                       help="graded ideal membership")
     p.add_argument("--target", required=True)
     p.add_argument("--gens", required=True)
     p.add_argument("--nvars", type=int, required=True)
     p.set_defaults(fn=cmd_member)
 
-    p = sub.add_parser("roots", help="certified segment roots of a cofactor")
+    p = sub.add_parser("roots", parents=[as_json, precision],
+                       help="certified segment roots of a cofactor")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--digits", type=int, default=12)
     p.set_defaults(fn=cmd_roots)
 
-    p = sub.add_parser("certify", help="run an emptiness pipeline")
-    p.add_argument("--a", type=int, default=1)
+    p = sub.add_parser("certify", parents=[as_json, precision],
+                       help="emptiness pipeline for the exponents (1, b, c)")
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--emit", default=None, help="certificate output file")
     p.set_defaults(fn=cmd_certify)
 
-    p = sub.add_parser("bounds", help="general-exponent bound family")
+    p = sub.add_parser("bounds", parents=[as_json, precision],
+                       help="general-exponent bound family")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, default=None)
     p.add_argument("--r", default=None, help="rational modulus, e.g. 21/20")
@@ -337,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["exactly-one-even", "other"])
     p.set_defaults(fn=cmd_bounds)
 
-    p = sub.add_parser("sweep", help="run a sweep from a JSON spec file")
+    p = sub.add_parser("sweep", parents=[as_json],
+                       help="run a sweep from a JSON spec file")
     p.add_argument("--spec", required=True)
     p.set_defaults(fn=cmd_sweep)
 

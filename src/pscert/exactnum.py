@@ -1,7 +1,7 @@
 """Exact scalars and certified interval arithmetic.
 
-Scalars: arbitrary-size integers (Python int), rationals (fractions.Fraction,
-re-exported as Rational), and exact roots of unity.
+Scalars: arbitrary-size integers (Python int), rationals (fractions.Fraction)
+and exact roots of unity.
 
 Intervals: a RealInterval holds two raw mpf endpoints and its own precision
 and calls mpmath.libmp.libmpi directly, so every operation returns an
@@ -31,8 +31,6 @@ from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_cos_sin,
 
 from .errors import AmbiguousEnclosure, DomainError
 from .unipoly import ExactPoly, ZZ
-
-Rational = Fraction
 
 DEFAULT_PREC = 64
 MAX_PREC = 16384
@@ -98,17 +96,6 @@ class RealInterval:
     def at_prec(self, prec: int) -> "RealInterval":
         """The same endpoints, relabelled: later operations run at `prec`."""
         return RealInterval._wrap(self._mpi, prec)
-
-    def intersect(self, other: "RealInterval") -> "RealInterval":
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        if lo > hi:
-            raise DomainError("intersection of disjoint intervals")
-        return RealInterval(lo, hi, prec=max(self.prec, other.prec))
-
-    def hull(self, other: "RealInterval") -> "RealInterval":
-        return RealInterval(min(self.lo, other.lo), max(self.hi, other.hi),
-                            prec=max(self.prec, other.prec))
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -319,13 +306,6 @@ class ComplexBox:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        other = _coerce_box(other)
-        return ComplexBox(self.re - other.re, self.im - other.im)
-
-    def __rsub__(self, other):
-        return _coerce_box(other) - self
-
     def __mul__(self, other):
         other = _coerce_box(other)
         return ComplexBox(self.re * other.re - self.im * other.im,
@@ -344,9 +324,6 @@ class ComplexBox:
     def __rtruediv__(self, other):
         return _coerce_box(other) / self
 
-    def __neg__(self):
-        return ComplexBox(-self.re, -self.im)
-
     def __pow__(self, k: int):
         if k < 0:
             return 1 / (self ** (-k))
@@ -359,14 +336,8 @@ class ComplexBox:
             k >>= 1
         return result
 
-    def abs(self) -> RealInterval:
-        return isqrt(self.re ** 2 + self.im ** 2)
-
     def contains_zero(self) -> bool:
         return self.re.contains_zero() and self.im.contains_zero()
-
-    def at_prec(self, prec: int) -> "ComplexBox":
-        return ComplexBox(self.re.at_prec(prec), self.im.at_prec(prec))
 
     def __repr__(self):
         return f"ComplexBox({self.re!r}, {self.im!r})"

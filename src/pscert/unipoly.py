@@ -525,11 +525,11 @@ def _subresultant_gcd(f: ExactPoly, g: ExactPoly) -> ExactPoly:
 
 
 def _pseudo_rem(a: ExactPoly, b: ExactPoly) -> ExactPoly:
+    """The remainder of lc(b)^(d+1) a by b over ZZ, d = deg a - deg b: that
+    multiple of a has an integral quotient, so each leading division is
+    exact."""
     d = a.degree - b.degree
-    lead = b.leading()
-    scaled = a.scale(lead ** (d + 1))
-    _, r = scaled.to_ring(QQ).divmod(b.to_ring(QQ))
-    return r.to_ring(ZZ)
+    return a.scale(b.leading() ** (d + 1)).divmod(b)[1]
 
 
 def _half_xgcd(a: ExactPoly, m: ExactPoly):
@@ -724,7 +724,7 @@ def certify_irreducible(f: ExactPoly) -> IrreducibilityCertificate:
     """Sufficient irreducibility certificate over Z via factor-degree patterns
     modulo up to 40 large primes.  "Irreducible" is sound; "Inconclusive"
     is always a permitted outcome."""
-    fz = f.to_ring(ZZ) if f.ring != ZZ else f
+    fz = f.to_ring(ZZ)
     deg = fz.degree
     achievable = None
     primes_used = []

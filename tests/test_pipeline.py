@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from pscert import pipeline
+from pscert.analytic import BoundReport
 from pscert.cli import main, poly_str
 from pscert.exactnum import RealInterval
 from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
@@ -18,7 +19,8 @@ from pscert.pipeline import (SweepSpec, certify_a1, certify_general_bounds,
                              dyadic_hex, frac_str, interval_from_json,
                              interval_json, parse_dyadic_hex, parse_frac,
                              replay_certificate, run_sweep)
-from pscert.unipoly import IrreducibilityCertificate
+from pscert.powersum import RegSeqVerdict, ZSet
+from pscert.unipoly import QQ, ExactPoly, IrreducibilityCertificate
 
 
 class TestSerialization:
@@ -77,6 +79,29 @@ class TestCertifyA1:
         for b in (10, 11, 13):
             cert = certify_a1(b)
             assert cert.conclusion["status"] == "closed", b
+
+    def test_large_c_bracket_undecided(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "lmn3_c_max", lambda b, prec:
+                            BoundReport("large-c bracket", {"b": b}, None,
+                                        "Undecided"))
+        cert = certify_a1(8)
+        assert cert.conclusion == {"status": "undecided",
+                                   "detail": "large-c bracket not certified"}
+        assert cert.steps[-1]["verdict"] == "Undecided"
+        assert not cert.conclusive
+
+    def test_window_scan_undecided(self, monkeypatch, capsys):
+        def stuck(b, top, c_lo, c_hi, prec):
+            return BoundReport("window scan", {"b": b}, None, "Undecided",
+                               {"offending_m": 17})
+        monkeypatch.setattr(pipeline, "close_window", stuck)
+        cert = certify_a1(8)
+        assert cert.conclusion == {"status": "undecided",
+                                   "detail": "window scan could not certify",
+                                   "offending_m": 17}
+        assert not cert.conclusive
+        assert main(["certify", "--b", "8"]) == 2
+        capsys.readouterr()
 
 
 class TestGoldenBytes:
@@ -212,10 +237,26 @@ class TestOtherCertificates:
         assert certify_pair(6, 10).conclusion["status"] == "empty"
         assert certify_pair(3, 5).conclusion["status"] == "nonempty-trivial"
 
+    def test_pair_candidate(self, monkeypatch):
+        monkeypatch.setattr(pipeline, "pair_zset", lambda b, c: ZSet(
+            ExactPoly([1, 1, 1], QQ), False, False, (b, c)))
+        cert = certify_pair(6, 10)
+        assert cert.conclusion == {"status": "candidate"}
+        assert cert.steps[0]["outputs"]["gcd_degree"] == 2
+
     def test_triple(self):
         assert certify_triple(1, 2, 3).conclusion["status"] == "empty"
         assert certify_triple(1, 3, 5).conclusion["status"] == \
             "nonempty-trivial"
+
+    def test_triple_candidate(self, monkeypatch):
+        witness = ExactPoly([1, 1, 1], QQ)
+        monkeypatch.setattr(pipeline, "regseq3_rational", lambda a, b, c:
+                            RegSeqVerdict((a, b, c), "QQ", "NotRegular",
+                                          witness=witness))
+        cert = certify_triple(2, 3, 5)
+        assert cert.conclusion == {"status": "candidate"}
+        assert cert.steps[0]["outputs"]["witness"] == repr(witness)
 
     def test_mod_p(self):
         assert certify_mod_p(1, 6, 100, 4594399).conclusion["status"] == \
@@ -225,6 +266,14 @@ class TestOtherCertificates:
     def test_general_bounds(self):
         cert = certify_general_bounds(2)
         assert cert.conclusion["status"] == "decided"
+
+    def test_general_bounds_undecided(self):
+        # r^b for r in [3/2, 10] straddles the threshold 2 b^8
+        r = RealInterval(Fraction(3, 2), 10, prec=128)
+        cert = certify_general_bounds(2, "other", 10, r)
+        assert cert.conclusion == {"status": "undecided"}
+        assert cert.steps[2]["verdict"] == "Undecided"
+        assert not cert.conclusive
 
 
 class TestReplay:
@@ -249,6 +298,26 @@ class TestReplay:
         d["conclusion"]["error"] = "BadPrime('5 is not a prime')"
         assert replay_certificate(d) == {"match": False,
                                          "diffs": ["conclusion"]}
+
+    def test_triple_replay(self):
+        for t in ((1, 2, 3), (1, 3, 5), (2, 3, 5)):
+            blob = certify_triple(*t).json_bytes()
+            assert replay_certificate(json.loads(blob))["match"], t
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("with_r", [False, True])
+    def test_general_bounds_replay(self, prec, with_r):
+        # replay reads the precision from the first precision_trace entry
+        if with_r:
+            r = RealInterval(Fraction(21, 20), prec=prec)
+            cert = certify_general_bounds(2, "other", 7, r, prec=prec)
+        else:
+            cert = certify_general_bounds(3, "exactly-one-even", prec=prec)
+        d = json.loads(cert.json_bytes())
+        assert d["precision_trace"][0]["prec"] == prec
+        assert replay_certificate(d) == {"match": True, "diffs": []}
+        d["steps"][0]["outputs"]["b_strictly_below"] += 1
+        assert replay_certificate(d) == {"match": False, "diffs": ["steps"]}
 
     def test_tampered_certificate_detected(self):
         d = json.loads(certify_a1(8).json_bytes())
@@ -335,7 +404,82 @@ class TestSweep:
             SweepSpec.from_dict(dict(d, worker=2))
 
 
+# one invocation per verb, run in a directory that holds spec.json
+VERBS = {
+    "pq": ["--n", "6"],
+    "pair": ["--b", "6", "--c", "10"],
+    "triple": ["--a", "2", "--b", "3", "--c", "4"],
+    "regseq": ["--exps", "2,3"],
+    "criteria": ["--set", "1,2,4,6"],
+    "normal4": ["--a", "2", "--b", "4"],
+    "member": ["--target", "p5", "--gens", "p1,p2", "--nvars", "4"],
+    "roots": ["--n", "8"],
+    "certify": ["--b", "7"],
+    "bounds": ["--a", "2"],
+    "sweep": ["--spec", "spec.json"],
+}
+READS_PRECISION = {"roots", "certify", "bounds"}
+
+
 class TestCli:
+    @pytest.fixture
+    def spec_dir(self, tmp_path, monkeypatch):
+        (tmp_path / "spec.json").write_text(json.dumps(
+            {"mode": "pair-a1", "ranges": {"b_max": 6, "c_max": 8}}))
+        monkeypatch.chdir(tmp_path)
+
+    def test_help_lists_every_verb(self, capsys):
+        assert main(["--help"]) == 0
+        usage = capsys.readouterr().out
+        listed = usage[usage.index("{") + 1:usage.index("}")].split(",")
+        assert sorted(listed) == sorted(VERBS)
+
+    @pytest.mark.parametrize("json_first", [True, False])
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_verb_json_smoke(self, spec_dir, capsys, verb, json_first):
+        argv = [verb] + VERBS[verb]
+        argv = ["--json"] + argv if json_first else argv + ["--json"]
+        assert main(argv) == 0
+        assert isinstance(json.loads(capsys.readouterr().out), dict)
+
+    @pytest.mark.parametrize("verb", sorted(VERBS))
+    def test_precision_only_where_read(self, spec_dir, capsys, verb):
+        argv = [verb] + VERBS[verb]
+        code = main(argv + ["--precision", "192"])
+        assert code == (0 if verb in READS_PRECISION else 1)
+        assert main(["--precision", "192"] + argv) == 1
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["modp", "--exps", "1,6,100", "--p", "4594399"],
+        ["certify", "--a", "1", "--b", "8"],
+        ["pq", "--n", "6", "--precision", "256"],
+        ["sweep", "--spec", "s", "--threads", "2"],
+        ["roots", "--n", "8", "--precision", "0"],  # doubling 0 never ends
+        ["certify", "--b", "8", "--precision", "-5"],
+    ])
+    def test_rejected_forms_exit_one(self, capsys, argv):
+        assert main(argv) == 1
+        capsys.readouterr()
+
+    def test_regseq_prime_field_three_exponents(self, capsys):
+        assert main(["regseq", "--exps", "1,6,100", "--char", "4594399"]) == 0
+        assert capsys.readouterr().out == (
+            "NotRegular over GF(4594399) (witness: ('chart z=1', "
+            "ExactPoly([1, 3, 2297207, 10, 2297207, 3, 1], "
+            "ring=('GF', 4594399))))\n")
+
+    def test_json_error_diagnostic(self, capsys):
+        assert main(["--json", "pair", "--b", "5", "--c", "3"]) == 1
+        diag = json.loads(capsys.readouterr().out)
+        assert diag["error"] == "ValueError" and diag["message"]
+
+    def test_bounds_undecided_exit_two(self, capsys):
+        assert main(["bounds", "--a", "2", "--b", "7", "--r", "21/20",
+                     "--precision", "8", "--json"]) == 2
+        data = json.loads(capsys.readouterr().out)
+        assert data["conclusion"] == {"status": "undecided"}
+
     def test_poly_str(self):
         from pscert.unipoly import ExactPoly, ZZ
         assert poly_str(ExactPoly([2, 2, 2], ZZ)) == "2x^2 + 2x + 2"
@@ -374,8 +518,7 @@ class TestCli:
 
     def test_certify_emit(self, tmp_path, capsys):
         out = tmp_path / "cert8.json"
-        assert main(["certify", "--a", "1", "--b", "8",
-                     "--emit", str(out)]) == 0
+        assert main(["certify", "--b", "8", "--emit", str(out)]) == 0
         capsys.readouterr()
         cert = json.loads(out.read_bytes())
         assert cert["schema"] == 1

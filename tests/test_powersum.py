@@ -325,6 +325,20 @@ class TestTripleZSet:
         with pytest.raises(ValueError):
             triple_zset(3, 2, 4)
 
+    @pytest.mark.parametrize("planted, survivor", [
+        ([1, 1, 1], [1, 1, 1]),  # (omega, omega^2) is a common zero
+        ([2, 1], [1]),  # x = -2: the three curves share no y
+        ([2, 3, 3, 1], [1, 1, 1]),  # (x + 2)(x^2 + x + 1) splits back
+    ])
+    def test_y_existence_tail(self, monkeypatch, planted, survivor):
+        # for a >= 2 and a + b + c <= 30 every stripped triple gcd is
+        # constant, so a nonconstant one is planted to reach the y-check
+        monkeypatch.setattr(powersum, "_triple_gcd",
+                            lambda a, b, c: ExactPoly(planted, QQ))
+        z = triple_zset(2, 4, 5)
+        assert z.defining_poly == ExactPoly(survivor, QQ)
+        assert z.is_empty == (survivor == [1])
+
 
 class TestRegSeq2:
     def test_regular(self):

@@ -30,7 +30,7 @@ from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
                      VerificationFailed, WidthUnreachable)
 from . import exactnum
 from .exactnum import (ComplexBox, RealInterval, iatan2, icos_sin,
-                       iexp, ilog, isqrt, pi_interval)
+                       iexp, ilog, isqrt, pi_interval, require_prec)
 from .powersum import build_pq
 
 
@@ -255,6 +255,7 @@ def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
     that is where s(theta) changes sign.  The sample points shrink until
     there are deg(Q_n)/6 brackets.
     """
+    require_prec(prec)
     if n < 6:
         raise ValueError("need n >= 6")
     expected = len(_segment_form(n)[1])
@@ -330,6 +331,7 @@ def _t_of(u: Fraction, prec: int) -> RealInterval:
 
 def refine_segment_root(root: SegmentRoot, target_width,
                         prec: int = 256) -> SegmentRoot:
+    require_prec(prec)
     return _bisect_root(root.n, root.u_lo, root.u_hi, target_width, prec)
 
 
@@ -349,6 +351,7 @@ def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),
                 prec: int = 128) -> RealInterval:
     """Enclosure of |top| = sqrt(1/4 + t^2) of the given width, refining a
     copy of the segment root as needed; `top` itself is left unchanged."""
+    require_prec(prec)
     while True:
         r = isqrt(Fraction(1, 4) + top.t.at_prec(prec) ** 2)
         if r.width <= Fraction(width):
@@ -387,6 +390,7 @@ def c_small_threshold(r: RealInterval | Fraction, b: int,
     An interval is checked on its lower endpoint.  An exact Fraction is
     checked exactly and then enclosed at `prec` (an enclosure of 14/9
     itself reaches below 14/9)."""
+    require_prec(prec)
     if isinstance(r, Fraction):
         if r < Fraction(14, 9):
             raise ValueError("requires r >= 14/9")
@@ -400,76 +404,66 @@ def c_small_threshold(r: RealInterval | Fraction, b: int,
                        details={"c_excluded_up_to": math.floor(value.lo)})
 
 
-def lmn_lower(d: int, h: RealInterval, k: int, prec: int = 128) -> RealInterval:
-    """Effective lower bound on |alpha^k - 1| for a degree-d algebraic number
-    of height h on the unit circle (linear-forms-in-logarithms type):
-    exp(-(9/8) (22 pi + d h) max{34, d log(k/2) + 10}^2)."""
-    pi = pi_interval(prec)
-    inner = ilog(RealInterval(Fraction(k, 2), prec=prec)) * d + 10
-    m = _interval_max(inner, Fraction(34))
-    expo = (pi * 22 + h.at_prec(prec) * d) * (m ** 2) * Fraction(9, 8)
-    return iexp(-expo)
+def _c_bracket(rhs: Fraction | RealInterval,
+               prec: int = 128) -> tuple[int, str]:
+    """Largest integer c with c / (log c)^2 <= rhs on the increasing branch
+    (c >= 8 > e^2): c = 8 is checked, and then only c_max and c_max + 1 from
+    an untrusted guess (`_c_guess`).  A check compares c exactly with
+    rhs_lo L_lo^2 (L_lo > 0) and rhs_hi L_hi^2 for an enclosure L of log c
+    that doubles from `prec` bits while undecided; an exact rhs is both
+    endpoints.  A wrong guess is corrected by galloping outward in doubling
+    steps, which become bisection once the bracket is closed.  A check
+    undecided at `exactnum.MAX_PREC`, an unchecked c = 8, or a c past 10^30
+    gives "Undecided" with the c at hand, never a claimed c_max."""
+    rhs_lo, rhs_hi = ((rhs, rhs) if isinstance(rhs, Fraction)
+                      else (rhs.lo, rhs.hi))
 
+    def le(c: int, p: int = prec) -> Optional[bool]:
+        log_c = ilog(RealInterval(c, prec=p))
+        if log_c.lo > 0 and c <= rhs_lo * log_c.lo ** 2:
+            return True
+        if c > rhs_hi * log_c.hi ** 2:
+            return False
+        return None if p >= exactnum.MAX_PREC else le(c, 2 * p)
 
-def _interval_max(x: RealInterval, c: Fraction) -> RealInterval:
-    if x.hi <= c:
-        return RealInterval(c, c, prec=x.prec)
-    if x.lo >= c:
-        return x
-    return RealInterval(c, x.hi, prec=x.prec)
-
-
-def _c_bracket(rhs: RealInterval, prec: int = 128) -> tuple[int, str]:
-    """Largest integer c with c / (log c)^2 <= rhs, by certified integer
-    bisection on the increasing branch (c >= 8 > e^2).
-
-    The bracket [lo, hi] always has lo checked <= rhs and hi checked > rhs:
-    lo = 8 is checked first, hi doubles from 16 (each checked hi <= rhs
-    becomes the new lo) and bisection then closes the bracket.  A
-    comparison that stays undecided up to `exactnum.MAX_PREC`, an
-    unchecked c = 8, or a c past 10^30 gives "Undecided" with the c at
-    hand, never a claimed c_max."""
-
-    def f(c: int, p: int) -> RealInterval:
-        return RealInterval(c, c, prec=p) / ilog(RealInterval(c, c, prec=p)) ** 2
-
-    def cmp_le(c: int) -> Optional[bool]:
-        p = prec
-        while True:
-            v = f(c, p)
-            if v.hi <= rhs.lo:
-                return True
-            if v.lo > rhs.hi:
-                return False
-            if p >= exactnum.MAX_PREC:
-                return None
-            p *= 2
-
-    lo, hi = 8, 16
-    if cmp_le(lo) is not True:
-        return lo, "Undecided"
-    while (res := cmp_le(hi)) is True:
-        lo, hi = hi, 2 * hi
-        if hi > 10 ** 30:
-            return hi, "Undecided"
-    if res is None:
-        return hi, "Undecided"
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        res = cmp_le(mid)
+    if le(8) is not True:
+        return 8, "Undecided"
+    lo, hi, step = 8, None, 1  # lo checked <= rhs, hi checked > rhs
+    c = max(_c_guess((rhs_lo + rhs_hi) / 2), 9)
+    while hi is None or hi - lo > 1:
+        res = le(c) if c <= 10 ** 30 else None
         if res is None:
-            return mid, "Undecided"
-        lo, hi = (mid, hi) if res else (lo, mid)
+            return c, "Undecided"
+        lo, hi = (c, hi) if res else (lo, c)
+        mid = lo + step if hi is None else (lo + hi) // 2
+        c = min(lo + step, mid) if res else max(hi - step, mid)
+        step *= 2
     return lo, "Satisfied"
+
+
+def _c_guess(rhs: Fraction) -> int:
+    """Untrusted floor of the fixed point of c = rhs (log c)^2 above 8: the
+    iteration runs in floats, and past 2^50 on again at twice bits(c).  An
+    rhs past 10^31 (c_max past 10^30) is clipped to fit a float."""
+    r = float(min(rhs, 10 ** 31))
+    c = max(r, 8.0)
+    for _ in range(64):
+        c = r * math.log(c) ** 2
+    if c < 2 ** 50:
+        return int(c)
+    x = RealInterval(int(c), prec=2 * int(c).bit_length())
+    for _ in range(64):
+        x = ilog(x) ** 2 * rhs
+    return math.floor(x.mid)
 
 
 def lmn3_c_max(b: int, prec: int = 128) -> BoundReport:
     """Largest integer c with c/(log c)^2 <= 320 b^2 + 2 b^3 / 3."""
+    require_prec(prec)
     if b < 6:
         raise ValueError("need b >= 6")
     rhs_q = 320 * b * b + Fraction(2 * b ** 3, 3)
-    rhs = RealInterval(rhs_q, rhs_q, prec=prec)
-    c_max, verdict = _c_bracket(rhs, prec)
+    c_max, verdict = _c_bracket(rhs_q, prec)
     return BoundReport("large-c exclusion bound", {"b": b, "rhs": rhs_q},
                        RealInterval(c_max, c_max, prec=prec), verdict,
                        details={"c_max": c_max})
@@ -481,7 +475,9 @@ def general_bounds(a: int, parity_profile: str = "other",
                    prec: int = 128) -> dict[str, BoundReport]:
     """Bound family for the general-exponent regime: the b-range bound, the
     r lower bound, the root-of-unity exclusion threshold, and (given b, r)
-    the finite c-bracket."""
+    the finite c-bracket, which is "Undecided" while log r is not
+    certified positive."""
+    require_prec(prec)
     if a < 2:
         raise ValueError("need a >= 2")
     one_even = parity_profile == "exactly-one-even"
@@ -509,12 +505,16 @@ def general_bounds(a: int, parity_profile: str = "other",
         reports["unity_exclusion"] = BoundReport(
             "root-of-unity exclusion (2 b^8 <= r^b)", {"b": b, "r": r},
             rpow, verdict, details={"threshold": 2 * b ** 8})
-        rhs = (1 + 1 / logr) * (3 * (a * b) ** 6)
-        c_max, verdict = _c_bracket(rhs, prec)
+        if logr.is_positive():
+            c_max, verdict = _c_bracket((1 + 1 / logr) * (3 * (a * b) ** 6),
+                                        prec)
+            value, details = RealInterval(c_max, prec=prec), {"c_max": c_max}
+        else:
+            value, verdict = None, "Undecided"
+            details = {"c_max": None, "reason": "log r is not certified positive"}
         reports["c_bracket"] = BoundReport(
-            "finite c bracket", {"a": a, "b": b, "r": r},
-            RealInterval(c_max, c_max, prec=prec), verdict,
-            details={"c_max": c_max})
+            "finite c bracket", {"a": a, "b": b, "r": r}, value, verdict,
+            details=details)
     return reports
 
 
@@ -523,6 +523,7 @@ def general_bounds(a: int, parity_profile: str = "other",
 
 def window_theta(b: int, zeta: SegmentRoot, prec: int = 256) -> RealInterval:
     """|arg(1 + zeta^-b)| for the maximal-modulus segment root zeta."""
+    require_prec(prec)
     alpha = zeta.alpha(prec)
     w = ComplexBox(1, 0) + alpha ** (-b)
     if not w.re.is_positive():
@@ -533,27 +534,25 @@ def window_theta(b: int, zeta: SegmentRoot, prec: int = 256) -> RealInterval:
 def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
                  prec: int = 256) -> BoundReport:
     """Certify that no integer c in (c_lo, c_hi] can satisfy the near-integer
-    condition |c theta + m pi| <= 9 |zeta|^{-c}.
+    condition |c theta + m pi| <= 9 |zeta|^{-c}: every m whose m pi/|theta|
+    reaches above c_lo and starts no further than the threshold above c_hi
+    lies further than 9 |zeta|^{-c_lo} / |theta| from every integer.
 
-    Enumerates every integer m whose enclosure of m pi/|theta| reaches above
-    c_lo and starts no further than the threshold above c_hi, so that c_hi
-    itself is covered, and certifies that the distance from m pi/|theta| to
-    the nearest integer exceeds the scaled threshold
-    9 |zeta|^{-c_lo} / |theta|.
-
-    The scan runs in exact fixed point.  The dyadic endpoints of the
-    pi/|theta| enclosure are A_lo / 2^K and A_hi / 2^K, so m pi/|theta| lies
-    in [m A_lo, m A_hi] / 2^K, and that interval is stepped from one m to the
-    next by adding A_lo and A_hi.  The integer part of an endpoint is its
-    top bits (>> K) and its distance to the nearest integer comes from its
-    low K bits; it is compared with floor(threshold * 2^K), computed once
-    per scan (`_scan_limit`).  Nothing is rounded, so each enclosure is no
-    wider than an outward-rounded interval product m * (pi/|theta|) would
-    be.
-    """
+    The scan runs in exact fixed point (`_window_scan`).  With the dyadic
+    pi/|theta| enclosure [A_lo, A_hi] / 2^K, m pi/|theta| lies in
+    [m A_lo, m A_hi] / 2^K, no wider than an outward-rounded product would
+    be.  Two running integers stand for it: the fractional part f = m A_lo
+    mod 2^K of its lower end, and the gap g = 2^K - f - m (A_hi - A_lo) from
+    its upper end to the next integer, each stepped by one addition.  Its
+    distance to the nearest integer is min(f, g), <= 0 exactly when an
+    integer lies inside, and is compared with floor(threshold * 2^K)
+    (`_scan_limit`).  That reading needs the enclosure narrower than 1/4,
+    which holds below one bound on m, computed once."""
+    require_prec(prec)
+    inputs = {"b": b, "c_lo": c_lo, "c_hi": c_hi}
     if c_lo >= c_hi:
-        return BoundReport("window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
-                           None, "Satisfied", details={"m_count": 0})
+        return BoundReport("window scan", inputs, None, "Satisfied",
+                           details={"m_count": 0})
     root = zeta
     t_width = Fraction(1, 10 ** 24)
     while True:
@@ -576,48 +575,47 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     lo, hi = pi_over_theta.lo, pi_over_theta.hi
     k = max(lo.denominator, hi.denominator).bit_length() - 1
     a_lo, a_hi = ((q.numerator << k) // q.denominator for q in (lo, hi))
-    window_lo, window_hi = c_lo << k, c_hi << k
-    limit = _scan_limit(threshold.hi, k)
-
-    # m A_hi > c_lo 2^K and m A_lo <= c_hi 2^K + limit
-    m_range = range(max(1, window_lo // a_hi + 1),
-                    (window_hi + limit) // a_lo + 1)
-    x_lo, x_hi = m_range.start * a_lo, m_range.start * a_hi
-    min_dist = None
-    for m in m_range:
-        dist = _fixed_point_distance(x_lo, x_hi, k)
-        if min_dist is None or dist < min_dist:
-            min_dist = dist
-        if dist <= limit:
-            return BoundReport(
-                "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
-                pi_over_theta, "Undecided",
-                details={"offending_m": m,
-                         "distance": float(Fraction(dist, 1 << k))})
-        x_lo += a_lo
-        x_hi += a_hi
-    return BoundReport(
-        "window scan", {"b": b, "c_lo": c_lo, "c_hi": c_hi},
-        pi_over_theta, "Satisfied",
-        details={"m_count": len(m_range),
-                 "min_distance": (float(Fraction(min_dist, 1 << k))
-                                  if min_dist is not None else None),
-                 "pi_over_theta": (float(lo), float(hi))})
+    m_count, m, dist = _window_scan(k, a_lo, a_hi, c_lo, c_hi,
+                                    _scan_limit(threshold.hi, k))
+    dist = None if dist is None else float(Fraction(dist, 1 << k))
+    if m is not None:
+        return BoundReport("window scan", inputs, pi_over_theta, "Undecided",
+                           details={"offending_m": m, "distance": dist})
+    return BoundReport("window scan", inputs, pi_over_theta, "Satisfied",
+                       details={"m_count": m_count, "min_distance": dist,
+                                "pi_over_theta": (float(lo), float(hi))})
 
 
-def _fixed_point_distance(x_lo: int, x_hi: int, k: int) -> int:
-    """2^k times the lower end of the distance from [x_lo, x_hi] / 2^k to the
-    nearest integer: 0 when an integer lies inside, else the smaller distance
-    of the two endpoints.  Like exactnum.nearest_integer_distance, it needs
-    the interval narrower than 1/4."""
+def _window_scan(k: int, a_lo: int, a_hi: int, c_lo: int, c_hi: int,
+                 limit: int) -> tuple[int, Optional[int], Optional[int]]:
+    """Scan [m A_lo, m A_hi] / 2^K for every m with m A_hi > c_lo 2^K and
+    m A_lo <= c_hi 2^K + limit: (m_count, the first m within limit / 2^K of
+    an integer or None, 2^K times its distance or else the least one).  The
+    first m too wide to read, m_wide, raises AmbiguousEnclosure."""
     one = 1 << k
-    if 4 * (x_hi - x_lo) >= one:
+    width = a_hi - a_lo
+    start = max(1, (c_lo << k) // a_hi + 1)
+    stop = ((c_hi << k) + limit) // a_lo + 1
+    m_wide = -(-one // (4 * width)) if width else stop
+    step = a_lo & (one - 1)
+    drop = step + width
+    f = start * a_lo & (one - 1)
+    g = one - f - start * width
+    best = one  # the least distance so far, always above limit
+    for m in range(start, min(stop, m_wide)):
+        if f < best or g < best:
+            dist = f if f < g else g
+            if dist <= limit:
+                return stop - start, m, max(dist, 0)
+            best = dist
+        f += step
+        g -= drop
+        if f >= one:
+            f -= one
+            g += one
+    if max(start, m_wide) < stop:
         raise AmbiguousEnclosure("interval too wide to locate nearest integer")
-    f_lo = x_lo & (one - 1)
-    if f_lo == 0 or x_lo >> k != x_hi >> k:
-        return 0
-    f_hi = x_hi & (one - 1)
-    return min(f_lo, one - f_lo, f_hi, one - f_hi)
+    return max(stop - start, 0), None, best if stop > start else None
 
 
 def _scan_limit(bound: Fraction, k: int) -> int:

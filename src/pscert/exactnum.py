@@ -36,6 +36,13 @@ DEFAULT_PREC = 64
 MAX_PREC = 16384
 
 
+def require_prec(prec: int) -> None:
+    """Reject a working precision below one bit: escalation doubles the
+    precision it starts from, so from 0 or below it would never end."""
+    if prec < 1:
+        raise ValueError(f"precision must be at least 1 bit, got {prec}")
+
+
 class RealInterval:
     """Closed interval [lo, hi] with exact binary endpoints.
 

@@ -18,7 +18,7 @@ from typing import Optional
 from .analytic import (bound_14_9, c_small_threshold, close_window,
                        general_bounds, isolate_segment_roots, lmn3_c_max,
                        top_modulus)
-from .exactnum import RealInterval, isqrt
+from .exactnum import RealInterval, isqrt, require_prec
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
 
@@ -134,6 +134,7 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
     """Full emptiness pipeline for the pair zero sets with first exponent 1
     and second exponent b: certifies that no c > b admits a nontrivial
     common zero (for odd b the computed claim covers even c only)."""
+    require_prec(prec)
     if b < 2:
         raise ValueError("need b >= 2")
     cert = Certificate("a1-pipeline", {"a": 1, "b": b})
@@ -275,6 +276,7 @@ def certify_general_bounds(a: int, parity: str = "other",
                            b: Optional[int] = None,
                            r: Optional[RealInterval] = None,
                            prec: int = 128) -> Certificate:
+    require_prec(prec)
     cert = Certificate("general-bounds",
                        {"a": a, "parity": parity, "b": b,
                         "r": interval_json(r) if r is not None else None})

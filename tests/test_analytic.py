@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -10,20 +11,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath.libmp import libmpi
 
-from pscert import analytic, exactnum
+from pscert import analytic, exactnum, pipeline
 from pscert.analytic import (BoundReport, SegmentRoot,
-                             _fixed_point_distance, _rho_bracket,
-                             _roots_below, _sample_points, _scan_limit,
-                             _segment_form, _u_root,
+                             _rho_bracket, _roots_below, _sample_points,
+                             _scan_limit, _segment_form, _u_root,
+                             _window_scan,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
-                             lmn3_c_max, lmn_lower, max_modulus,
+                             lmn3_c_max, max_modulus,
                              refine_segment_root, top_modulus, window_theta)
 from pscert.errors import (AmbiguousEnclosure, DomainError,
                            PrecisionExhausted, VerificationFailed,
                            WidthUnreachable)
 from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isqrt,
                              nearest_integer_distance, pi_interval)
+from pscert.pipeline import certify_a1, certify_general_bounds
 from pscert.powersum import build_pq
 from pscert.unipoly import ZZ, ExactPoly
 
@@ -359,24 +361,6 @@ class TestBounds:
             assert c_small_threshold(r1, b).value.hi < \
                 c_small_threshold(r1, b + 1).value.lo
 
-    def test_lmn_lower_positive_and_monotone(self):
-        h = RealInterval(Fraction(1), Fraction(1), prec=128)
-        prev = None
-        for k in (10, 100, 1000, 10 ** 6):
-            v = lmn_lower(6, h, k)
-            assert v.lo > 0
-            if prev is not None:
-                assert v.hi <= prev.hi  # non-increasing in k
-            prev = v
-
-    def test_lmn_small_k_max_branch(self):
-        # d log(k/2) + 10 below 34: the 34 branch is used, so the bound is
-        # independent of k
-        h = RealInterval(0, 0, prec=128)
-        a = lmn_lower(1, h, 2)
-        b = lmn_lower(1, h, 4)
-        assert a.lo == b.lo and a.hi == b.hi
-
     def test_lmn3_c_max_b8(self):
         rep = lmn3_c_max(8)
         assert rep.verdict == "Satisfied"
@@ -440,6 +424,142 @@ class TestGeneralBounds:
         with pytest.raises(ValueError):
             general_bounds(1)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_log_r_not_positive_leaves_the_c_bracket_undecided(self, p):
+        # 21/20 rounded to p bits reaches down to 1, so log r contains 0
+        r = RealInterval(Fraction(21, 20), prec=p)
+        cert = certify_general_bounds(2, "other", 7, r, prec=p)
+        assert cert.conclusion == {"status": "undecided"}
+        (step,) = [s for s in cert.steps if s["op"] == "finite c bracket"]
+        assert step["verdict"] == "Undecided"
+        assert step["outputs"]["reason"] == "log r is not certified positive"
+
+
+def _c_max_by_bisection(rhs: RealInterval, prec: int = 128) -> int:
+    """c_max as `_c_bracket` found it before the two-point check: c /
+    (log c)^2 enclosed afresh for each c, doubling from 16, then bisection."""
+
+    def le(c):
+        p = prec
+        while True:
+            c_iv = RealInterval(c, c, prec=p)
+            v = c_iv / ilog(c_iv) ** 2
+            if v.hi <= rhs.lo:
+                return True
+            if v.lo > rhs.hi:
+                return False
+            assert p < exactnum.MAX_PREC
+            p *= 2
+
+    lo, hi = 8, 16
+    assert le(lo)
+    while le(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if le(mid) else (lo, mid)
+    return lo
+
+
+class TestCBracket:
+    """c_max from an untrusted guess, certified at c_max and c_max + 1."""
+
+    @pytest.mark.parametrize("b", [6, 8, 10, 11, 13])
+    def test_lmn3_decided_from_any_precision(self, b):
+        c_max = lmn3_c_max(b).details["c_max"]
+        for prec in [*range(2, 17), 24, 64, 128]:
+            rep = lmn3_c_max(b, prec)
+            assert (rep.verdict, rep.details["c_max"]) == \
+                ("Satisfied", c_max), prec
+
+    def test_lmn3_matches_bisection(self):
+        for b in range(6, 201):
+            rhs = 320 * b * b + Fraction(2 * b ** 3, 3)
+            rep = lmn3_c_max(b)
+            assert rep.verdict == "Satisfied"
+            assert rep.details["c_max"] == \
+                _c_max_by_bisection(RealInterval(rhs, rhs, prec=128)), b
+
+    @pytest.mark.parametrize("a", [2, 3])
+    @pytest.mark.parametrize("b", [7, 20, 40])
+    @pytest.mark.parametrize("r", [Fraction(21, 20), Fraction(11, 10),
+                                   Fraction(3, 2)])
+    def test_general_bounds_match_bisection(self, a, b, r):
+        r = RealInterval(r, prec=128)
+        rep = general_bounds(a, "other", b=b, r=r)["c_bracket"]
+        rhs = (1 + 1 / ilog(r)) * (3 * (a * b) ** 6)
+        assert rep.verdict == "Satisfied"
+        assert rep.details["c_max"] == _c_max_by_bisection(rhs)
+
+    @pytest.mark.parametrize("offset", [-10 ** 9, -1000, -122, -3, -1, 1, 2,
+                                        122, 10 ** 6])
+    def test_wrong_guess_is_corrected(self, monkeypatch, offset):
+        rhs = 320 * 8 ** 2 + Fraction(2 * 8 ** 3, 3)
+        c_max = lmn3_c_max(8).details["c_max"]
+        monkeypatch.setattr(analytic, "_c_guess", lambda rhs: c_max + offset)
+        assert analytic._c_bracket(rhs) == (c_max, "Satisfied")
+
+    def test_right_guess_checks_two_points(self, monkeypatch):
+        seen = []
+
+        def logged(x):
+            seen.append(x.lo)
+            return ilog(x)
+        monkeypatch.setattr(analytic, "ilog", logged)
+        c_max = lmn3_c_max(8).details["c_max"]
+        assert seen == [8, c_max, c_max + 1]
+
+
+def _work_began(*args, **kwargs):
+    raise RuntimeError("work began before the precision check")
+
+
+class TestPrecisionArgument:
+    """Escalation doubles the starting precision, so below 1 bit it would
+    never end: every public entry point rejects that before any work."""
+
+    @pytest.fixture(scope="class")
+    def root(self):
+        return isolate_segment_roots(8)[0]
+
+    CALLS = {
+        "certify_a1": lambda root, p: certify_a1(8, prec=p),
+        "certify_general_bounds": lambda root, p: certify_general_bounds(
+            2, "other", 7, RealInterval(Fraction(21, 20)), prec=p),
+        "isolate_segment_roots":
+            lambda root, p: isolate_segment_roots(8, prec=p),
+        "refine_segment_root":
+            lambda root, p: refine_segment_root(root, Fraction(1, 10 ** 20), p),
+        "max_modulus": lambda root, p: max_modulus(8, prec=p),
+        "top_modulus": lambda root, p: top_modulus(root, prec=p),
+        "c_small_threshold":
+            lambda root, p: c_small_threshold(Fraction(14, 9), 8, prec=p),
+        "lmn3_c_max": lambda root, p: lmn3_c_max(8, prec=p),
+        "general_bounds":
+            lambda root, p: general_bounds(2, b=7, r=RealInterval(2), prec=p),
+        "window_theta": lambda root, p: window_theta(8, root, prec=p),
+        "close_window":
+            lambda root, p: close_window(8, root, 2920, 4947180, prec=p),
+    }
+
+    @pytest.mark.parametrize("prec", [0, -5])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_rejected_at_once(self, monkeypatch, root, name, prec):
+        for mod, work in [(pipeline, "build_pq"), (analytic, "build_pq"),
+                          (analytic, "ilog"), (analytic, "iexp"),
+                          (analytic, "isqrt"), (analytic, "iatan2"),
+                          (analytic, "pi_interval"), (analytic, "_u_root")]:
+            monkeypatch.setattr(mod, work, _work_began)
+        # some mpmath operations never return at a precision below 1 bit
+        signal.signal(signal.SIGALRM, _work_began)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with pytest.raises(ValueError, match="precision"):
+                self.CALLS[name](root, prec)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
 
 class TestCloseWindow:
     def test_degenerate_window(self):
@@ -495,50 +615,88 @@ class TestCloseWindow:
                 close_window(8, root, 2920, 4947180)
 
 
+def _scan_case(k, m, a_lo, a_hi, span=1, limit=0):
+    """Arguments of `_window_scan` whose scan starts at or just below m:
+    c_lo is the largest integer below m A_hi / 2^K, and c_hi = c_lo + span."""
+    c_lo = max(0, -(-m * a_hi >> k) - 1)
+    return k, a_lo, a_hi, c_lo, c_lo + span, limit
+
+
 @st.composite
-def dyadic_multiples(draw):
-    """(k, m, A_lo, A_hi): m * [A_lo, A_hi] / 2^k, mostly narrower than 1/4,
-    sometimes at or just past that limit."""
+def window_scans(draw):
+    """`_window_scan` arguments for scans of at most a few dozen m, with
+    pi/|theta| = A_lo / 2^K at least 1/8, and a width A_hi - A_lo that is
+    small, at the 1/4 limit of an m of the scan, or just past it."""
     k = draw(st.integers(0, 96))
+    one = 1 << k
+    a_lo = draw(st.integers(max(1, one >> 3), one << 8))
     m = draw(st.integers(1, 10 ** 6))
-    a_lo = draw(st.integers(1, 1 << (k + 8)))
-    limit = (1 << k) // (4 * m)
-    delta = draw(st.one_of(st.integers(0, 3), st.integers(0, limit + 2)))
-    return k, m, a_lo, a_lo + delta
+    at = -(-one // (4 * (m + draw(st.integers(0, 24)))))  # m + j too wide
+    delta = draw(st.one_of(st.integers(0, 3), st.integers(0, at + 2),
+                           st.integers(max(0, at - 1), at + 1)))
+    limit = draw(st.one_of(st.integers(0, 3), st.integers(0, one >> 4)))
+    return _scan_case(k, m, a_lo, a_lo + delta, draw(st.integers(0, 3)),
+                      limit)
 
 
-class TestFixedPointScan:
-    """The window scan's integer distance and threshold compare against the
-    interval oracle exactnum.nearest_integer_distance."""
-
-    @given(case=dyadic_multiples(), shift=st.integers(-2, 2),
-           den=st.one_of(st.none(), st.integers(1, 10 ** 9)))
-    @settings(max_examples=400, deadline=None)
-    @example(case=(4, 3, 16, 16), shift=0, den=None)   # integer endpoints
-    @example(case=(4, 1, 17, 19), shift=0, den=None)   # inside (1, 2)
-    @example(case=(4, 1, 15, 17), shift=0, den=None)   # straddles 1
-    @example(case=(4, 1, 31, 33), shift=0, den=None)   # straddles 2
-    @example(case=(4, 1, 24, 24), shift=1, den=None)   # exactly 3/2
-    @example(case=(8, 2, 100, 132), shift=0, den=None)  # width exactly 1/4
-    def test_matches_nearest_integer_distance(self, case, shift, den):
-        k, m, a_lo, a_hi = case
-        one = 1 << k
-        x_lo, x_hi = m * a_lo, m * a_hi
-        prec = max(k, x_hi.bit_length()) + 8  # every endpoint exact
-        x = RealInterval(Fraction(x_lo, one), Fraction(x_hi, one), prec=prec)
-        assert (x.lo, x.hi) == (Fraction(x_lo, one), Fraction(x_hi, one))
+def _scan_oracle(k, a_lo, a_hi, c_lo, c_hi, limit):
+    """`_window_scan` by brute force: each exact enclosure m [A_lo, A_hi] /
+    2^K goes to exactnum.nearest_integer_distance; ("wide", m) at the first
+    m too wide for it."""
+    one = 1 << k
+    lo, hi = Fraction(a_lo, one), Fraction(a_hi, one)
+    ms = range(max(1, math.floor(c_lo / hi) + 1),
+               math.floor((c_hi + Fraction(limit, one)) / lo) + 1)
+    best = None
+    for m in ms:
+        prec = max(k, (m * a_hi).bit_length()) + 8  # every endpoint exact
+        x = RealInterval(m * lo, m * hi, prec=prec)
+        assert (x.lo, x.hi) == (m * lo, m * hi)
         if x.width >= Fraction(1, 4):
             with pytest.raises(AmbiguousEnclosure):
                 nearest_integer_distance(x)
-            with pytest.raises(AmbiguousEnclosure):
-                _fixed_point_distance(x_lo, x_hi, k)
-            return
-        oracle = nearest_integer_distance(x).lo
-        dist = _fixed_point_distance(x_lo, x_hi, k)
-        assert Fraction(dist, one) == oracle
+            return "wide", m
+        dist = nearest_integer_distance(x).lo * one
+        assert dist.denominator == 1
         assert (dist == 0) == (math.ceil(x.lo) <= x.hi)
-        bound = oracle + Fraction(shift, 2 * one if den is None else den)
-        assert (dist > _scan_limit(bound, k)) == (oracle > bound)
+        if dist <= limit:
+            return len(ms), m, int(dist)
+        best = dist if best is None else min(best, dist)
+    return len(ms), None, best
+
+
+class TestFixedPointScan:
+    """The running-fractional-part scan against a per-m interval oracle."""
+
+    @given(case=window_scans())
+    @settings(max_examples=300, deadline=None)
+    @example(case=_scan_case(4, 3, 16, 16))    # integer endpoints
+    @example(case=_scan_case(4, 1, 17, 19))    # inside (1, 2)
+    @example(case=_scan_case(4, 1, 15, 17))    # straddles 1
+    @example(case=_scan_case(4, 1, 31, 33))    # straddles 2
+    @example(case=_scan_case(4, 1, 24, 24, limit=8))   # exactly 3/2
+    @example(case=_scan_case(8, 2, 100, 132))  # width exactly 1/4
+    def test_matches_nearest_integer_distance(self, case):
+        expected = _scan_oracle(*case)
+        if expected[0] == "wide":
+            with pytest.raises(AmbiguousEnclosure):
+                _window_scan(*case)
+        else:
+            assert _window_scan(*case) == expected
+
+    def test_examples_reach_their_edge(self):
+        assert _window_scan(*_scan_case(4, 3, 16, 16)) == (1, 3, 0)
+        assert _window_scan(*_scan_case(4, 1, 17, 19)) == (1, None, 1)
+        assert _window_scan(*_scan_case(4, 1, 15, 17)) == (2, 1, 0)
+        assert _window_scan(*_scan_case(4, 1, 24, 24, limit=8)) == (1, 1, 8)
+        assert _window_scan(*_scan_case(4, 1, 24, 24, limit=7)) == \
+            (1, None, 8)
+        assert _scan_oracle(*_scan_case(8, 2, 100, 132)) == ("wide", 2)
+
+    @given(bound=st.fractions(0, 1), k=st.integers(0, 96),
+           dist=st.integers(0, 1 << 20))
+    def test_scan_limit_is_exact(self, bound, k, dist):
+        assert (dist > _scan_limit(bound, k)) == (Fraction(dist, 1 << k) > bound)
 
 
 class TestVerdictStability:

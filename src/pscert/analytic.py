@@ -412,9 +412,12 @@ def _c_bracket(rhs: Fraction | RealInterval,
     rhs_lo L_lo^2 (L_lo > 0) and rhs_hi L_hi^2 for an enclosure L of log c
     that doubles from `prec` bits while undecided; an exact rhs is both
     endpoints.  A wrong guess is corrected by galloping outward in doubling
-    steps, which become bisection once the bracket is closed.  A check
-    undecided at `exactnum.MAX_PREC`, an unchecked c = 8, or a c past 10^30
-    gives "Undecided" with the c at hand, never a claimed c_max."""
+    steps, which become bisection once the bracket is closed.
+
+    No c above 2^99, the last power of two below 10^30, is checked: a c_max
+    of 2^99 or more gives "Undecided" with c = 2^100.  A check undecided at
+    `exactnum.MAX_PREC` gives "Undecided" with the c it left undecided (8 if
+    that is c = 8).  An "Undecided" c is never a claimed c_max."""
     rhs_lo, rhs_hi = ((rhs, rhs) if isinstance(rhs, Fraction)
                       else (rhs.lo, rhs.hi))
 
@@ -428,33 +431,31 @@ def _c_bracket(rhs: Fraction | RealInterval,
 
     if le(8) is not True:
         return 8, "Undecided"
+    top = 2 ** 99
     lo, hi, step = 8, None, 1  # lo checked <= rhs, hi checked > rhs
-    c = max(_c_guess((rhs_lo + rhs_hi) / 2), 9)
+    c = min(max(_c_guess((rhs_lo + rhs_hi) / 2), 9), top)
     while hi is None or hi - lo > 1:
-        res = le(c) if c <= 10 ** 30 else None
+        res = le(c)
         if res is None:
             return c, "Undecided"
+        if res and c == top:
+            return 2 * top, "Undecided"
         lo, hi = (c, hi) if res else (lo, c)
         mid = lo + step if hi is None else (lo + hi) // 2
-        c = min(lo + step, mid) if res else max(hi - step, mid)
+        c = min(lo + step, mid, top) if res else max(hi - step, mid)
         step *= 2
     return lo, "Satisfied"
 
 
 def _c_guess(rhs: Fraction) -> int:
-    """Untrusted floor of the fixed point of c = rhs (log c)^2 above 8: the
-    iteration runs in floats, and past 2^50 on again at twice bits(c).  An
-    rhs past 10^31 (c_max past 10^30) is clipped to fit a float."""
+    """Untrusted floor of the fixed point of c = rhs (log c)^2 above 8, by
+    iteration in floats.  An rhs past 10^31 (c_max past 10^30) is clipped
+    to fit a float."""
     r = float(min(rhs, 10 ** 31))
     c = max(r, 8.0)
     for _ in range(64):
         c = r * math.log(c) ** 2
-    if c < 2 ** 50:
-        return int(c)
-    x = RealInterval(int(c), prec=2 * int(c).bit_length())
-    for _ in range(64):
-        x = ilog(x) ** 2 * rhs
-    return math.floor(x.mid)
+    return int(c)
 
 
 def lmn3_c_max(b: int, prec: int = 128) -> BoundReport:

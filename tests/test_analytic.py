@@ -434,6 +434,12 @@ class TestGeneralBounds:
         assert step["verdict"] == "Undecided"
         assert step["outputs"]["reason"] == "log r is not certified positive"
 
+    def test_r_below_one_over_e_leaves_the_c_bracket_undecided(self):
+        # log r < -1 makes 1 + 1/log r positive, but no r < 1 bounds a modulus
+        r = RealInterval(Fraction(1, 3), prec=128)
+        rep = general_bounds(2, "other", b=7, r=r)["c_bracket"]
+        assert (rep.verdict, rep.details["c_max"]) == ("Undecided", None)
+
 
 def _c_max_by_bisection(rhs: RealInterval, prec: int = 128) -> int:
     """c_max as `_c_bracket` found it before the two-point check: c /
@@ -498,6 +504,34 @@ class TestCBracket:
         c_max = lmn3_c_max(8).details["c_max"]
         monkeypatch.setattr(analytic, "_c_guess", lambda rhs: c_max + offset)
         assert analytic._c_bracket(rhs) == (c_max, "Satisfied")
+
+    @pytest.mark.parametrize("guess", [None, 9, 2 ** 98, 10 ** 31])
+    def test_checked_range_ends_at_2_to_the_99(self, monkeypatch, guess):
+        if guess is not None:
+            monkeypatch.setattr(analytic, "_c_guess", lambda rhs: guess)
+        checked = []
+
+        def logged(x):
+            checked.append(x.lo)
+            return ilog(x)
+        monkeypatch.setattr(analytic, "ilog", logged)
+
+        def f(c):
+            c_iv = RealInterval(c, prec=256)
+            return c_iv / ilog(c_iv) ** 2
+
+        def rhs_with_c_max(c):
+            assert f(c).hi < f(c + 1).lo
+            return (f(c).hi + f(c + 1).lo) / 2
+
+        top = 2 ** 99
+        assert analytic._c_bracket(rhs_with_c_max(top - 1)) == \
+            (top - 1, "Satisfied")
+        assert analytic._c_bracket(rhs_with_c_max(top)) == \
+            (2 * top, "Undecided")
+        assert analytic._c_bracket(Fraction(10 ** 400)) == \
+            (2 * top, "Undecided")
+        assert max(checked) == top
 
     def test_right_guess_checks_two_points(self, monkeypatch):
         seen = []

@@ -248,14 +248,35 @@ def _sample_points(n: int, shrink: int) -> list[Fraction]:
 
 def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
                           prec: int = 128) -> list[SegmentRoot]:
-    """All roots of Q_n on the segment, each refined to the target t-width.
+    """All roots of Q_n on the segment, each refined to the target t-width,
+    in increasing t."""
+    require_prec(prec)
+    roots = [_bisect_root(n, u1, u2, target_width, prec)
+             for u1, u2 in _u_brackets(n, prec)]
+    # theta increasing <-> t decreasing; report in increasing t
+    roots.sort(key=lambda r: r.t.lo)
+    return roots
+
+
+def top_segment_root(n: int, target_width=Fraction(1, 10 ** 12),
+                     prec: int = 128) -> SegmentRoot:
+    """The segment root of largest t, `isolate_segment_roots(...)[-1]`,
+    with only its own bracket bisected: the one of smallest u."""
+    require_prec(prec)
+    brackets = _u_brackets(n, prec)
+    if not brackets:
+        raise ValueError(f"Q_{n} is constant")
+    return _bisect_root(n, *brackets[0], target_width, prec)
+
+
+def _u_brackets(n: int, prec: int) -> list[tuple[Fraction, Fraction]]:
+    """One u-bracket per segment root, in increasing u.
 
     A pair of neighbouring sample points is a bracket iff an odd number of
     segment roots lies between them, counted exactly by `_roots_below`;
     that is where s(theta) changes sign.  The sample points shrink until
     there are deg(Q_n)/6 brackets.
     """
-    require_prec(prec)
     if n < 6:
         raise ValueError("need n >= 6")
     expected = len(_segment_form(n)[1])
@@ -269,11 +290,7 @@ def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
         brackets = [(u1, u2) for u1, u2, c1, c2
                     in zip(pts, pts[1:], below, below[1:]) if (c2 - c1) % 2]
         if len(brackets) == expected:
-            roots = [_bisect_root(n, u1, u2, target_width, prec)
-                     for (u1, u2) in brackets]
-            # theta increasing <-> t decreasing; report in increasing t
-            roots.sort(key=lambda r: r.t.lo)
-            return roots
+            return brackets
     raise VerificationFailed(
         f"sample points never separated the {expected} segment roots of Q_{n}")
 
@@ -341,10 +358,8 @@ def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInte
     The maximum is attained on the segment: each orbit contributes moduli
     {r, r, 1, 1, 1/r, 1/r} with r = sqrt(1/4 + t^2) > 1.
     """
-    roots = isolate_segment_roots(n, target_width=width, prec=prec)
-    if not roots:
-        raise ValueError(f"Q_{n} is constant")
-    return top_modulus(roots[-1], width, prec)  # largest t
+    return top_modulus(top_segment_root(n, target_width=width, prec=prec),
+                       width, prec)
 
 
 def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),

@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
-                       general_bounds, isolate_segment_roots, lmn3_c_max,
-                       top_modulus)
+                       general_bounds, lmn3_c_max, top_modulus,
+                       top_segment_root)
 from .exactnum import RealInterval, isqrt, require_prec
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
@@ -172,10 +172,10 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                       f"relation polynomial with leading coefficient 2"}
         return cert
 
-    # isolated once: the unrefined top root serves both the modulus and the
+    # bisected once: the unrefined top root serves both the modulus and the
     # window scan, which refine their own copies
     width = Fraction(1, 10 ** 12)
-    top = isolate_segment_roots(b, target_width=width, prec=prec)[-1]
+    top = top_segment_root(b, target_width=width, prec=prec)
     if irr.verdict == "Irreducible":
         r = top_modulus(top, width=width, prec=prec)
         cert.add_step("max-modulus", {"n": b}, {"r": interval_json(r)},

@@ -30,9 +30,14 @@ terms, which is at most 2*bits(p) + bits(2n) bits.
 One distinct-degree kernel serves both F_p consumers.  It applies the
 Frobenius map h -> h^p mod f as sum h_i * row_i over the packed rows
 x^(i*p) mod f and yields the blocks (d, product of the degree-d factors).
+It takes one gcd per run of up to four degrees, with the product of their
+h_d - x mod f, and splits that gcd by degree only when it is nontrivial.
+Euclid takes its usual step, a quotient of degree 1, as one reduced pass,
+and x^p mod f squares the monomials x^j, 2j < n, by building the list.
 The irreducibility certificate reads its factor-degree patterns straight
 from the blocks; `factor_mod_p` splits the blocks further by
-Cantor-Zassenhaus equal-degree splitting.
+Cantor-Zassenhaus equal-degree splitting, at most 64 seeded draws per
+split before `VerificationFailed`.
 """
 
 from __future__ import annotations
@@ -44,7 +49,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import DivisionFailure, DomainError, RingMismatch
+from .errors import (DivisionFailure, DomainError, RingMismatch,
+                     VerificationFailed)
 
 RingTag = Union[str, tuple]
 
@@ -386,9 +392,20 @@ def _fp_monic(a: list, p: int) -> list:
 
 
 def _fp_gcd(a: list, b: list, p: int) -> list:
-    """Monic gcd by Euclid; [] only for gcd(0, 0)."""
+    """Monic gcd by Euclid; [] only for gcd(0, 0).  The usual step, a
+    quotient q1 x + q0 of degree 1, takes one reduced pass:
+    r_j = a_j - q0 b_j - q1 b_(j-1)."""
     while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
+        if len(a) == len(b) + 1 > 2:
+            inv = pow(b[-1], -1, p)
+            low = b[:-1]
+            q1 = a[-1] * inv % p
+            q0 = (a[-2] - q1 * low[-1]) * inv % p
+            r = _fp_trim([(u - q0 * v - q1 * w) % p
+                          for u, v, w in zip(a, low, [0] + low)])
+        else:
+            r = _fp_divmod(a, b, p)[1]
+        a, b = b, r
     return _fp_monic(a, p)
 
 
@@ -405,7 +422,7 @@ class _FpModulus:
     2 * bits(p) + bits(2n).  The same width serves `apply`, whose slots
     take at most n terms."""
 
-    __slots__ = ("f", "p", "n", "w", "low_mask", "rows")
+    __slots__ = ("f", "p", "n", "w", "low_mask", "top", "rows")
 
     def __init__(self, f: list, p: int):
         n = len(f) - 1
@@ -413,7 +430,7 @@ class _FpModulus:
         self.w = w = _slot_bits(p, 2 * n - 1)
         self.low_mask = (1 << (n * w)) - 1
         inv = pow(f[-1], -1, p)
-        top = [(p - c) * inv % p for c in f[:-1]]  # x^n mod f
+        self.top = top = [(p - c) * inv % p for c in f[:-1]]  # x^n mod f
         row, self.rows = top, []
         for _ in range(n - 1):
             self.rows.append(_pack(row, w))
@@ -423,33 +440,58 @@ class _FpModulus:
     def mulmod(self, a: list, b: list) -> list:
         if not a or not b:
             return []
+        x = _pack(a, self.w)
+        x = x * x if a is b else x * _pack(b, self.w)
+        return self._reduce(x, len(a) + len(b) - 1)
+
+    def _reduce(self, x: int, m: int) -> list:
+        """The packed product x of m slots, reduced mod f and unpacked."""
         p, n, w = self.p, self.n, self.w
-        x = _pack(a, w)
-        x = x * x if a is b else x * _pack(b, w)
-        m = len(a) + len(b) - 1
         if m > n:
             high = _unpack(x >> (n * w), w, m - n, p)
             x = sum(map(operator.mul, high, self.rows), x & self.low_mask)
             m = n
         return _fp_trim(_unpack(x, w, m, p))
 
+    def _times_x(self, a: list) -> list:
+        """x * a mod f: a shift, and c x^n replaced by c * top."""
+        if len(a) < self.n:
+            return [0] + a if a else []
+        c = a[-1]
+        return _fp_trim([(u + c * t) % self.p
+                         for u, t in zip([0] + a[:-1], self.top)])
+
     def powmod(self, a: list, e: int) -> list:
-        """a^e mod f, by left-to-right square and multiply."""
+        """a^e mod f, by left-to-right square and multiply.  For a = x, out
+        is the monomial x^j while 2j < n, so squaring it only builds the
+        list, and each multiply is `_times_x`.  j never shrinks, so once
+        2j >= n, when the first reduction happens, out squares by `mulmod`
+        for good."""
         if len(a) > self.n:
             a = _fp_divmod(a, self.f, self.p)[1]
+        by_x = a == [0, 1]
+        j = 0 if by_x else self.n
         out = [1]
         for bit in bin(e)[2:]:
-            out = self.mulmod(out, out)
+            if 2 * j < self.n:
+                j *= 2
+                out = [0] * j + [1]
+            else:
+                out = self.mulmod(out, out)
             if bit == "1":
-                out = self.mulmod(out, a)
+                if by_x:
+                    out, j = self._times_x(out), j + 1
+                else:
+                    out = self.mulmod(out, a)
         return out
 
     def power_rows(self, h: list) -> list[int]:
-        """h^i mod f for i = 0 .. n-1, packed: with h = x^p mod f these are
-        the rows of the Frobenius map."""
-        row, rows = [1], [_pack([1], self.w)]
+        """h^i mod f for i = 0 .. n-1, packed, with h packed once: with
+        h = x^p mod f these are the rows of the Frobenius map."""
+        hx = _pack(h, self.w)
+        row, rows = [1], [1]
         for _ in range(self.n - 1):
-            row = self.mulmod(row, h)
+            row = self._reduce(rows[-1] * hx, len(row) + len(h) - 1)
             rows.append(_pack(row, self.w))
         return rows
 
@@ -601,20 +643,14 @@ def factor_mod_p(f: ExactPoly) -> list[tuple[ExactPoly, int]]:
     return sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
 
 
-def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
-    """Sorted degrees of the irreducible factors of a squarefree f over F_p,
-    read from its distinct-degree blocks without splitting them."""
-    if not isinstance(f.ring, tuple):
-        raise RingMismatch(f"ddf_degrees needs a prime field, not {f.ring}")
-    if poly_gcd(f, f.derivative()).degree > 0:
-        raise DomainError("ddf_degrees needs a squarefree polynomial")
-    return _ddf_pattern(f.monic())
-
-
 def _ddf_pattern(f: ExactPoly) -> tuple[int, ...]:
-    """`ddf_degrees` of a monic f already known to be squarefree."""
+    """Sorted degrees of the irreducible factors of a monic squarefree f
+    over F_p, read from its distinct-degree blocks without splitting them."""
     return tuple(sorted(d for d, block in _ddf_blocks(f)
                         for _ in range(block.degree // d)))
+
+
+_DDF_RUN = 4  # degrees whose gcd with the unfactored rest is taken at once
 
 
 def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
@@ -624,7 +660,13 @@ def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
     The Frobenius map h -> h^p mod f is linear over F_p, so it is applied as
     a matrix with rows x^(i*p) mod f (von zur Gathen-Shoup), packed once.
     h stays reduced mod f rather than mod the unfactored rest v:
-    gcd(v, h - x) is the same because v divides f."""
+    gcd(v, h - x) is the same because v divides f.  The degrees go in runs
+    of up to `_DDF_RUN`: one gcd of v with the product of their h_d - x
+    mod f finds the factors of every degree in the run, and only when it is
+    nontrivial is it split by gcd(g, h_d - x) in increasing d, dividing g
+    and v by each block (v has no factor of degree below the run, so a
+    factor dividing h_d - x has degree d once the smaller degrees of the
+    run are divided out)."""
     ring = f.ring
     p = ring[1]
     mod = _FpModulus(f.coeffs, p)
@@ -635,28 +677,44 @@ def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
     v = f.coeffs
     d = 0
     while len(v) > 1:
-        d += 1
-        if 2 * d > len(v) - 1:
+        run = min(_DDF_RUN, (len(v) - 1) // 2 - d)
+        if run < 1:  # no factor of degree <= d and 2(d + 1) > deg v
             blocks.append((len(v) - 1, v))
             break
-        h = mod.apply(h, frobenius)
-        hx = h + [0] * (2 - len(h))
-        hx[1] = (hx[1] - 1) % p
-        g = _fp_gcd(v, _fp_trim(hx), p)
-        if len(g) > 1:
-            blocks.append((d, g))
-            v = _fp_divmod(v, g, p)[0]
+        diffs, product = [], [1]
+        for _ in range(run):
+            h = mod.apply(h, frobenius)
+            hx = h + [0] * (2 - len(h))
+            hx[1] = (hx[1] - 1) % p
+            diffs.append(_fp_trim(hx))
+            product = mod.mulmod(product, diffs[-1])
+        g = _fp_gcd(v, product, p)
+        for k, hx in enumerate(diffs, d + 1):
+            if len(g) > 1:
+                # the last degree of the run takes what is left of g
+                block = g if k == d + run else _fp_gcd(g, hx, p)
+                if len(block) > 1:
+                    blocks.append((k, block))
+                    v = _fp_divmod(v, block, p)[0]
+                    g = _fp_divmod(g, block, p)[0]
+        d += run
     return [(d, ExactPoly._wrap(g, ring)) for d, g in blocks]
 
 
+_CZ_DRAWS = 64  # random splitting attempts before equal-degree splitting fails
+
+
 def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
-    """Cantor-Zassenhaus with a deterministic RNG seed for reproducibility."""
+    """Cantor-Zassenhaus with a deterministic RNG seed for reproducibility.
+    A draw splits a product of two or more degree-d factors with probability
+    about 1/2, so `_CZ_DRAWS` failed draws mean a fault: VerificationFailed,
+    never an endless loop."""
     if f.degree == d:
         return [f.monic()]
     ring = f.ring
     rng = random.Random(0xC0FFEE ^ hash((p, d, tuple(f.coeffs))) & 0xFFFFFFFF)
     mod = _FpModulus(f.coeffs, p)
-    while True:
+    for _ in range(_CZ_DRAWS):
         a = ExactPoly([rng.randrange(p) for _ in range(f.degree)], ring)
         if a.degree < 1:
             continue
@@ -668,6 +726,8 @@ def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
             if not 0 < g.degree < f.degree:
                 continue
         return _equal_degree_split(g, d, p) + _equal_degree_split(f.exact_div(g), d, p)
+    raise VerificationFailed(f"no split of a degree-{f.degree} product of "
+                             f"degree-{d} factors mod {p} in {_CZ_DRAWS} draws")
 
 
 # -- irreducibility certificates over Z ---------------------------------------

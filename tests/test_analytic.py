@@ -19,7 +19,8 @@ from pscert.analytic import (BoundReport, SegmentRoot,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
                              lmn3_c_max, max_modulus,
-                             refine_segment_root, top_modulus, window_theta)
+                             refine_segment_root, top_modulus,
+                             top_segment_root, window_theta)
 from pscert.errors import (AmbiguousEnclosure, DomainError,
                            PrecisionExhausted, VerificationFailed,
                            WidthUnreachable)
@@ -305,6 +306,46 @@ class TestMaxModulus:
         assert (top.t.lo, top.t.hi, top.u_lo, top.u_hi) == t_before
 
 
+class TestTopSegmentRoot:
+    """`certify_a1` and `max_modulus` bisect only the bracket of the root of
+    largest t; it must be the root full isolation reports last."""
+
+    @pytest.mark.parametrize("prec", [128, 256])
+    @pytest.mark.parametrize("n", [6, 8, 13, 25, 42])
+    def test_is_the_last_isolated_root(self, n, prec):
+        top = top_segment_root(n, prec=prec)
+        last = isolate_segment_roots(n, prec=prec)[-1]
+        assert (top.n, top.t.lo, top.t.hi, top.u_lo, top.u_hi) == \
+            (last.n, last.t.lo, last.t.hi, last.u_lo, last.u_hi)
+
+    def test_bisects_one_bracket(self, monkeypatch):
+        calls = []
+        real = analytic._bisect_root
+        monkeypatch.setattr(analytic, "_bisect_root",
+                            lambda n, *a: calls.append(n) or real(n, *a))
+        top_segment_root(42)
+        max_modulus(25)
+        assert calls == [42, 25]
+
+    @pytest.mark.parametrize("n, width, prec", [
+        (6, Fraction(1, 10 ** 9), 128), (8, Fraction(1, 10 ** 9), 256),
+        (13, Fraction(1, 10 ** 12), 128), (25, Fraction(1, 10 ** 9), 128),
+        (42, Fraction(1, 10 ** 20), 256)])
+    def test_max_modulus_unchanged(self, n, width, prec):
+        # max_modulus as it was before it bisected only the top root
+        before = top_modulus(
+            isolate_segment_roots(n, target_width=width, prec=prec)[-1],
+            width, prec)
+        mm = max_modulus(n, width=width, prec=prec)
+        assert (mm.lo, mm.hi, mm.prec) == (before.lo, before.hi, before.prec)
+
+    def test_constant_q_has_no_top_root(self):
+        with pytest.raises(ValueError, match="constant"):
+            top_segment_root(7)
+        with pytest.raises(ValueError, match="n >= 6"):
+            top_segment_root(5)
+
+
 class TestBounds:
     def test_14_9_constant(self):
         t = isqrt(RealInterval(Fraction(14, 9) ** 2 - Fraction(1, 4),
@@ -565,6 +606,7 @@ class TestPrecisionArgument:
         "refine_segment_root":
             lambda root, p: refine_segment_root(root, Fraction(1, 10 ** 20), p),
         "max_modulus": lambda root, p: max_modulus(8, prec=p),
+        "top_segment_root": lambda root, p: top_segment_root(8, prec=p),
         "top_modulus": lambda root, p: top_modulus(root, prec=p),
         "c_small_threshold":
             lambda root, p: c_small_threshold(Fraction(14, 9), 8, prec=p),

@@ -3,6 +3,7 @@ over prime fields, irreducibility certificates, and the y-gcds of the
 power-sum binomials over K[x]/(q)."""
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -10,18 +11,22 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ as ZZ_domain
+from sympy.polys.galoistools import gf_pow_mod
 
 from pscert import powersum, unipoly
-from pscert.errors import DivisionFailure, DomainError, RingMismatch
+from pscert.errors import (DivisionFailure, DomainError, RingMismatch,
+                           VerificationFailed)
 from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
-                            certify_irreducible, ddf_degrees, factor_mod_p,
-                            poly_gcd, squarefree_part)
+                            certify_irreducible, factor_mod_p, poly_gcd,
+                            squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
@@ -568,6 +573,14 @@ class TestFactorModP:
         assert factor_mod_p(cube) == [(lin, 3)]
 
 
+def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
+    """Sorted degrees of the irreducible factors of a squarefree f over F_p,
+    read from the distinct-degree kernel's blocks without splitting them."""
+    if poly_gcd(f, f.derivative()).degree > 0:
+        raise DomainError("ddf_degrees needs a squarefree polynomial")
+    return unipoly._ddf_pattern(f.monic())
+
+
 class TestDistinctDegree:
     @pytest.mark.parametrize("b", [12, 25, 42])
     def test_patterns_match_sympy(self, b):
@@ -602,6 +615,149 @@ class TestDistinctDegree:
         monkeypatch.setattr(unipoly, "_equal_degree_split", refuse)
         cert = certify_irreducible(build_pq(42).Q.primitive_part())
         assert cert.verdict == "Irreducible"
+
+
+ORACLE_PRIMES = (3, 5, 7, 101, (1 << 30) + 3)
+
+
+def _gf(a: list, p: int, x) -> sympy.Poly:
+    """A constant-first list over F_p as a sympy polynomial mod p."""
+    return sympy.Poly(list(reversed(a)) or [0], x, modulus=p)
+
+
+def _from_gf(poly: sympy.Poly, p: int) -> list:
+    return _sb_trim([int(c) % p for c in reversed(poly.all_coeffs())])
+
+
+def _sb_monic(a: list, p: int) -> list:
+    return [c * pow(a[-1], -1, p) % p for c in a] if a else []
+
+
+@st.composite
+def _oracle_poly(draw, p: int, max_degree: int, monic: bool = False):
+    coeffs = draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                           max_size=max_degree + 1))
+    if monic:
+        coeffs.append(1)
+    return _sb_trim(coeffs)
+
+
+@st.composite
+def _sparse_or_dense_modulus(draw, p: int):
+    """A modulus f of degree 1..40: dense, or x^n + c x^j with c != 0, whose
+    x^n mod f = -c x^j is short."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    if draw(st.booleans()):
+        j = draw(st.integers(min_value=0, max_value=n - 1))
+        c = draw(st.integers(min_value=1, max_value=p - 1))
+        f = [0] * (n + 1)
+        f[j], f[n] = c, 1
+        return f
+    f = draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                      min_size=n + 1, max_size=n + 1))
+    f[-1] = f[-1] or 1
+    return f
+
+
+class TestKernelSympyOracle:
+    """The F_p kernel's Euclid, power of x and distinct-degree blocks
+    against sympy over GF(p)."""
+
+    @given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES))
+    @settings(max_examples=120, deadline=None)
+    def test_fp_gcd(self, data, p):
+        # a planted common factor h makes nontrivial gcds common
+        a, b, h = (data.draw(_oracle_poly(p, 12)) for _ in range(3))
+        a, b = _sb_mul(a, h, p), _sb_mul(b, h, p)
+        x = sympy.Symbol("x")
+        oracle = _sb_monic(_from_gf(_gf(a, p, x).gcd(_gf(b, p, x)), p), p)
+        assert unipoly._fp_gcd(a, b, p) == oracle
+        assert unipoly._fp_gcd(b, a, p) == oracle
+
+    @given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES))
+    @settings(max_examples=120, deadline=None)
+    def test_powmod_of_x(self, data, p):
+        f = data.draw(_sparse_or_dense_modulus(p))
+        e = data.draw(st.sampled_from([p, p * p, None])) or \
+            data.draw(st.integers(min_value=0, max_value=p ** 3))
+        oracle = gf_pow_mod([1, 0], e, list(reversed(f)), p, ZZ_domain)
+        got = unipoly._FpModulus(f, p).powmod([0, 1], e)
+        assert got == _sb_trim([int(c) % p for c in reversed(oracle)])
+
+    @pytest.mark.parametrize("p", ORACLE_PRIMES)
+    def test_powmod_of_x_past_the_monomials(self, p):
+        # x^n mod x^n + c x^j is the monomial -c x^j: the powers of x stay
+        # sparse after the first reduction but are no longer x^(2j)
+        for n, j in ((7, 3), (8, 0), (16, 15), (33, 1)):
+            f = [0] * (n + 1)
+            f[j], f[n] = 2, 1
+            mod = unipoly._FpModulus(f, p)
+            for e in (n - 1, n, n + 1, 2 * n, 3 * n + 1, p, p * p):
+                oracle = gf_pow_mod([1, 0], e, list(reversed(f)), p, ZZ_domain)
+                assert mod.powmod([0, 1], e) == \
+                    _sb_trim([int(c) % p for c in reversed(oracle)]), (n, j, e)
+
+    @given(data=st.data(), p=st.sampled_from(ORACLE_PRIMES))
+    @settings(max_examples=80, deadline=None)
+    def test_ddf_blocks(self, data, p):
+        # products of small random factors give several factors of one
+        # degree and degrees on both sides of a run boundary
+        f = [1]
+        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+            f = _sb_mul(f, data.draw(_oracle_poly(p, 6, monic=True)), p)
+        assume(len(f) > 1 and len(unipoly._fp_gcd(
+            f, _sb_trim([i * c % p for i, c in enumerate(f)][1:]), p)) == 1)
+        x = sympy.Symbol("x")
+        by_degree = {}
+        for g, mult in _gf(f, p, x).factor_list()[1]:
+            assert mult == 1
+            by_degree[g.degree()] = by_degree.get(g.degree(), 1) * g
+        oracle = {d: _sb_monic(_from_gf(g, p), p) for d, g in by_degree.items()}
+        blocks = unipoly._ddf_blocks(ExactPoly(f, GF(p)))
+        assert [d for d, _ in blocks] == sorted(oracle)
+        assert {d: g.coeffs for d, g in blocks} == oracle
+
+
+class _Draws:
+    """A stand-in for random.Random whose every draw is `value`."""
+    value = 0
+    calls = 0
+
+    def __init__(self, seed):
+        pass
+
+    def randrange(self, p):
+        _Draws.calls += 1
+        return self.value
+
+
+class TestBoundedEqualDegreeSplit:
+    """Cantor-Zassenhaus stops after a fixed number of draws instead of
+    looping forever when no draw splits."""
+
+    def test_every_draw_failing_raises(self, monkeypatch):
+        # every draw is 1 + x + x^2, coprime to (x - 1)(x - 2)(x - 3) mod
+        # 101, and the power step returns 1, so gcd(f, a^e - 1) = f
+        ring = GF(101)
+        f = ExactPoly([-1, 1], ring) * ExactPoly([-2, 1], ring) * \
+            ExactPoly([-3, 1], ring)
+        monkeypatch.setattr(_Draws, "value", 1)
+        monkeypatch.setattr(_Draws, "calls", 0)
+        monkeypatch.setattr(unipoly, "random", SimpleNamespace(Random=_Draws))
+        monkeypatch.setattr(unipoly._FpModulus, "powmod", lambda *a: [1])
+        with pytest.raises(VerificationFailed, match="64 draws"):
+            unipoly._equal_degree_split(f, 1, 101)
+        assert _Draws.calls == unipoly._CZ_DRAWS * f.degree
+
+    def test_sweep_records_the_failure_as_undecided(self, monkeypatch):
+        from pscert import pipeline
+        # the decider for (3, 4, 7) mod 5 splits a product of two cubics
+        name, _, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
+        assert status != "undecided"
+        monkeypatch.setattr(unipoly, "random", SimpleNamespace(Random=_Draws))
+        name, blob, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
+        assert status == "undecided"
+        assert "VerificationFailed" in json.loads(blob)["conclusion"]["error"]
 
 
 class TestGcdOracle:

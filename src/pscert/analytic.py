@@ -320,7 +320,15 @@ def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
         # t is decreasing in u, with |dt/du| = (pi/2) sec^2(pi u) >= 2 pi on
         # (1/2, 2/3): no t-enclosure is narrower than 6 (u_hi - u_lo)
         if 6 * (u_hi - u_lo) <= target:
-            t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
+            try:
+                t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
+            except DomainError:
+                # the ends lie inside (1/2, 2/3), but at this precision the
+                # enclosure of cos(pi u) reaches 0
+                if prec >= exactnum.MAX_PREC:
+                    raise
+                prec *= 2
+                continue
             if t.width <= target:
                 return SegmentRoot(n, t, u_lo, u_hi)
         mid = (u_lo + u_hi) / 2

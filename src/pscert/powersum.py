@@ -14,7 +14,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .errors import BadPrime, DivisionFailure, VerificationFailed
-from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, _is_prime,
+from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, _is_prime, _w_form,
                       factor_mod_p, poly_gcd, squarefree_part)
 
 
@@ -116,21 +116,15 @@ def _pq(n: int) -> PQDecomposition:
 def _invariant_form(q: ExactPoly) -> ExactPoly:
     """R over ZZ with q = sum_j r_j W^j w^(2(k-j)), w = z^2 + z,
     W = (w + 1)^3, k = deg(q) / 6 and R(J) = sum_j r_j J^j, for an integer
-    polynomial q.  First q = S(w) by repeated division by z^2 + z, where
-    each remainder must be a constant; then r_k, ..., r_0 in turn are read
-    off the low end of S and r_j (w + 1)^(3j) w^(2(k-j)) is subtracted.
-    The form is exact only if nothing is left and r_k = q(0) is nonzero;
-    anything else raises VerificationFailed."""
+    polynomial q.  First q = S(w) (`unipoly._w_form`); then r_k, ..., r_0
+    in turn are read off the low end of S and r_j (w + 1)^(3j) w^(2(k-j))
+    is subtracted.  The form is exact only if nothing is left and
+    r_k = q(0) is nonzero; anything else raises VerificationFailed."""
     if q.constant() == 0:
         raise VerificationFailed("invariant form needs q(0) = r_k != 0")
-    s, rest = [], list(q.coeffs)
-    while rest:
-        for i in range(len(rest) - 1, 1, -1):  # divide by z^2 + z
-            rest[i - 1] -= rest[i]
-        if len(rest) > 1 and rest[1]:
-            raise VerificationFailed("q is not a polynomial in z^2 + z")
-        s.append(rest[0])
-        rest = rest[2:]
+    s = _w_form(q.coeffs)
+    if s is None:
+        raise VerificationFailed("q is not a polynomial in z^2 + z")
     k = q.degree // 6
     r = [0] * (k + 1)
     for j in range(k, -1, -1):

@@ -35,9 +35,11 @@ h_d - x mod f, and splits that gcd by degree only when it is nontrivial.
 Euclid takes its usual step, a quotient of degree 1, as one reduced pass,
 and x^p mod f squares the monomials x^j, 2j < n, by building the list.
 The irreducibility certificate reads its factor-degree patterns straight
-from the blocks; `factor_mod_p` splits the blocks further by
-Cantor-Zassenhaus equal-degree splitting, at most 64 seeded draws per
-split before `VerificationFailed`.
+from the blocks; for a polynomial H(z^2 + z), such as the cofactors Q_n,
+it runs the kernel on H at half the degree and splits each block by the
+quadratic character of 1 + 4w (`_w_form`).  `factor_mod_p` splits the
+blocks further by Cantor-Zassenhaus equal-degree splitting, at most 64
+seeded draws per split before `VerificationFailed`.
 """
 
 from __future__ import annotations
@@ -47,9 +49,9 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .errors import (DivisionFailure, DomainError, RingMismatch,
+from .errors import (BadPrime, DivisionFailure, DomainError, RingMismatch,
                      VerificationFailed)
 
 RingTag = Union[str, tuple]
@@ -655,7 +657,17 @@ _DDF_RUN = 4  # degrees whose gcd with the unfactored rest is taken at once
 
 def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
     """Distinct-degree factorization of a monic squarefree f over F_p: pairs
-    (d, g) where g is the monic product of the degree-d irreducible factors.
+    (d, g) where g is the monic product of the degree-d irreducible factors
+    (`_ddf_run`)."""
+    mod = _FpModulus(f.coeffs, f.ring[1])
+    frobenius = mod.power_rows(mod.powmod([0, 1], mod.p))
+    return [(d, ExactPoly._wrap(g, f.ring))
+            for d, g in _ddf_run(mod, frobenius)]
+
+
+def _ddf_run(mod: _FpModulus, frobenius: list[int]) -> list[tuple[int, list]]:
+    """The blocks (d, g) of the monic squarefree modulus f of `mod`, given
+    the packed rows x^(i*p) mod f of its Frobenius map.
 
     The Frobenius map h -> h^p mod f is linear over F_p, so it is applied as
     a matrix with rows x^(i*p) mod f (von zur Gathen-Shoup), packed once.
@@ -667,14 +679,10 @@ def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
     and v by each block (v has no factor of degree below the run, so a
     factor dividing h_d - x has degree d once the smaller degrees of the
     run are divided out)."""
-    ring = f.ring
-    p = ring[1]
-    mod = _FpModulus(f.coeffs, p)
-    x = [0, 1]
-    frobenius = mod.power_rows(mod.powmod(x, p))
+    p = mod.p
     blocks = []
-    h = x
-    v = f.coeffs
+    h = [0, 1]
+    v = mod.f
     d = 0
     while len(v) > 1:
         run = min(_DDF_RUN, (len(v) - 1) // 2 - d)
@@ -698,7 +706,7 @@ def _ddf_blocks(f: ExactPoly) -> list[tuple[int, ExactPoly]]:
                     v = _fp_divmod(v, block, p)[0]
                     g = _fp_divmod(g, block, p)[0]
         d += run
-    return [(d, ExactPoly._wrap(g, ring)) for d, g in blocks]
+    return blocks
 
 
 _CZ_DRAWS = 64  # random splitting attempts before equal-degree splitting fails
@@ -741,10 +749,22 @@ class IrreducibilityCertificate:
     verdict: str  # "Irreducible" | "Inconclusive"
 
 
+# Miller-Rabin with the first 13 primes as bases is deterministic below
+# psi_13 (Sorenson-Webster); 318665857834031151167461 = psi_12 passes every
+# base up to 37, so the bound needs base 41.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13
+
+
 def _is_prime(n: int) -> bool:
+    """Whether n is prime, certified for n < psi_13; BadPrime from there on,
+    since psi_13 itself passes every base."""
+    if n >= _MR_LIMIT:
+        raise BadPrime(f"{n} >= psi_13 = {_MR_LIMIT}: primality is "
+                       "certified only below it")
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -752,7 +772,7 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for a in _MR_BASES:
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -783,7 +803,9 @@ def _subset_sums(degrees: Sequence[int]) -> frozenset:
 def certify_irreducible(f: ExactPoly) -> IrreducibilityCertificate:
     """Sufficient irreducibility certificate over Z via factor-degree patterns
     modulo up to 40 large primes.  "Irreducible" is sound; "Inconclusive"
-    is always a permitted outcome."""
+    is always a permitted outcome.  A polynomial in z^2 + z has its
+    patterns read from its half-degree form (`_w_form`, `_w_pattern`);
+    any other polynomial from its own distinct-degree blocks."""
     fz = f.to_ring(ZZ)
     deg = fz.degree
     achievable = None
@@ -793,17 +815,16 @@ def certify_irreducible(f: ExactPoly) -> IrreducibilityCertificate:
         # a repeated factor over Q repeats mod every prime: none is usable
         raise DomainError("certify_irreducible needs a squarefree "
                           "nonconstant polynomial")
+    h = _w_form(fz.coeffs)
     gen = _primes_from((1 << 30) + 1)
     while len(primes_used) < 40:
         p = next(gen)
         if fz.leading() % p == 0:
             continue
-        fp = fz.to_ring(GF(p))
-        if len(_fp_gcd(fp.coeffs, fp.derivative().coeffs, p)) > 1:
+        degs = _pattern(fz, p) if h is None else _w_pattern(h, p)
+        if degs is None:
             # f mod p has a repeated factor: p divides the discriminant
             continue
-        # f mod p is squarefree of full degree
-        degs = _ddf_pattern(fp.monic())
         primes_used.append(p)
         patterns.append(degs)
         sums = _subset_sums(degs)
@@ -811,3 +832,87 @@ def certify_irreducible(f: ExactPoly) -> IrreducibilityCertificate:
         if achievable == frozenset({0, deg}):
             return IrreducibilityCertificate(fz, primes_used, patterns, "Irreducible")
     return IrreducibilityCertificate(fz, primes_used, patterns, "Inconclusive")
+
+
+def _pattern(fz: ExactPoly, p: int) -> Optional[tuple[int, ...]]:
+    """The factor-degree pattern of f mod p, for p not dividing lc(f), or
+    None when f mod p has a repeated factor."""
+    fp = fz.to_ring(GF(p))
+    if len(_fp_gcd(fp.coeffs, fp.derivative().coeffs, p)) > 1:
+        return None
+    return _ddf_pattern(fp.monic())
+
+
+def _w_form(coeffs: list) -> Optional[list]:
+    """H with f(z) = H(z^2 + z), constant term first, for the integer
+    coefficients of f; None when f is not a polynomial in w = z^2 + z.
+    f is divided by z^2 + z again and again, and each remainder must be a
+    constant: the next coefficient of H.
+
+    Mod an odd prime p not dividing lc(H), f_p = f mod p and H_p = H mod p
+    keep their degrees, and f_p factors through H_p (`_w_pattern`):
+
+    - Skip test.  f_p' = (2z + 1) H_p'(z^2 + z).  A repeated root z0 of f_p
+      is a root w0 = z0^2 + z0 of H_p with H_p'(w0) = 0 or z0 = -1/2, that
+      is w0 = -1/4; conversely every root of H_p is some z0^2 + z0, and
+      H_p(-1/4) = 0 makes -1/2 a double root of f_p.  So f_p is squarefree
+      iff H_p is squarefree and H_p(-1/4) != 0: exactly when
+      gcd(f_p, f_p') = 1.
+    - Splitting rule.  Let g divide H_p, irreducible of degree d, with a
+      root w0 in F_(p^d).  The roots of z^2 + z - w0 are (-1 +- s) / 2 with
+      s^2 = 1 + 4 w0 != 0.  If 1 + 4 w0 is a square in F_(p^d), both lie in
+      F_p(w0) = F_(p^d), and as w0 = z^2 + z also F_p(z) = F_(p^d): g(z^2 + z)
+      is two distinct irreducibles of degree d.  Otherwise z has degree 2
+      over F_(p^d), and g(z^2 + z) is irreducible of degree 2d.
+    - Character.  x in F_(p^d) is a square iff x^((p^d - 1)/2) = 1.  For the
+      block B of the r factors of degree d, c = (1 + 4w)^((p^d - 1)/2) mod B
+      is 1 or -1 modulo each factor, so gcd(B, c - 1) has degree d times
+      the number of factors with a square.  As
+      (p^d - 1)/2 = (p - 1)/2 * (1 + p + ... + p^(d - 1)), c is the product
+      of a^(p^i), i < d, for a = (1 + 4w)^((p - 1)/2): Frobenius steps.
+    - Norm.  x^((p^d - 1)/2) = N(x)^((p - 1)/2) for the norm N to F_p, so
+      for r = 1 the character is the Legendre symbol of
+      N(1 + 4 w0) = prod_i (1 + 4 w_i) = (-4)^d B(-1/4) over the conjugates
+      w_i, as B(-1/4) = prod_i (-1/4 - w_i)."""
+    h, rest = [], list(coeffs)
+    while rest:
+        for i in range(len(rest) - 1, 1, -1):  # divide by z^2 + z
+            rest[i - 1] -= rest[i]
+        if len(rest) > 1 and rest[1]:
+            return None
+        h.append(rest[0])
+        rest = rest[2:]
+    return h
+
+
+def _w_pattern(h: list, p: int) -> Optional[tuple[int, ...]]:
+    """The factor-degree pattern of f = H(z^2 + z) mod p, for H from
+    `_w_form` and an odd p not dividing lc(H), or None when f mod p has a
+    repeated factor.  It runs the distinct-degree kernel on H mod p, at half
+    the degree of f, and splits each block by the quadratic character of
+    1 + 4w: a factor of degree d gives {d, d} where that is a square and
+    {2d} where it is not (`_w_form`)."""
+    hp = ExactPoly(h, GF(p))
+    quarter = -pow(4, -1, p) % p  # -1/4
+    if not hp(quarter) or len(_fp_gcd(hp.coeffs, hp.derivative().coeffs,
+                                      p)) > 1:
+        return None
+    mod = _FpModulus(hp.monic().coeffs, p)
+    frobenius = mod.power_rows(mod.powmod([0, 1], p))
+    half = (p - 1) // 2
+    degs = []
+    for d, block in _ddf_run(mod, frobenius):
+        r = (len(block) - 1) // d
+        if r == 1:
+            norm = pow(-4, d, p) * ExactPoly._wrap(block, GF(p))(quarter)
+            squares = int(pow(norm, half, p) == 1)
+        else:
+            on_block = _FpModulus(block, p)
+            c = t = on_block.powmod([1, 4 % p], half)
+            for _ in range(d - 1):
+                t = _fp_divmod(mod.apply(t, frobenius), block, p)[1]
+                c = on_block.mulmod(c, t)
+            c[0] = (c[0] - 1) % p
+            squares = (len(_fp_gcd(block, _fp_trim(c), p)) - 1) // d
+        degs += [d, d] * squares + [2 * d] * (r - squares)
+    return tuple(sorted(degs))

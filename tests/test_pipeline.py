@@ -80,6 +80,15 @@ class TestCertifyA1:
             cert = certify_a1(b)
             assert cert.conclusion["status"] == "closed", b
 
+    @pytest.mark.parametrize("b", [6, 8, 11, 13, 25, 30, 36])
+    def test_low_starting_precision_escalates(self, b):
+        # the u-ends of the top root's bracket lie strictly inside
+        # (1/2, 2/3); at 1-3 bits the enclosure of cos(pi u) still reaches 0,
+        # which must double the precision, not end the run
+        for prec in range(1, 17):
+            cert = certify_a1(b, prec=prec)
+            assert cert.conclusion["status"] == "closed", prec
+
     def test_large_c_bracket_undecided(self, monkeypatch):
         monkeypatch.setattr(pipeline, "lmn3_c_max", lambda b, prec:
                             BoundReport("large-c bracket", {"b": b}, None,
@@ -468,6 +477,16 @@ class TestCli:
             "NotRegular over GF(4594399) (witness: ('chart z=1', "
             "ExactPoly([1, 3, 2297207, 10, 2297207, 3, 1], "
             "ring=('GF', 4594399))))\n")
+
+    @pytest.mark.parametrize("char", ["318665857834031151167461",
+                                      "3317044064679887385961981"])
+    def test_regseq_refuses_strong_pseudoprimes(self, capsys, char):
+        # psi_12 passes the Miller-Rabin bases up to 37, psi_13 every base
+        # up to 41; neither may be taken as a field characteristic
+        assert main(["regseq", "--exps", "2,3,5", "--char", char]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "BadPrime" in captured.err
 
     def test_json_error_diagnostic(self, capsys):
         assert main(["--json", "pair", "--b", "5", "--c", "3"]) == 1

@@ -21,8 +21,8 @@ from sympy.polys.domains import ZZ as ZZ_domain
 from sympy.polys.galoistools import gf_pow_mod
 
 from pscert import powersum, unipoly
-from pscert.errors import (DivisionFailure, DomainError, RingMismatch,
-                           VerificationFailed)
+from pscert.errors import (BadPrime, DivisionFailure, DomainError,
+                           RingMismatch, VerificationFailed)
 from pscert.powersum import build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
                             certify_irreducible, factor_mod_p, poly_gcd,
@@ -855,6 +855,115 @@ def _product(factors, ring) -> ExactPoly:
     for f in factors:
         out = out * f
     return out
+
+
+W = ExactPoly([0, 1, 1], ZZ)  # z^2 + z
+
+
+@st.composite
+def _w_inputs(draw):
+    """(H, p, kind): an integer H of degree 1..10 and an oracle prime p not
+    dividing lc(H).  kind "quarter" plants the factor w + 1/4 mod p, so
+    H(-1/4) = 0 mod p; "square" plants a squared factor of degree 1..2."""
+    p = draw(st.sampled_from(ORACLE_PRIMES))
+    coeff = st.integers(min_value=-30, max_value=30)
+    kind = draw(st.sampled_from(["plain", "quarter", "square"]))
+    if kind == "quarter":
+        planted = [ExactPoly([pow(4, -1, p), 1], ZZ)]
+    elif kind == "square":
+        g = ExactPoly(draw(st.lists(coeff, min_size=2, max_size=3)), ZZ)
+        planted = [g, g]
+    else:
+        planted = []
+    room = 10 - sum(g.degree for g in planted)
+    base = ExactPoly(draw(st.lists(coeff, min_size=1, max_size=room + 1)),
+                     ZZ)
+    h = _product([base] + planted, ZZ)
+    assume(h.degree >= 1 and h.leading() % p)
+    return h, p, kind
+
+
+class TestHalfDegreePatterns:
+    """`certify_irreducible` on f = H(z^2 + z): the distinct-degree kernel
+    on H mod p plus a quadratic character per block, against the
+    degree-n kernel and sympy."""
+
+    @given(case=_w_inputs())
+    @example(case=(ExactPoly([1, 4], ZZ), 101, "quarter"))  # (2z + 1)^2
+    @example(case=(ExactPoly([-2, 1], ZZ), 7, "plain"))  # (z + 2)(z - 1)
+    @example(case=(ExactPoly([1, 1], ZZ), 3, "plain"))  # z^2 + z + 1
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_degree_and_sympy(self, case):
+        h, p, kind = case
+        f = h(W)
+        assert unipoly._w_form(f.coeffs) == h.coeffs
+        got = unipoly._w_pattern(h.coeffs, p)
+        # the skip decision is the degree-n test gcd(f, f') != 1 mod p
+        fp = f.to_ring(GF(p))
+        skip = len(unipoly._fp_gcd(fp.coeffs, fp.derivative().coeffs, p)) > 1
+        assert (got is None) == skip
+        if kind != "plain":
+            assert got is None
+        if got is not None:
+            _, factors = _gf(fp.coeffs, p, sympy.Symbol("x")).factor_list()
+            oracle = sorted(g.degree() for g, mult in factors
+                            for _ in range(mult))
+            assert got == unipoly._ddf_pattern(fp.monic()) == tuple(oracle)
+
+    def test_not_a_polynomial_in_w(self):
+        for coeffs in ([0, 2, 1], [0, 0, 0, 1], [1, 1], [5, 0, 1]):
+            assert unipoly._w_form(coeffs) is None
+        assert unipoly._w_form([3, 1, 1]) == [3, 1]
+
+    def test_certificates_match_generic_path(self, monkeypatch):
+        cofactors = [build_pq(n).Q_zz for n in range(6, 61)]
+        cofactors = [q for q in cofactors if q.degree > 0]  # Q_7 = 1
+        half = [certify_irreducible(q) for q in cofactors]
+        monkeypatch.setattr(unipoly, "_w_form", lambda coeffs: None)
+        for q, cert in zip(cofactors, half):
+            assert certify_irreducible(q) == cert, q.degree
+
+    def test_cofactors_take_the_half_path(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("degree-n kernel on a polynomial in w")
+        monkeypatch.setattr(unipoly, "_pattern", refuse)
+        assert certify_irreducible(build_pq(42).Q_zz).verdict == "Irreducible"
+        reducible = (W + ExactPoly([1], ZZ)) * (W + ExactPoly([3], ZZ))
+        assert certify_irreducible(reducible).verdict == "Inconclusive"
+
+
+PSI_12 = 318665857834031151167461  # strong pseudoprime to bases 2..37
+PSI_13 = 3317044064679887385961981  # strong pseudoprime to bases 2..41
+
+
+class TestIsPrime:
+    def test_psi_12_is_composite(self):
+        assert PSI_12 == 399165290221 * 798330580441
+        assert not unipoly._is_prime(PSI_12)
+
+    def test_refused_from_psi_13_on(self):
+        assert PSI_13 == 1287836182261 * 2575672364521
+        for n in (PSI_13, PSI_13 + 2, 10 ** 30 + 57):
+            with pytest.raises(BadPrime):
+                unipoly._is_prime(n)
+        below = sympy.prevprime(PSI_13)
+        assert unipoly._is_prime(below)
+
+    def test_agrees_with_sympy(self):
+        # the strong pseudoprimes psi_1 .. psi_11, Carmichael numbers, and
+        # random integers of every size below psi_13
+        sample = [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                  3474749660383, 341550071728321, 3825123056546413051,
+                  561, 41041, 825265, 321197185, 0, 1, 2, 3, 4, 41, 43,
+                  41 * 43, (1 << 61) - 1, (1 << 61) + 1]
+        rng = random.Random(13)
+        for bits in range(2, PSI_13.bit_length()):
+            sample += [rng.getrandbits(bits) | 1 for _ in range(20)]
+            q = sympy.randprime(1 << (bits // 2), 1 << (bits // 2 + 1))
+            sample += [q * sympy.nextprime(q), sympy.nextprime(1 << bits)]
+        for n in sample:
+            if n < PSI_13:
+                assert unipoly._is_prime(n) == sympy.isprime(n), n
 
 
 @st.composite

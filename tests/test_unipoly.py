@@ -959,7 +959,7 @@ class TestIsPrime:
         rng = random.Random(13)
         for bits in range(2, PSI_13.bit_length()):
             sample += [rng.getrandbits(bits) | 1 for _ in range(20)]
-            q = sympy.randprime(1 << (bits // 2), 1 << (bits // 2 + 1))
+            q = sympy.nextprime(rng.getrandbits(bits // 2 + 1))
             sample += [q * sympy.nextprime(q), sympy.nextprime(1 << bits)]
         for n in sample:
             if n < PSI_13:

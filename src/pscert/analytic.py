@@ -12,10 +12,14 @@ Newton refines a bracket, and u* = atan2(sqrt(rho* - 1/4), -1/2) / pi
 encloses the root's angle theta = u* pi in (pi/2, 2pi/3).
 
 The recorded enclosures come from bisecting theta = u pi with rational u,
-where t = -tan(u pi) / 2: each step only compares its midpoint with the
-enclosure of u*, exactly, and cos and sin are taken at the last few
-bracket ends only.  Every bound evaluation returns a BoundReport whose
-verdict is derived from interval endpoints only.
+where t = -tan(u pi) / 2.  After N halvings the bracket is the level-N
+dyadic cell that holds u*, so its index is read off one enclosure of u* by
+an integer shift, with no halving taken step by step; that enclosure is
+refined only while a cell boundary lies in it, and cos and sin are taken
+at the last few bracket ends only.  Root counts are exact from any
+starting precision, so they start at 64 bits.  Every bound evaluation
+returns a BoundReport whose verdict is derived from interval endpoints
+only.
 """
 
 from __future__ import annotations
@@ -207,7 +211,11 @@ def _u_root(n: int, i: int, bits: int) -> tuple[Fraction, Fraction]:
     return u.lo, u.hi
 
 
-def _roots_below(n: int, u: Fraction, bits: int) -> Optional[int]:
+# exact root counts come out the same from any starting precision
+_COUNT_BITS = 64
+
+
+def _roots_below(n: int, u: Fraction, bits: int = _COUNT_BITS) -> Optional[int]:
     """How many segment roots have u* < u, comparing u with enclosures of
     u* that start at `bits` bits and double while u lies inside one; None
     if u still does at the cap."""
@@ -246,13 +254,23 @@ def _sample_points(n: int, shrink: int) -> list[Fraction]:
     return pts
 
 
+def _require_width(width) -> Fraction:
+    """A target width as an exact Fraction, rejected below or at 0: the
+    bisection halves toward it, so it would never end."""
+    width = Fraction(width)
+    if width <= 0:
+        raise ValueError(f"width must be positive, got {width}")
+    return width
+
+
 def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
                           prec: int = 128) -> list[SegmentRoot]:
     """All roots of Q_n on the segment, each refined to the target t-width,
     in increasing t."""
     require_prec(prec)
-    roots = [_bisect_root(n, u1, u2, target_width, prec)
-             for u1, u2 in _u_brackets(n, prec)]
+    target = _require_width(target_width)
+    roots = [_bisect_root(n, u1, u2, target, prec)
+             for u1, u2 in _u_brackets(n)]
     # theta increasing <-> t decreasing; report in increasing t
     roots.sort(key=lambda r: r.t.lo)
     return roots
@@ -263,28 +281,27 @@ def top_segment_root(n: int, target_width=Fraction(1, 10 ** 12),
     """The segment root of largest t, `isolate_segment_roots(...)[-1]`,
     with only its own bracket bisected: the one of smallest u."""
     require_prec(prec)
-    brackets = _u_brackets(n, prec)
+    target = _require_width(target_width)
+    brackets = _u_brackets(n)
     if not brackets:
         raise ValueError(f"Q_{n} is constant")
-    return _bisect_root(n, *brackets[0], target_width, prec)
+    return _bisect_root(n, *brackets[0], target, prec)
 
 
-def _u_brackets(n: int, prec: int) -> list[tuple[Fraction, Fraction]]:
+def _u_brackets(n: int) -> list[tuple[Fraction, Fraction]]:
     """One u-bracket per segment root, in increasing u.
 
     A pair of neighbouring sample points is a bracket iff an odd number of
     segment roots lies between them, counted exactly by `_roots_below`;
     that is where s(theta) changes sign.  The sample points shrink until
-    there are deg(Q_n)/6 brackets.
+    there are deg(Q_n)/6 brackets; a constant Q_n has none.
     """
-    if n < 6:
-        raise ValueError("need n >= 6")
     expected = len(_segment_form(n)[1])
     if expected == 0:
         return []
     for shrink in range(0, 8):
         pts = _sample_points(n, shrink)
-        below = [_roots_below(n, u, 2 * prec) for u in pts]
+        below = [_roots_below(n, u) for u in pts]
         if None in below:
             continue
         brackets = [(u1, u2) for u1, u2, c1, c2
@@ -295,54 +312,54 @@ def _u_brackets(n: int, prec: int) -> list[tuple[Fraction, Fraction]]:
         f"sample points never separated the {expected} segment roots of Q_{n}")
 
 
-def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target_width,
+def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target: Fraction,
                  prec: int) -> SegmentRoot:
     """Bisect the bracket (u_lo, u_hi) of one segment root down to a
-    t-enclosure of the target width.  A step keeps the half that holds the
-    root, found by counting exactly the roots below its midpoint."""
-    bits = 2 * prec
-    i = _roots_below(n, u_lo, bits)
-    if i is None or _roots_below(n, u_hi, bits) != i + 1:
+    t-enclosure of the target width.  N halvings give the level-N dyadic
+    cell holding u*, of index floor(x* 2^N), x* = (u* - u_lo) / (u_hi - u_lo),
+    read off an enclosure of x* that doubles from 64 bits only while a cell
+    boundary lies in it; `prec` doubles as one halving per step doubles it."""
+    i = _roots_below(n, u_lo)
+    if i is None or _roots_below(n, u_hi) != i + 1:
         raise VerificationFailed(
             f"({u_lo}, {u_hi}) does not hold exactly one segment root of Q_{n}")
-    target = Fraction(target_width)
-    # t at the bracket ends by (u, prec): a step moves one end only, and an
-    # escalation recomputes both
-    t_at: dict[tuple[Fraction, int], RealInterval] = {}
+    w = u_hi - u_lo
+    (wn, wd), (tn, td) = w.as_integer_ratio(), target.as_integer_ratio()
 
-    def t_end(u: Fraction) -> RealInterval:
-        key = (u, prec)
-        if key not in t_at:
-            t_at[key] = _t_of(u, prec)
-        return t_at[key]
-
+    def decided(bits: int) -> tuple[int, int]:  # deepest level, cell there
+        k = 2 * bits + wd.bit_length()
+        lo, hi = ((e - u_lo) / w for e in _u_root(n, i, bits))
+        a = max(-((-lo.numerator << k) // lo.denominator), 1)  # ceil(lo 2^k)
+        b = min((hi.numerator << k) // hi.denominator, (1 << k) - 1)
+        s = ((a - 1) ^ b).bit_length()  # no multiple of 2^s lies in [a, b]
+        return k - s, b >> s
+    bits, level, (depth, top) = _COUNT_BITS, 0, decided(_COUNT_BITS)
+    t_of = lru_cache(maxsize=None)(_t_of)  # a level moves one end only
     while True:
         # t is decreasing in u, with |dt/du| = (pi/2) sec^2(pi u) >= 2 pi on
-        # (1/2, 2/3): no t-enclosure is narrower than 6 (u_hi - u_lo)
-        if 6 * (u_hi - u_lo) <= target:
+        # (1/2, 2/3): no t-enclosure is narrower than 6 w / 2^level
+        if 6 * wn * td <= (tn * wd) << level:
+            lo = u_lo + Fraction(wn * (top >> (depth - level)), wd << level)
+            hi = lo + Fraction(wn, wd << level)
             try:
-                t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
-            except DomainError:
-                # the ends lie inside (1/2, 2/3), but at this precision the
-                # enclosure of cos(pi u) reaches 0
+                t = RealInterval(t_of(hi, prec).lo, t_of(lo, prec).hi, prec=prec)
+            except DomainError:  # cos(pi u) reaches 0 at this precision
                 if prec >= exactnum.MAX_PREC:
                     raise
                 prec *= 2
                 continue
             if t.width <= target:
-                return SegmentRoot(n, t, u_lo, u_hi)
-        mid = (u_lo + u_hi) / 2
-        below = _roots_below(n, mid, bits)
-        if below is None:  # mid still inside the enclosure of u* at the cap
+                return SegmentRoot(n, t, lo, hi)
+        while depth <= level and bits < 2 * exactnum.MAX_PREC:
+            bits *= 2
+            depth, top = decided(bits)
+        if depth <= level:  # a boundary still lies in the enclosure at the cap
             if prec >= exactnum.MAX_PREC:
                 raise WidthUnreachable(f"precision cap at n={n}")
             prec *= 2
             continue
-        if below == i:  # the root lies in (mid, u_hi)
-            u_lo = mid
-        else:
-            u_hi = mid
-        if prec < exactnum.MAX_PREC and (u_hi - u_lo) < Fraction(1, 2 ** (prec // 2)):
+        level += 1
+        if prec < exactnum.MAX_PREC and (wn << prec // 2) < (wd << level):
             prec *= 2
 
 
@@ -357,7 +374,8 @@ def _t_of(u: Fraction, prec: int) -> RealInterval:
 def refine_segment_root(root: SegmentRoot, target_width,
                         prec: int = 256) -> SegmentRoot:
     require_prec(prec)
-    return _bisect_root(root.n, root.u_lo, root.u_hi, target_width, prec)
+    return _bisect_root(root.n, root.u_lo, root.u_hi,
+                        _require_width(target_width), prec)
 
 
 def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInterval:
@@ -375,15 +393,16 @@ def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),
     """Enclosure of |top| = sqrt(1/4 + t^2) of the given width, refining a
     copy of the segment root as needed; `top` itself is left unchanged."""
     require_prec(prec)
+    width = _require_width(width)
     while True:
         r = isqrt(Fraction(1, 4) + top.t.at_prec(prec) ** 2)
-        if r.width <= Fraction(width):
+        if r.width <= width:
             if not r.lo > 1:
                 raise VerificationFailed(
                     f"maximal modulus of Q_{top.n} not certified above 1")
             return r
         prec *= 2
-        top = refine_segment_root(top, Fraction(width) / 8, prec)
+        top = refine_segment_root(top, width / 8, prec)
 
 
 # -- individual bounds --------------------------------------------------------

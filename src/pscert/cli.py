@@ -59,6 +59,14 @@ def _bits(text: str) -> int:
     return bits
 
 
+def _digits(text: str) -> int:
+    # the target width is 10^-digits, a Fraction only for digits >= 0
+    digits = int(text)
+    if digits < 0:
+        raise argparse.ArgumentTypeError("digits must be at least 0")
+    return digits
+
+
 def _exps(text: str) -> list[int]:
     return [int(t) for t in text.replace(" ", "").split(",") if t]
 
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("roots", parents=[as_json, precision],
                        help="certified segment roots of a cofactor")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--digits", type=int, default=12)
+    p.add_argument("--digits", type=_digits, default=12)
     p.set_defaults(fn=cmd_roots)
 
     p = sub.add_parser("certify", parents=[as_json, precision],

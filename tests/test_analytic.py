@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from mpmath.libmp import libmpi
 
 from pscert import analytic, exactnum, pipeline
-from pscert.analytic import (BoundReport, SegmentRoot,
+from pscert.analytic import (BoundReport, SegmentRoot, _bisect_root,
                              _rho_bracket, _roots_below, _sample_points,
-                             _scan_limit, _segment_form, _u_root,
-                             _window_scan,
+                             _scan_limit, _segment_form, _t_of, _u_brackets,
+                             _u_root, _window_scan,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
                              lmn3_c_max, max_modulus,
@@ -65,13 +65,14 @@ def eval_q_on_box(n: int, box: ComplexBox) -> ComplexBox:
 
 class TestIsolation:
     def test_count_law(self):
-        for n in range(6, 61):
-            q = build_pq(n).Q
-            roots = isolate_segment_roots(n) if q.degree else []
-            assert len(roots) == q.degree // 6, n
+        for n in range(2, 61):
+            roots = isolate_segment_roots(n)
+            assert len(roots) == build_pq(n).Q.degree // 6, n
 
     def test_empty_for_constant_cofactor(self):
-        assert isolate_segment_roots(7) == []
+        for n in (2, 3, 4, 5, 7):
+            assert build_pq(n).Q.degree == 0
+            assert _u_brackets(n) == isolate_segment_roots(n) == [], n
 
     def test_b8_root_value(self):
         (root,) = isolate_segment_roots(8, target_width=Fraction(1, 10 ** 12))
@@ -342,8 +343,104 @@ class TestTopSegmentRoot:
     def test_constant_q_has_no_top_root(self):
         with pytest.raises(ValueError, match="constant"):
             top_segment_root(7)
-        with pytest.raises(ValueError, match="n >= 6"):
+        with pytest.raises(ValueError, match="Q_5 is constant"):
             top_segment_root(5)
+
+
+def _bisect_by_steps(n, u_lo, u_hi, target_width, prec):
+    """`_bisect_root` as it was before it read the cell off one enclosure of
+    u*: one halving per step, each comparing the midpoint with u* by an
+    exact root count from 2 prec bits."""
+    bits = 2 * prec
+    i = _roots_below(n, u_lo, bits)
+    if i is None or _roots_below(n, u_hi, bits) != i + 1:
+        raise VerificationFailed(
+            f"({u_lo}, {u_hi}) does not hold exactly one segment root of Q_{n}")
+    target = Fraction(target_width)
+    t_at = {}
+
+    def t_end(u):
+        key = (u, prec)
+        if key not in t_at:
+            t_at[key] = _t_of(u, prec)
+        return t_at[key]
+
+    while True:
+        if 6 * (u_hi - u_lo) <= target:
+            try:
+                t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
+            except DomainError:
+                if prec >= exactnum.MAX_PREC:
+                    raise
+                prec *= 2
+                continue
+            if t.width <= target:
+                return SegmentRoot(n, t, u_lo, u_hi)
+        mid = (u_lo + u_hi) / 2
+        below = _roots_below(n, mid, bits)
+        if below is None:
+            if prec >= exactnum.MAX_PREC:
+                raise WidthUnreachable(f"precision cap at n={n}")
+            prec *= 2
+            continue
+        if below == i:
+            u_lo = mid
+        else:
+            u_hi = mid
+        if prec < exactnum.MAX_PREC and (u_hi - u_lo) < Fraction(1, 2 ** (prec // 2)):
+            prec *= 2
+
+
+@st.composite
+def bisections(draw):
+    """`_bisect_root` arguments: a `_u_brackets` bracket, or a sub-bracket
+    the step-by-step bisection refined it to at 10^-coarse, and a target
+    10^-k with k above coarse."""
+    n = draw(st.sampled_from([6, 8, 11, 13, 25, 30]))
+    u_lo, u_hi = draw(st.sampled_from(_u_brackets(n)))
+    prec, k = draw(st.integers(1, 300)), draw(st.integers(3, 40))
+    coarse = draw(st.one_of(st.none(), st.integers(2, k - 1)))
+    if coarse is not None:
+        sub = _bisect_by_steps(n, u_lo, u_hi, Fraction(1, 10 ** coarse), 128)
+        u_lo, u_hi = sub.u_lo, sub.u_hi
+    return n, u_lo, u_hi, Fraction(1, 10 ** k), prec
+
+
+class TestCellBisection:
+    """`_bisect_root` reads the level-N cell of u* off one enclosure; it
+    must return what one halving per step returned."""
+
+    @given(case=bisections())
+    @settings(max_examples=200, deadline=None)
+    @example(case=(8, *_u_brackets(8)[0], Fraction(1, 10 ** 40), 1))
+    @example(case=(30, *_u_brackets(30)[-1], Fraction(1, 10 ** 3), 300))
+    def test_matches_the_step_by_step_bisection(self, case):
+        ref, new = _bisect_by_steps(*case), _bisect_root(*case)
+        assert (new.n, new.u_lo, new.u_hi, new.t.lo, new.t.hi, new.t.prec) == \
+            (ref.n, ref.u_lo, ref.u_hi, ref.t.lo, ref.t.hi, ref.t.prec)
+
+    def test_both_reach_the_cap(self, monkeypatch):
+        (root,) = isolate_segment_roots(8)
+        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
+        for bisect in (_bisect_by_steps, _bisect_root):
+            with pytest.raises(WidthUnreachable, match="precision cap"):
+                bisect(8, root.u_lo, root.u_hi, Fraction(1, 10 ** 60), 64)
+
+    def test_counts_do_not_depend_on_the_starting_bits(self):
+        for n in range(6, 61):
+            for shrink in (0, 1):
+                for u in _sample_points(n, shrink):
+                    counts = {_roots_below(n, u, b) for b in (8, 64, 256)}
+                    assert len(counts) == 1 and None not in counts, (n, u)
+
+    def test_u_enclosures_stop_at_128_bits(self, monkeypatch):
+        asked = []
+        real = analytic._u_root
+        monkeypatch.setattr(analytic, "_u_root",
+                            lambda n, i, bits: asked.append(bits) or real(n, i, bits))
+        for b in (6, 8, 10, 11, 13):
+            certify_a1(b)
+        assert asked and max(asked) <= 128
 
 
 class TestBounds:
@@ -632,6 +729,38 @@ class TestPrecisionArgument:
         try:
             with pytest.raises(ValueError, match="precision"):
                 self.CALLS[name](root, prec)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+
+
+class TestWidthArgument:
+    """Bisection halves toward the target width, so at 0 or below it would
+    never end: every public width is rejected before any work."""
+
+    @pytest.fixture(scope="class")
+    def root(self):
+        return isolate_segment_roots(8)[0]
+
+    CALLS = {
+        "isolate_segment_roots":
+            lambda root, w: isolate_segment_roots(8, target_width=w),
+        "top_segment_root": lambda root, w: top_segment_root(8, target_width=w),
+        "refine_segment_root": lambda root, w: refine_segment_root(root, w),
+        "max_modulus": lambda root, w: max_modulus(8, width=w),
+        "top_modulus": lambda root, w: top_modulus(root, width=w),
+    }
+
+    @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 10 ** 12)])
+    @pytest.mark.parametrize("name", CALLS)
+    def test_rejected_at_once(self, monkeypatch, root, name, width):
+        for work in ("_u_brackets", "_bisect_root", "isqrt"):
+            monkeypatch.setattr(analytic, work, _work_began)
+        signal.signal(signal.SIGALRM, _work_began)
+        signal.setitimer(signal.ITIMER_REAL, 10)
+        try:
+            with pytest.raises(ValueError, match="width must be positive"):
+                self.CALLS[name](root, width)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)

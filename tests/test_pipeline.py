@@ -122,8 +122,10 @@ class TestGoldenBytes:
     skipped its round trip through Fraction, (b = 6, 10, 13) before the
     window scan moved from interval products to fixed-point integers,
     (the mod-p deciders) before the y-resultant moved from interpolation to
-    its closed form, and (b = 30, 36 and the triple sweep) before F_p
-    arithmetic moved to the packed kernel and the triple gcds to ZZ."""
+    its closed form, (b = 30, 36 and the triple sweep) before F_p
+    arithmetic moved to the packed kernel and the triple gcds to ZZ, and
+    (the low-precision a1 certificates) before the top segment root was
+    bisected by one integer floor per level and counted from 64 bits."""
 
     A1 = {
         6: "5d341ec9f550b24eeb9f6e71286c2dad8d4ac2995d0a4e1f9b1a4d52c6c437fd",
@@ -150,6 +152,12 @@ class TestGoldenBytes:
         128: "cec9a5489d69f9d5f9bed1b10bbdc27532ba8bb3b1042b00393ee27c0e4d668a",
         64: "1a00cb0de8556de767e5c47fd8f8d50da3353a8566c65a9797110a773b3f0d59",
     }
+    # certify_a1(b, prec) at low and escalating starting precisions,
+    # concatenated b by b and, within each b, by prec in this order
+    A1_LOW_PREC_B = (6, 8, 11, 13, 25, 30, 36, 42)
+    A1_LOW_PREC_P = (1, 2, 3, 8, 16, 64, 256)
+    A1_LOW_PREC = \
+        "35f8aa21835a3052ec73377c7a0ca1f91425fbfb68bd1e614253c08a36dc84ae"
     # the 1711 pair-a1 certificates for 2 <= b < c <= 60, concatenated in
     # file-name order
     PAIR_SWEEP_60 = \
@@ -173,6 +181,12 @@ class TestGoldenBytes:
     def test_a1_certificates(self):
         for b, digest in self.A1.items():
             assert self.sha(certify_a1(b).json_bytes()) == digest, b
+
+    def test_a1_low_precision_certificates(self):
+        blob = b"".join(certify_a1(b, prec).json_bytes()
+                        for b in self.A1_LOW_PREC_B
+                        for prec in self.A1_LOW_PREC_P)
+        assert self.sha(blob) == self.A1_LOW_PREC
 
     def test_general_bounds_certificates(self):
         for prec, digest in self.GENERAL_BOUNDS.items():
@@ -584,3 +598,15 @@ class TestCli:
     def test_roots_command(self, capsys):
         assert main(["roots", "--n", "8", "--digits", "9"]) == 0
         assert "2.513228157" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("digits", ["-3", "-1"])
+    def test_roots_rejects_negative_digits(self, capsys, digits):
+        # a width of 10^3 once reached the library as a TypeError
+        assert main(["roots", "--n", "8", "--digits", digits]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "digits must be at least 0" in err
+
+    @pytest.mark.parametrize("n", [2, 5, 7])
+    def test_roots_of_a_constant_cofactor(self, capsys, n):
+        assert main(["roots", "--n", str(n)]) == 0
+        assert capsys.readouterr().out == f"Q_{n}: 0 segment root(s)\n"

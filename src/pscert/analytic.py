@@ -6,20 +6,18 @@ rho = |z|^2 = 1/4 + t^2, so the invariant form R_n of `powersum` gives
 Q_zz(z) = S_n(rho) = sum_j r_j (1 - rho)^(3j) rho^(2(k-j)), and the
 segment roots are the k = deg R_n roots of S_n in (1, inf).  The count law
 certifies them: R_n(-J) has exactly k coefficient sign changes, so by
-Descartes' rule there are at most k, and k disjoint dyadic rho-brackets
-with a strict sign change of S_n show at least k, each simple.  Integer
-Newton refines a bracket, and u* = atan2(sqrt(rho* - 1/4), -1/2) / pi
-encloses the root's angle theta = u* pi in (pi/2, 2pi/3).
+Descartes' rule there are at most k, and k strict sign changes of S_n
+between neighbouring separators show at least k, each simple.  The
+separators come from a sample grid of angles u in (1/2, 2/3), mapped to
+rho = 1/4 + tan^2(u pi) / 4 in floating point and rounded to 64-bit
+dyadics; they are untrusted, and only the exact signs of S_n certify.
 
-The recorded enclosures come from bisecting theta = u pi with rational u,
-where t = -tan(u pi) / 2.  After N halvings the bracket is the level-N
-dyadic cell that holds u*, so its index is read off one enclosure of u* by
-an integer shift, with no halving taken step by step; that enclosure is
-refined only while a cell boundary lies in it, and cos and sin are taken
-at the last few bracket ends only.  Root counts are exact from any
-starting precision, so they start at 64 bits.  Every bound evaluation
-returns a BoundReport whose verdict is derived from interval endpoints
-only.
+A segment root is held as its rho-bracket alone.  Integer Newton refines
+it to 2^-bits, t = sqrt(rho - 1/4) and the modulus r = sqrt(rho) are
+enclosed from it, and bits double from the working precision until the
+width asked for is reached.  No trigonometry is taken.  Every bound
+evaluation returns a BoundReport whose verdict is derived from interval
+endpoints only.
 """
 
 from __future__ import annotations
@@ -33,23 +31,28 @@ from typing import Optional
 from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
                      VerificationFailed, WidthUnreachable)
 from . import exactnum
-from .exactnum import (ComplexBox, RealInterval, iatan2, icos_sin,
-                       iexp, ilog, isqrt, pi_interval, require_prec)
+from .exactnum import (ComplexBox, RealInterval, iatan2, iexp, ilog, isqrt,
+                       pi_interval, require_prec)
 from .powersum import build_pq
 
 
 @dataclass
 class SegmentRoot:
-    """One root alpha = -1/2 + i t of Q_n on the upper segment, bracketed by
-    theta = u * pi with exact rational u endpoints."""
+    """One root alpha = -1/2 + i t of Q_n on the upper segment, the index-th
+    by decreasing rho = |alpha|^2 = 1/4 + t^2: rho is enclosed by the
+    root's refined bracket of `_segment_form`, and t = sqrt(rho - 1/4)."""
     n: int
+    index: int
+    rho: RealInterval
     t: RealInterval
-    u_lo: Fraction  # theta bracket (u_lo * pi, u_hi * pi) of this root alone
-    u_hi: Fraction
 
     def alpha(self, prec: int = 128) -> ComplexBox:
         return ComplexBox(RealInterval(Fraction(-1, 2), prec=prec),
                           self.t.at_prec(prec))
+
+    def modulus(self) -> RealInterval:
+        """|alpha| = sqrt(rho), which needs no t."""
+        return isqrt(self.rho)
 
 
 @dataclass
@@ -73,15 +76,6 @@ def _sign_changes(coeffs) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _taylor_shift(a: list[int]) -> list[int]:
-    """Coefficients of a(x + 1), lowest first."""
-    a = list(a)
-    for i in range(len(a) - 1):
-        for j in range(len(a) - 2, i - 1, -1):
-            a[j] += a[j + 1]
-    return a
-
-
 def _scaled(s, x: int, b: int) -> int:
     """2^(b d) s(x / 2^b) for s of degree d, exactly (Horner)."""
     acc, scale = 0, 1
@@ -102,11 +96,13 @@ def _segment_form(n: int) -> tuple[tuple[int, ...], tuple]:
     above 1 are the negative roots of R_n, with multiplicity.  The count
     law: R_n(-J) must have k = deg R_n coefficient sign changes, so by
     Descartes' rule S_n has at most k roots above 1; k disjoint brackets
-    with a strict sign change each then hold exactly one simple root each.
-    Either check failing raises VerificationFailed.  A bracket is
-    (lo, hi, b, sign of S_n at lo / 2^b), the root lies in
-    (lo / 2^b, hi / 2^b), and the brackets are listed by decreasing rho,
-    which is increasing u."""
+    above 1 with a strict sign change each then hold exactly one simple
+    root each.  The brackets are the neighbouring separators, for
+    `_sample_points(n, shrink)` with shrink rising from 0 to 7, between
+    which S_n has strictly opposite signs.  Either check failing raises
+    VerificationFailed.  A bracket is (lo, hi, b, sign of S_n at lo / 2^b),
+    the root lies in (lo / 2^b, hi / 2^b), and the brackets are listed by
+    decreasing rho, which is increasing u."""
     r = [int(c) for c in build_pq(n).R.coeffs]
     k = len(r) - 1
     if _sign_changes(c if j % 2 == 0 else -c for j, c in enumerate(r)) != k:
@@ -115,42 +111,20 @@ def _segment_form(n: int) -> tuple[tuple[int, ...], tuple]:
     for j, rj in enumerate(r):
         for i in range(3 * j + 1):
             s[2 * (k - j) + i] += (-1) ** i * math.comb(3 * j, i) * rj
-    brackets = _sign_change_brackets(s)
-    if len(brackets) != k:
-        raise VerificationFailed(
-            f"found {len(brackets)} of the {k} segment roots of Q_{n}")
-    return tuple(s), tuple(reversed(brackets))
-
-
-def _sign_change_brackets(s: list[int]) -> list:
-    """Disjoint brackets (lo, hi, b, sign at lo) in (1, inf), increasing,
-    each with a strict sign change of s at its dyadic ends.  They are
-    found by bisection on Descartes counts of integer Taylor shifts
-    (Vincent-Collins-Akritas); the counts only steer the search, and only
-    the end signs and the count law certify the result."""
-    d = len(s) - 1
-    if d < 1:
-        return []
-    # every root lies below 1 + max|s_i| / |s_d| <= 1 + 2^e (Cauchy)
-    e = (max(abs(c) for c in s[:-1]) // abs(s[-1]) + 1).bit_length()
-    # p(x) = s(1 + 2^e x) maps (1, 1 + 2^e) onto (0, 1); an entry of `todo`
-    # is (p, l, depth) for the interval 1 + 2^e (l + (0, 1)) / 2^depth
-    todo = [([c << (e * i) for i, c in enumerate(_taylor_shift(s))], 0, 0)]
-    out = []
-    while todo:
-        p, l, depth = todo.pop()
-        count = _sign_changes(_taylor_shift(p[::-1]))
-        if count == 1:
-            lo = (1 << depth) + (l << e)
-            hi = lo + (1 << e)
-            sign_lo = _int_sign(_scaled(s, lo, depth))
-            if sign_lo * _int_sign(_scaled(s, hi, depth)) < 0:
-                out.append((lo, hi, depth, sign_lo))
-        elif count > 1 and depth < 256:  # past that, give up on the root
-            half = [c << (d - i) for i, c in enumerate(p)]  # 2^d p(x / 2)
-            todo.append((_taylor_shift(half), 2 * l + 1, depth + 1))
-            todo.append((half, 2 * l, depth + 1))
-    return out
+    for shrink in range(8):
+        # rho(u) in floats, as x / 2^64; only separators above 1 count,
+        # since Descartes' bound holds there
+        xs = {int(math.ldexp(0.25 + math.tan(math.pi * u) ** 2 / 4, 64))
+              for u in map(float, _sample_points(n, shrink))}
+        seps = sorted((x for x in xs if x > 1 << 64), reverse=True)
+        signs = [_int_sign(_scaled(s, x, 64)) for x in seps]
+        brackets = tuple((lo, hi, 64, sign_lo) for hi, lo, sign_hi, sign_lo
+                         in zip(seps, seps[1:], signs, signs[1:])
+                         if sign_hi * sign_lo < 0)
+        if len(brackets) == k:
+            return tuple(s), brackets
+    raise VerificationFailed(f"the sample grids found {len(brackets)} of the "
+                             f"{k} segment roots of Q_{n}")
 
 
 def _refine(s, lo: int, hi: int, b: int, sign_lo: int, bits: int) -> tuple:
@@ -191,49 +165,18 @@ def _refine(s, lo: int, hi: int, b: int, sign_lo: int, bits: int) -> tuple:
 @lru_cache(maxsize=None)
 def _rho_bracket(n: int, i: int, bits: int) -> tuple:
     """The i-th segment root's bracket of `_segment_form`, refined to at
-    most two steps of 2^-bits (from the one at bits // 2, which is cached)."""
+    most two grid steps of 2^-bits, or of its own 2^-b where b is finer
+    (from the one at bits // 2, which is cached)."""
     s, brackets = _segment_form(n)
     start = brackets[i]
+    if bits < start[2]:
+        return _rho_bracket(n, i, start[2])
     if bits // 2 > start[2]:
         start = _rho_bracket(n, i, bits // 2)
     return _refine(s, *start, bits)
 
 
-@lru_cache(maxsize=None)
-def _u_root(n: int, i: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Exact ends of an enclosure of u* = atan2(sqrt(rho* - 1/4), -1/2) / pi,
-    the i-th segment root in increasing u, at `bits` bits."""
-    lo, hi, b, _ = _rho_bracket(n, i, bits)
-    rho = RealInterval(Fraction(lo, 1 << b), Fraction(hi, 1 << b), prec=bits)
-    theta = iatan2(isqrt(rho - Fraction(1, 4)),
-                   RealInterval(Fraction(-1, 2), prec=bits))
-    u = theta / pi_interval(bits)
-    return u.lo, u.hi
-
-
-# exact root counts come out the same from any starting precision
-_COUNT_BITS = 64
-
-
-def _roots_below(n: int, u: Fraction, bits: int = _COUNT_BITS) -> Optional[int]:
-    """How many segment roots have u* < u, comparing u with enclosures of
-    u* that start at `bits` bits and double while u lies inside one; None
-    if u still does at the cap."""
-    k = len(_segment_form(n)[1])
-    for i in range(k):
-        b = bits
-        lo, hi = _u_root(n, i, b)
-        while lo <= u <= hi:
-            if b >= 2 * exactnum.MAX_PREC:
-                return None
-            b *= 2
-            lo, hi = _u_root(n, i, b)
-        if u < lo:
-            return i
-    return k
-
-
-# -- segment root isolation ---------------------------------------------------
+# -- segment roots ------------------------------------------------------------
 
 
 def _sample_points(n: int, shrink: int) -> list[Fraction]:
@@ -256,126 +199,52 @@ def _sample_points(n: int, shrink: int) -> list[Fraction]:
 
 def _require_width(width) -> Fraction:
     """A target width as an exact Fraction, rejected below or at 0: the
-    bisection halves toward it, so it would never end."""
+    refinement narrows toward it, so it would never end."""
     width = Fraction(width)
     if width <= 0:
         raise ValueError(f"width must be positive, got {width}")
     return width
 
 
+def _refined(n: int, index: int, width: Fraction, prec: int,
+             enclose=lambda root: root.t) -> tuple[SegmentRoot, RealInterval]:
+    """The index-th segment root of Q_n by decreasing rho, with its bracket
+    refined to 2^-bits and bits doubling from `prec` until enclose(root) is
+    no wider than `width`: the root and that enclosure.  Past
+    `exactnum.MAX_PREC` it raises WidthUnreachable."""
+    bits = prec
+    while True:
+        lo, hi, b, _ = _rho_bracket(n, index, bits)
+        rho = RealInterval(Fraction(lo, 1 << b), Fraction(hi, 1 << b),
+                           prec=bits)
+        root = SegmentRoot(n, index, rho, isqrt(rho - Fraction(1, 4)))
+        value = enclose(root)
+        if value.width <= width:
+            return root, value
+        if bits >= exactnum.MAX_PREC:
+            raise WidthUnreachable(f"precision cap at n={n}")
+        bits *= 2
+
+
 def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
                           prec: int = 128) -> list[SegmentRoot]:
-    """All roots of Q_n on the segment, each refined to the target t-width,
-    in increasing t."""
+    """All roots of Q_n on the segment, each with a t-enclosure no wider
+    than the target, in increasing t."""
     require_prec(prec)
     target = _require_width(target_width)
-    roots = [_bisect_root(n, u1, u2, target, prec)
-             for u1, u2 in _u_brackets(n)]
-    # theta increasing <-> t decreasing; report in increasing t
-    roots.sort(key=lambda r: r.t.lo)
-    return roots
+    k = len(_segment_form(n)[1])
+    return [_refined(n, i, target, prec)[0] for i in reversed(range(k))]
 
 
 def top_segment_root(n: int, target_width=Fraction(1, 10 ** 12),
                      prec: int = 128) -> SegmentRoot:
     """The segment root of largest t, `isolate_segment_roots(...)[-1]`,
-    with only its own bracket bisected: the one of smallest u."""
+    with only its own bracket refined: the one of largest rho."""
     require_prec(prec)
     target = _require_width(target_width)
-    brackets = _u_brackets(n)
-    if not brackets:
+    if not _segment_form(n)[1]:
         raise ValueError(f"Q_{n} is constant")
-    return _bisect_root(n, *brackets[0], target, prec)
-
-
-def _u_brackets(n: int) -> list[tuple[Fraction, Fraction]]:
-    """One u-bracket per segment root, in increasing u.
-
-    A pair of neighbouring sample points is a bracket iff an odd number of
-    segment roots lies between them, counted exactly by `_roots_below`;
-    that is where s(theta) changes sign.  The sample points shrink until
-    there are deg(Q_n)/6 brackets; a constant Q_n has none.
-    """
-    expected = len(_segment_form(n)[1])
-    if expected == 0:
-        return []
-    for shrink in range(0, 8):
-        pts = _sample_points(n, shrink)
-        below = [_roots_below(n, u) for u in pts]
-        if None in below:
-            continue
-        brackets = [(u1, u2) for u1, u2, c1, c2
-                    in zip(pts, pts[1:], below, below[1:]) if (c2 - c1) % 2]
-        if len(brackets) == expected:
-            return brackets
-    raise VerificationFailed(
-        f"sample points never separated the {expected} segment roots of Q_{n}")
-
-
-def _bisect_root(n: int, u_lo: Fraction, u_hi: Fraction, target: Fraction,
-                 prec: int) -> SegmentRoot:
-    """Bisect the bracket (u_lo, u_hi) of one segment root down to a
-    t-enclosure of the target width.  N halvings give the level-N dyadic
-    cell holding u*, of index floor(x* 2^N), x* = (u* - u_lo) / (u_hi - u_lo),
-    read off an enclosure of x* that doubles from 64 bits only while a cell
-    boundary lies in it; `prec` doubles as one halving per step doubles it."""
-    i = _roots_below(n, u_lo)
-    if i is None or _roots_below(n, u_hi) != i + 1:
-        raise VerificationFailed(
-            f"({u_lo}, {u_hi}) does not hold exactly one segment root of Q_{n}")
-    w = u_hi - u_lo
-    (wn, wd), (tn, td) = w.as_integer_ratio(), target.as_integer_ratio()
-
-    def decided(bits: int) -> tuple[int, int]:  # deepest level, cell there
-        k = 2 * bits + wd.bit_length()
-        lo, hi = ((e - u_lo) / w for e in _u_root(n, i, bits))
-        a = max(-((-lo.numerator << k) // lo.denominator), 1)  # ceil(lo 2^k)
-        b = min((hi.numerator << k) // hi.denominator, (1 << k) - 1)
-        s = ((a - 1) ^ b).bit_length()  # no multiple of 2^s lies in [a, b]
-        return k - s, b >> s
-    bits, level, (depth, top) = _COUNT_BITS, 0, decided(_COUNT_BITS)
-    t_of = lru_cache(maxsize=None)(_t_of)  # a level moves one end only
-    while True:
-        # t is decreasing in u, with |dt/du| = (pi/2) sec^2(pi u) >= 2 pi on
-        # (1/2, 2/3): no t-enclosure is narrower than 6 w / 2^level
-        if 6 * wn * td <= (tn * wd) << level:
-            lo = u_lo + Fraction(wn * (top >> (depth - level)), wd << level)
-            hi = lo + Fraction(wn, wd << level)
-            try:
-                t = RealInterval(t_of(hi, prec).lo, t_of(lo, prec).hi, prec=prec)
-            except DomainError:  # cos(pi u) reaches 0 at this precision
-                if prec >= exactnum.MAX_PREC:
-                    raise
-                prec *= 2
-                continue
-            if t.width <= target:
-                return SegmentRoot(n, t, lo, hi)
-        while depth <= level and bits < 2 * exactnum.MAX_PREC:
-            bits *= 2
-            depth, top = decided(bits)
-        if depth <= level:  # a boundary still lies in the enclosure at the cap
-            if prec >= exactnum.MAX_PREC:
-                raise WidthUnreachable(f"precision cap at n={n}")
-            prec *= 2
-            continue
-        level += 1
-        if prec < exactnum.MAX_PREC and (wn << prec // 2) < (wd << level):
-            prec *= 2
-
-
-def _t_of(u: Fraction, prec: int) -> RealInterval:
-    """t = -tan(u*pi)/2, from one cos-sin enclosure of theta = u*pi."""
-    c, s = icos_sin(pi_interval(prec) * u)
-    if not c.is_negative():
-        raise DomainError("theta bracket escaped (pi/2, 2pi/3)")
-    return s / (-c) / 2
-
-
-def refine_segment_root(root: SegmentRoot, target_width,
-                        prec: int = 256) -> SegmentRoot:
-    require_prec(prec)
-    return _bisect_root(root.n, root.u_lo, root.u_hi,
-                        _require_width(target_width), prec)
+    return _refined(n, 0, target, prec)[0]
 
 
 def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInterval:
@@ -390,19 +259,15 @@ def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInte
 
 def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),
                 prec: int = 128) -> RealInterval:
-    """Enclosure of |top| = sqrt(1/4 + t^2) of the given width, refining a
-    copy of the segment root as needed; `top` itself is left unchanged."""
+    """Enclosure of |top| = sqrt(rho) of the given width, from the root's
+    rho-bracket refined as needed; `top` itself is left unchanged."""
     require_prec(prec)
     width = _require_width(width)
-    while True:
-        r = isqrt(Fraction(1, 4) + top.t.at_prec(prec) ** 2)
-        if r.width <= width:
-            if not r.lo > 1:
-                raise VerificationFailed(
-                    f"maximal modulus of Q_{top.n} not certified above 1")
-            return r
-        prec *= 2
-        top = refine_segment_root(top, width / 8, prec)
+    r = _refined(top.n, top.index, width, prec, SegmentRoot.modulus)[1]
+    if not r.lo > 1:
+        raise VerificationFailed(
+            f"maximal modulus of Q_{top.n} not certified above 1")
+    return r
 
 
 # -- individual bounds --------------------------------------------------------
@@ -596,10 +461,9 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     if c_lo >= c_hi:
         return BoundReport("window scan", inputs, None, "Satisfied",
                            details={"m_count": 0})
-    root = zeta
     t_width = Fraction(1, 10 ** 24)
     while True:
-        root = refine_segment_root(root, t_width, prec)
+        root = _refined(zeta.n, zeta.index, t_width, prec)[0]
         theta = window_theta(b, root, prec)
         if not theta.is_positive():
             raise DomainError("theta enclosure is not bounded away from 0")
@@ -612,7 +476,7 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
         t_width /= 10 ** 12
 
     pi_over_theta = pi_interval(prec) / theta
-    modulus = isqrt(Fraction(1, 4) + root.t.at_prec(prec) ** 2)
+    modulus = root.modulus()
     threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta
 
     lo, hi = pi_over_theta.lo, pi_over_theta.hi

@@ -24,10 +24,9 @@ from typing import Iterable
 
 from mpmath.libmp import (from_int, from_rational, fzero, mpf_cmp, mpf_lt,
                           mpf_neg, mpf_pos, mpf_sign)
-from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_cos_sin,
-                                 mpi_div, mpi_exp, mpi_log, mpi_mul, mpi_neg,
-                                 mpi_pi, mpi_pow_int, mpi_sin, mpi_sqrt,
-                                 mpi_sub)
+from mpmath.libmp.libmpi import (mpi_add, mpi_atan2, mpi_cos, mpi_div,
+                                 mpi_exp, mpi_log, mpi_mul, mpi_neg, mpi_pi,
+                                 mpi_pow_int, mpi_sin, mpi_sqrt, mpi_sub)
 
 from .errors import AmbiguousEnclosure, DomainError
 from .unipoly import ExactPoly, ZZ
@@ -230,20 +229,16 @@ def ilog(x) -> RealInterval:
     return _unary(x, mpi_log)
 
 
+# icos and isin serve the tests (as a trigonometric oracle) and the
+# benchmark's operation counts; no certifying path takes trigonometry
+
+
 def icos(x) -> RealInterval:
     return _unary(_coerce(x), mpi_cos)
 
 
 def isin(x) -> RealInterval:
     return _unary(_coerce(x), mpi_sin)
-
-
-def icos_sin(x) -> tuple[RealInterval, RealInterval]:
-    """(icos(x), isin(x)) from one mpi_cos_sin call; mpi_cos and mpi_sin
-    are its two halves, so both enclosures are the same bits."""
-    x = _coerce(x)
-    c, s = mpi_cos_sin(x._mpi, x.prec)
-    return RealInterval._wrap(c, x.prec), RealInterval._wrap(s, x.prec)
 
 
 def isqrt(x) -> RealInterval:

@@ -60,8 +60,17 @@ def parse_dyadic_hex(s: str) -> Fraction:
 
 
 def interval_json(x: RealInterval) -> dict:
+    """The exact endpoints, and as "approx" each one as a float, or None
+    (null) where it lies past the float range."""
     return {"lo": dyadic_hex(x.lo), "hi": dyadic_hex(x.hi),
-            "prec": x.prec, "approx": [float(x.lo), float(x.hi)]}
+            "prec": x.prec, "approx": [_approx(x.lo), _approx(x.hi)]}
+
+
+def _approx(q: Fraction) -> Optional[float]:
+    try:
+        return float(q)
+    except OverflowError:
+        return None
 
 
 def interval_from_json(d: dict) -> RealInterval:
@@ -172,8 +181,8 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                       f"relation polynomial with leading coefficient 2"}
         return cert
 
-    # bisected once: the unrefined top root serves both the modulus and the
-    # window scan, which refine their own copies
+    # isolated once: the top root serves both the modulus and the window
+    # scan, which refine its bracket as they need
     width = Fraction(1, 10 ** 12)
     top = top_segment_root(b, target_width=width, prec=prec)
     if irr.verdict == "Irreducible":

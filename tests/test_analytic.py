@@ -12,20 +12,17 @@ from hypothesis import strategies as st
 from mpmath.libmp import libmpi
 
 from pscert import analytic, exactnum, pipeline
-from pscert.analytic import (BoundReport, SegmentRoot, _bisect_root,
-                             _rho_bracket, _roots_below, _sample_points,
-                             _scan_limit, _segment_form, _t_of, _u_brackets,
-                             _u_root, _window_scan,
+from pscert.analytic import (BoundReport, _rho_bracket, _sample_points,
+                             _scan_limit, _segment_form, _window_scan,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
-                             lmn3_c_max, max_modulus,
-                             refine_segment_root, top_modulus,
+                             lmn3_c_max, max_modulus, top_modulus,
                              top_segment_root, window_theta)
 from pscert.errors import (AmbiguousEnclosure, DomainError,
                            PrecisionExhausted, VerificationFailed,
                            WidthUnreachable)
-from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isqrt,
-                             nearest_integer_distance, pi_interval)
+from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isin,
+                             isqrt, nearest_integer_distance, pi_interval)
 from pscert.pipeline import certify_a1, certify_general_bounds
 from pscert.powersum import build_pq
 from pscert.unipoly import ZZ, ExactPoly
@@ -72,16 +69,13 @@ class TestIsolation:
     def test_empty_for_constant_cofactor(self):
         for n in (2, 3, 4, 5, 7):
             assert build_pq(n).Q.degree == 0
-            assert _u_brackets(n) == isolate_segment_roots(n) == [], n
+            assert _segment_form(n)[1] == (), n
+            assert isolate_segment_roots(n) == [], n
 
     def test_b8_root_value(self):
         (root,) = isolate_segment_roots(8, target_width=Fraction(1, 10 ** 12))
         t_ref = Fraction(2513228157188, 10 ** 12)
         assert abs(root.t.mid - t_ref) < Fraction(1, 10 ** 9)
-
-    def test_bracket_signs_differ(self):
-        for root in isolate_segment_roots(14):
-            assert _sign_s(root.u_lo, 14) * _sign_s(root.u_hi, 14) == -1
 
     def test_root_certification(self):
         for n in range(6, 61):
@@ -105,84 +99,84 @@ class TestIsolation:
 
     def test_refinement(self):
         (root,) = isolate_segment_roots(8)
-        fine = refine_segment_root(root, Fraction(1, 10 ** 30), prec=256)
+        (fine,) = isolate_segment_roots(8, Fraction(1, 10 ** 30), prec=256)
         assert fine.t.width <= Fraction(1, 10 ** 30)
         assert root.t.lo <= fine.t.lo and fine.t.hi <= root.t.hi
 
-    def test_bracket_must_hold_exactly_one_root(self):
-        (root,) = isolate_segment_roots(8)  # u* is about 0.5625
-        for u_lo, u_hi in ((Fraction(3, 5), Fraction(13, 20)),
-                           (Fraction(51, 100), Fraction(53, 100))):
-            empty = SegmentRoot(8, root.t, u_lo, u_hi)
-            with pytest.raises(VerificationFailed):
-                refine_segment_root(empty, Fraction(1, 10 ** 30))
-        roots = isolate_segment_roots(25)
-        three = SegmentRoot(25, roots[0].t, roots[-1].u_lo, roots[0].u_hi)
-        with pytest.raises(VerificationFailed):
-            refine_segment_root(three, Fraction(1, 10 ** 30))
-
-    def test_roots_below_gives_up_at_the_cap(self, monkeypatch):
-        lo, hi = _u_root(8, 0, 128)
-        mid = (lo + hi) / 2
-        assert _roots_below(8, mid, 128) == 0  # enclosures double past 128
-        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
-        assert _roots_below(8, mid, 128) is None
-
     def test_refinement_past_the_cap_is_unreachable(self, monkeypatch):
-        (root,) = isolate_segment_roots(8)
         monkeypatch.setattr(exactnum, "MAX_PREC", 64)
         with pytest.raises(WidthUnreachable, match="precision cap"):
-            refine_segment_root(root, Fraction(1, 10 ** 60), prec=64)
+            top_segment_root(8, Fraction(1, 10 ** 60), prec=64)
 
-    def test_bisection_takes_no_trigonometry_per_step(self, monkeypatch):
-        """The bisection steers by exact comparison with u*, so the only
-        cos-sin enclosures are t at the last few bracket ends."""
-        (root,) = isolate_segment_roots(8)
-        calls = {"cos_sin": 0, "cos": 0}
-        real_cos_sin, real_cos = libmpi.mpi_cos_sin, libmpi.mpi_cos
+    def test_certify_a1_takes_no_trigonometry(self, monkeypatch):
+        """Segment roots are refined in rho alone: certifying takes no
+        cosine or sine enclosure, at any step."""
+        calls = []
 
-        def cos_sin(x, prec):
-            calls["cos_sin"] += 1
-            return real_cos_sin(x, prec)
-
-        def cos(x, prec):
-            calls["cos"] += 1
-            return real_cos(x, prec)
-
-        # icos reaches mpi_cos through exactnum, icos_sin mpi_cos_sin
-        for module in (libmpi, exactnum):
-            monkeypatch.setattr(module, "mpi_cos_sin", cos_sin)
-            monkeypatch.setattr(module, "mpi_cos", cos)
-        fine = refine_segment_root(root, Fraction(1, 10 ** 30), prec=256)
-        assert fine.t.width <= Fraction(1, 10 ** 30)
-        halvings = (root.u_hi - root.u_lo) / (fine.u_hi - fine.u_lo)
-        assert halvings.denominator == 1 and halvings > 2 ** 50
-        assert int(halvings).bit_count() == 1  # each step halves
-        assert calls["cos_sin"] <= 8
-        assert calls["cos"] == 0
+        def counted(name):
+            real = getattr(libmpi, name)
+            return lambda *args: calls.append(name) or real(*args)
+        for name in ("mpi_cos", "mpi_sin", "mpi_cos_sin"):
+            wrapper = counted(name)
+            monkeypatch.setattr(libmpi, name, wrapper)
+            if hasattr(exactnum, name):
+                monkeypatch.setattr(exactnum, name, wrapper)
+        for b in (6, 8, 10, 11, 13, 30, 42):
+            assert certify_a1(b).conclusion["status"] == "closed", b
+        assert calls == []
+        icos(RealInterval(1)), isin(RealInterval(1))  # the count sees calls
+        assert {"mpi_cos", "mpi_sin"} <= set(calls)
 
     def test_classification_matches_trig_oracle(self):
         """sign s(u) = sigma_n sign(lc S_n) (-1)^N(u), N(u) the number of
-        roots with u* < u, and sigma_n = sign(C_n on the segment)
-        sign(lc Q / lc Q_zz); seeded u in (1/2, 2/3) for n = 6..60."""
+        roots with u* < u, that is of roots of S_n above rho(u) =
+        1 / (4 cos^2(u pi)), counted from sympy's isolating intervals, and
+        sigma_n = sign(C_n on the segment) sign(lc Q / lc Q_zz); seeded u
+        in (1/2, 2/3) for n = 6..60."""
         rng = random.Random(11)
+        rho = sympy.symbols("rho")
         for n in range(6, 61):
             pq = build_pq(n)
             if pq.R.degree == 0:
                 continue
             s = _segment_form(n)[0]
+            S = sympy.Poly(list(reversed(s)), rho)
+            roots = [ab for ab, _ in S.intervals(eps=sympy.Rational(1, 10 ** 6))]
             sigma = (_sign_on_segment(pq.C) * _sign(pq.Q.coeffs[-1])
                      * _sign(pq.Q_zz.coeffs[-1]) * _sign(s[-1]))
-            for _ in range(8):
-                u = Fraction(1, 2) + Fraction(rng.randrange(1, 10 ** 6),
-                                              6 * 10 ** 6)
-                assert _sign_s(u, n) == sigma * (-1) ** _roots_below(n, u, 128), (n, u)
-            for u in _sample_points(n, 0):
-                assert _sign_s(u, n) == sigma * (-1) ** _roots_below(n, u, 256), (n, u)
+            us = [Fraction(1, 2) + Fraction(rng.randrange(1, 10 ** 6),
+                                            6 * 10 ** 6) for _ in range(8)]
+            for u in us + _sample_points(n, 0):
+                # for even n, the first sample point lies within about
+                # (pi / n)^n of a root
+                prec = 128
+                while True:
+                    rho_u = 1 / (4 * icos(pi_interval(prec) * u) ** 2)
+                    settled = [_settle(S, ab, rho_u.lo, rho_u.hi)
+                               for ab in roots]
+                    if all(b < rho_u.lo or a > rho_u.hi for a, b in settled):
+                        break
+                    prec *= 2
+                above = sum(bool(a > rho_u.hi) for a, _ in settled)
+                assert _sign_s(u, n) == sigma * (-1) ** above, (n, u)
 
 
 def _sign(x) -> int:
     return (x > 0) - (x < 0)
+
+
+def _settle(S, ab, lo, hi) -> tuple:
+    """The isolating interval ab of a real root of the sympy polynomial S,
+    refined until it lies inside [lo, hi] or misses it."""
+    (a, b), lo, hi = ab, sympy.Rational(lo), sympy.Rational(hi)
+    while not (lo <= a and b <= hi or b < lo or hi < a):
+        a, b = S.refine_root(a, b, eps=(b - a) / 16)
+    return a, b
+
+
+def _inside(S, ab, lo, hi) -> bool:
+    a, b = _settle(S, ab, lo, hi)
+    return bool(lo <= a and b <= hi)
 
 
 def _sign_on_segment(c) -> int:
@@ -195,10 +189,11 @@ def _sign_on_segment(c) -> int:
 
 
 class TestExactLayer:
-    """The exact integer layer against sympy: the count law, the brackets
-    and their Newton refinements."""
+    """The exact integer layer against sympy: the count law, the grid
+    brackets and their Newton refinements, for n = 2..120."""
 
     SPREAD = (8, 11, 13, 19, 25, 30, 36, 42, 49, 53, 60)
+    RANGE = range(2, 121)
 
     @staticmethod
     def _polys(n):
@@ -213,12 +208,13 @@ class TestExactLayer:
         return sympy.Rational(lo, 2 ** b), sympy.Rational(hi, 2 ** b)
 
     def test_counts_match_sympy(self):
-        for n in range(6, 61):
+        for n in self.RANGE:
             R, S, J, rho = self._polys(n)
             k = R.degree()
             R_neg = sympy.Poly(R.as_expr().subs(J, -J), J)
             assert R_neg.count_roots(0, None) == k, n
-            assert S.count_roots(1, None) == k, n
+            assert S.eval(1) != 0 and len(S.intervals(inf=1)) == k, n
+            assert len(_segment_form(n)[1]) == k, n
             # S_n = sum_j r_j (1 - rho)^(3j) rho^(2(k-j))
             one_minus, x = sympy.Poly(1 - rho, rho), sympy.Poly(rho, rho)
             assert S == sum((c * one_minus ** (3 * j) * x ** (2 * (k - j))
@@ -226,27 +222,35 @@ class TestExactLayer:
                             sympy.Poly(0, rho)), n
 
     def test_brackets_hold_one_sympy_root_each(self):
-        for n in self.SPREAD:
-            _, S, _, _ = self._polys(n)
+        """As many disjoint brackets above 1 as sympy finds roots of S_n
+        there, each with a strict sign change of S_n at its ends in sympy's
+        exact evaluation: each holds exactly one of those roots."""
+        for n in self.RANGE:
+            R, S, _, _ = self._polys(n)
             brackets = _segment_form(n)[1]  # by decreasing rho
-            k, roots = len(brackets), S.real_roots()  # by increasing rho
-            assert len(roots) == k or bool(roots[-k - 1] < 1), n
-            for (lo, hi, b, sign_lo), x in zip(brackets, reversed(roots)):
+            # S_n has deg R_n roots above 1 (`test_counts_match_sympy`)
+            assert len(brackets) == R.degree(), n
+            for lo, hi, b, sign_lo in brackets:
                 lo_q, hi_q = self._ends(lo, hi, b)
-                # brackets are disjoint, so each holds exactly this root
-                assert bool(lo_q < x) and bool(x < hi_q), n
+                assert bool(lo_q > 1), n
                 assert int(sympy.sign(S.eval(lo_q))) == sign_lo != 0, n
+                assert int(sympy.sign(S.eval(hi_q))) == -sign_lo, n
             ends = [Fraction(lo, 2 ** b) for lo, hi, b, _ in brackets]
             tops = [Fraction(hi, 2 ** b) for lo, hi, b, _ in brackets]
             assert all(lo >= hi for lo, hi in zip(ends, tops[1:])), n
 
     def test_refined_brackets_hold_their_root(self):
         """A sub-bracket of a one-root bracket with a strict sign change of
-        S_n at its ends (sympy's exact evaluation) holds that root."""
-        for n in self.SPREAD:
+        S_n at its ends (sympy's exact evaluation) holds that root: every
+        root's for the spread of n, and the top root's, the one the
+        pipeline refines, for every n."""
+        for n in self.RANGE:
             _, S, _, _ = self._polys(n)
-            for i, (lo0, hi0, b0, _) in enumerate(_segment_form(n)[1]):
-                for bits in (64, 128, 512):
+            brackets = _segment_form(n)[1]
+            if n not in self.SPREAD:
+                brackets = brackets[:1]
+            for i, (lo0, hi0, b0, _) in enumerate(brackets):
+                for bits in (1, 64, 128, 512) if n in self.SPREAD else (128,):
                     lo, hi, b, sign_lo = _rho_bracket(n, i, bits)
                     assert b == max(bits, b0) and 0 < hi - lo <= 2, (n, i)
                     assert lo0 << (b - b0) <= lo and hi <= hi0 << (b - b0)
@@ -254,11 +258,51 @@ class TestExactLayer:
                     assert int(sympy.sign(S.eval(lo_q))) == sign_lo != 0
                     assert int(sympy.sign(S.eval(hi_q))) == -sign_lo
 
+    @pytest.mark.parametrize("n", [6, 8, 13, 25, 42, 60])
+    def test_enclosures_hold_the_sympy_roots(self, n):
+        """rho, t = sqrt(rho - 1/4) and r = sqrt(rho) of every segment root,
+        at two widths, the finer one reached by doubling from 8 bits, hold
+        sympy's root of S_n above 1, isolated to 10^-40 and refined further
+        where an enclosure is narrower."""
+        _, S, _, _ = self._polys(n)
+        eps = sympy.Rational(1, 10 ** 40)
+        xs = [ab for ab, _ in S.intervals(eps=eps, inf=1)]  # increasing
+        quarter = Fraction(1, 4)
+        for width, prec in ((Fraction(1, 10 ** 12), 128),
+                            (Fraction(1, 10 ** 30), 8)):
+            roots = isolate_segment_roots(n, width, prec)  # increasing t
+            assert len(roots) == len(xs), n
+            for x, root in zip(xs, roots):
+                t, r = root.t, root.modulus()
+                assert 0 < t.lo and t.width <= width, n
+                assert _inside(S, x, root.rho.lo, root.rho.hi), n
+                assert _inside(S, x, t.lo ** 2 + quarter, t.hi ** 2 + quarter)
+                assert _inside(S, x, r.lo ** 2, r.hi ** 2), n
+            r = top_modulus(roots[-1], width, prec)
+            assert r.width <= width and _inside(S, xs[-1], r.lo ** 2, r.hi ** 2)
+
     def test_top_bracket_inside_max_modulus_squared(self):
         for n in (8, 11, 25, 42):
             lo, hi, b, _ = _rho_bracket(n, 0, 128)
             mm2 = max_modulus(n) ** 2
             assert mm2.lo < Fraction(lo, 2 ** b) < Fraction(hi, 2 ** b) < mm2.hi
+
+    def test_coarse_grid_raises(self, monkeypatch):
+        """A sample grid that misses roots yields no brackets: every shrink
+        from 0 to 7 is tried, and then VerificationFailed."""
+        asked = []
+
+        def coarse(n, shrink):
+            asked.append((n, shrink))
+            return [Fraction(11, 20), Fraction(3, 5)]
+        monkeypatch.setattr(analytic, "_sample_points", coarse)
+        _segment_form.cache_clear()
+        try:
+            with pytest.raises(VerificationFailed, match="found [01] of the 3"):
+                _segment_form(25)
+        finally:
+            _segment_form.cache_clear()
+        assert asked == [(25, shrink) for shrink in range(8)]
 
     @pytest.mark.parametrize("r, why", [
         ([20, 126, 75, -5], "sign changes"),  # R_25 with r_3 negated: 2 of 3
@@ -300,40 +344,32 @@ class TestMaxModulus:
     def test_top_modulus_matches_and_keeps_root(self):
         width = Fraction(1, 10 ** 12)
         top = isolate_segment_roots(13, target_width=width)[-1]
-        t_before = (top.t.lo, top.t.hi, top.u_lo, top.u_hi)
+        t_before = (top.t.lo, top.t.hi, top.rho.lo, top.rho.hi)
         r = top_modulus(top, width)
         mm = max_modulus(13, width=width)
         assert (r.lo, r.hi) == (mm.lo, mm.hi)
-        assert (top.t.lo, top.t.hi, top.u_lo, top.u_hi) == t_before
+        assert (top.t.lo, top.t.hi, top.rho.lo, top.rho.hi) == t_before
 
 
 class TestTopSegmentRoot:
-    """`certify_a1` and `max_modulus` bisect only the bracket of the root of
-    largest t; it must be the root full isolation reports last."""
+    """`certify_a1` and `max_modulus` refine only the bracket of the root
+    of largest t; it must be the root full isolation reports last."""
 
     @pytest.mark.parametrize("prec", [128, 256])
     @pytest.mark.parametrize("n", [6, 8, 13, 25, 42])
     def test_is_the_last_isolated_root(self, n, prec):
         top = top_segment_root(n, prec=prec)
         last = isolate_segment_roots(n, prec=prec)[-1]
-        assert (top.n, top.t.lo, top.t.hi, top.u_lo, top.u_hi) == \
-            (last.n, last.t.lo, last.t.hi, last.u_lo, last.u_hi)
-
-    def test_bisects_one_bracket(self, monkeypatch):
-        calls = []
-        real = analytic._bisect_root
-        monkeypatch.setattr(analytic, "_bisect_root",
-                            lambda n, *a: calls.append(n) or real(n, *a))
-        top_segment_root(42)
-        max_modulus(25)
-        assert calls == [42, 25]
+        assert (top.n, top.index, top.rho.lo, top.rho.hi, top.t.lo,
+                top.t.hi) == (last.n, last.index, last.rho.lo, last.rho.hi,
+                              last.t.lo, last.t.hi)
 
     @pytest.mark.parametrize("n, width, prec", [
         (6, Fraction(1, 10 ** 9), 128), (8, Fraction(1, 10 ** 9), 256),
         (13, Fraction(1, 10 ** 12), 128), (25, Fraction(1, 10 ** 9), 128),
         (42, Fraction(1, 10 ** 20), 256)])
     def test_max_modulus_unchanged(self, n, width, prec):
-        # max_modulus as it was before it bisected only the top root
+        # max_modulus against the modulus of the last isolated root
         before = top_modulus(
             isolate_segment_roots(n, target_width=width, prec=prec)[-1],
             width, prec)
@@ -345,102 +381,6 @@ class TestTopSegmentRoot:
             top_segment_root(7)
         with pytest.raises(ValueError, match="Q_5 is constant"):
             top_segment_root(5)
-
-
-def _bisect_by_steps(n, u_lo, u_hi, target_width, prec):
-    """`_bisect_root` as it was before it read the cell off one enclosure of
-    u*: one halving per step, each comparing the midpoint with u* by an
-    exact root count from 2 prec bits."""
-    bits = 2 * prec
-    i = _roots_below(n, u_lo, bits)
-    if i is None or _roots_below(n, u_hi, bits) != i + 1:
-        raise VerificationFailed(
-            f"({u_lo}, {u_hi}) does not hold exactly one segment root of Q_{n}")
-    target = Fraction(target_width)
-    t_at = {}
-
-    def t_end(u):
-        key = (u, prec)
-        if key not in t_at:
-            t_at[key] = _t_of(u, prec)
-        return t_at[key]
-
-    while True:
-        if 6 * (u_hi - u_lo) <= target:
-            try:
-                t = RealInterval(t_end(u_hi).lo, t_end(u_lo).hi, prec=prec)
-            except DomainError:
-                if prec >= exactnum.MAX_PREC:
-                    raise
-                prec *= 2
-                continue
-            if t.width <= target:
-                return SegmentRoot(n, t, u_lo, u_hi)
-        mid = (u_lo + u_hi) / 2
-        below = _roots_below(n, mid, bits)
-        if below is None:
-            if prec >= exactnum.MAX_PREC:
-                raise WidthUnreachable(f"precision cap at n={n}")
-            prec *= 2
-            continue
-        if below == i:
-            u_lo = mid
-        else:
-            u_hi = mid
-        if prec < exactnum.MAX_PREC and (u_hi - u_lo) < Fraction(1, 2 ** (prec // 2)):
-            prec *= 2
-
-
-@st.composite
-def bisections(draw):
-    """`_bisect_root` arguments: a `_u_brackets` bracket, or a sub-bracket
-    the step-by-step bisection refined it to at 10^-coarse, and a target
-    10^-k with k above coarse."""
-    n = draw(st.sampled_from([6, 8, 11, 13, 25, 30]))
-    u_lo, u_hi = draw(st.sampled_from(_u_brackets(n)))
-    prec, k = draw(st.integers(1, 300)), draw(st.integers(3, 40))
-    coarse = draw(st.one_of(st.none(), st.integers(2, k - 1)))
-    if coarse is not None:
-        sub = _bisect_by_steps(n, u_lo, u_hi, Fraction(1, 10 ** coarse), 128)
-        u_lo, u_hi = sub.u_lo, sub.u_hi
-    return n, u_lo, u_hi, Fraction(1, 10 ** k), prec
-
-
-class TestCellBisection:
-    """`_bisect_root` reads the level-N cell of u* off one enclosure; it
-    must return what one halving per step returned."""
-
-    @given(case=bisections())
-    @settings(max_examples=200, deadline=None)
-    @example(case=(8, *_u_brackets(8)[0], Fraction(1, 10 ** 40), 1))
-    @example(case=(30, *_u_brackets(30)[-1], Fraction(1, 10 ** 3), 300))
-    def test_matches_the_step_by_step_bisection(self, case):
-        ref, new = _bisect_by_steps(*case), _bisect_root(*case)
-        assert (new.n, new.u_lo, new.u_hi, new.t.lo, new.t.hi, new.t.prec) == \
-            (ref.n, ref.u_lo, ref.u_hi, ref.t.lo, ref.t.hi, ref.t.prec)
-
-    def test_both_reach_the_cap(self, monkeypatch):
-        (root,) = isolate_segment_roots(8)
-        monkeypatch.setattr(exactnum, "MAX_PREC", 64)
-        for bisect in (_bisect_by_steps, _bisect_root):
-            with pytest.raises(WidthUnreachable, match="precision cap"):
-                bisect(8, root.u_lo, root.u_hi, Fraction(1, 10 ** 60), 64)
-
-    def test_counts_do_not_depend_on_the_starting_bits(self):
-        for n in range(6, 61):
-            for shrink in (0, 1):
-                for u in _sample_points(n, shrink):
-                    counts = {_roots_below(n, u, b) for b in (8, 64, 256)}
-                    assert len(counts) == 1 and None not in counts, (n, u)
-
-    def test_u_enclosures_stop_at_128_bits(self, monkeypatch):
-        asked = []
-        real = analytic._u_root
-        monkeypatch.setattr(analytic, "_u_root",
-                            lambda n, i, bits: asked.append(bits) or real(n, i, bits))
-        for b in (6, 8, 10, 11, 13):
-            certify_a1(b)
-        assert asked and max(asked) <= 128
 
 
 class TestBounds:
@@ -700,8 +640,6 @@ class TestPrecisionArgument:
             2, "other", 7, RealInterval(Fraction(21, 20)), prec=p),
         "isolate_segment_roots":
             lambda root, p: isolate_segment_roots(8, prec=p),
-        "refine_segment_root":
-            lambda root, p: refine_segment_root(root, Fraction(1, 10 ** 20), p),
         "max_modulus": lambda root, p: max_modulus(8, prec=p),
         "top_segment_root": lambda root, p: top_segment_root(8, prec=p),
         "top_modulus": lambda root, p: top_modulus(root, prec=p),
@@ -721,7 +659,9 @@ class TestPrecisionArgument:
         for mod, work in [(pipeline, "build_pq"), (analytic, "build_pq"),
                           (analytic, "ilog"), (analytic, "iexp"),
                           (analytic, "isqrt"), (analytic, "iatan2"),
-                          (analytic, "pi_interval"), (analytic, "_u_root")]:
+                          (analytic, "pi_interval"),
+                          (analytic, "_segment_form"),
+                          (analytic, "_rho_bracket")]:
             monkeypatch.setattr(mod, work, _work_began)
         # some mpmath operations never return at a precision below 1 bit
         signal.signal(signal.SIGALRM, _work_began)
@@ -735,8 +675,8 @@ class TestPrecisionArgument:
 
 
 class TestWidthArgument:
-    """Bisection halves toward the target width, so at 0 or below it would
-    never end: every public width is rejected before any work."""
+    """Refinement narrows toward the target width, so at 0 or below it
+    would never end: every public width is rejected before any work."""
 
     @pytest.fixture(scope="class")
     def root(self):
@@ -746,7 +686,6 @@ class TestWidthArgument:
         "isolate_segment_roots":
             lambda root, w: isolate_segment_roots(8, target_width=w),
         "top_segment_root": lambda root, w: top_segment_root(8, target_width=w),
-        "refine_segment_root": lambda root, w: refine_segment_root(root, w),
         "max_modulus": lambda root, w: max_modulus(8, width=w),
         "top_modulus": lambda root, w: top_modulus(root, width=w),
     }
@@ -754,7 +693,7 @@ class TestWidthArgument:
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 10 ** 12)])
     @pytest.mark.parametrize("name", CALLS)
     def test_rejected_at_once(self, monkeypatch, root, name, width):
-        for work in ("_u_brackets", "_bisect_root", "isqrt"):
+        for work in ("_segment_form", "_rho_bracket", "isqrt"):
             monkeypatch.setattr(analytic, work, _work_began)
         signal.signal(signal.SIGALRM, _work_began)
         signal.setitimer(signal.ITIMER_REAL, 10)
@@ -786,8 +725,7 @@ class TestCloseWindow:
 
     def test_m1_distance(self):
         # the first multiple: pi/|theta| is ~0.324 away from the integer 5840
-        (root,) = isolate_segment_roots(8)
-        root = refine_segment_root(root, Fraction(1, 10 ** 24), prec=256)
+        (root,) = isolate_segment_roots(8, Fraction(1, 10 ** 24), prec=256)
         theta = window_theta(8, root, 256)
         from pscert.exactnum import nearest_integer_distance, pi_interval
         x = pi_interval(256) / theta

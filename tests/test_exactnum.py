@@ -16,7 +16,7 @@ from mpmath.libmp import finf, from_rational
 from pscert import exactnum
 from pscert.errors import AmbiguousEnclosure, DomainError
 from pscert.exactnum import (ComplexBox, RealInterval, UnityRoot,
-                             cyclotomic_coeffs, iatan2, icos, icos_sin, iexp,
+                             cyclotomic_coeffs, iatan2, icos, iexp,
                              ilog, isin, isqrt, nearest_integer_distance,
                              pi_interval, unity_sum_is_zero)
 
@@ -165,16 +165,6 @@ class TestTranscendental:
         s = icos(x) ** 2 + isin(x) ** 2
         assert s.contains(Fraction(1))
         assert s.width < Fraction(1, 2 ** 64)
-
-    @given(num=st.integers(min_value=-400, max_value=400),
-           prec=st.sampled_from([53, 64, 128, 256]))
-    @settings(max_examples=40, deadline=None)
-    def test_cos_sin_pair_matches_cos_and_sin(self, num, prec):
-        x = RealInterval(Fraction(num, 64), Fraction(num + 1, 64), prec=prec)
-        c, s = icos_sin(x)
-        for pair, single in ((c, icos(x)), (s, isin(x))):
-            assert (pair.lo, pair.hi, pair.prec) == \
-                (single.lo, single.hi, single.prec)
 
     def test_sqrt(self):
         r = isqrt(Fraction(2))

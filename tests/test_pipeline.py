@@ -42,6 +42,17 @@ class TestSerialization:
         back = interval_from_json(interval_json(iv))
         assert back.lo == iv.lo and back.hi == iv.hi and back.prec == 96
 
+    def test_interval_past_the_float_range(self):
+        # float(10^400) raises OverflowError; the exact ends still round-trip
+        iv = RealInterval(Fraction(10 ** 400), prec=128)
+        d = interval_json(iv)
+        assert d["approx"] == [None, None]
+        assert '"approx": [null, null]' in json.dumps(d)
+        back = interval_from_json(d)
+        assert (back.lo, back.hi) == (iv.lo, iv.hi)
+        tiny = interval_json(RealInterval(Fraction(1, 10 ** 400), prec=128))
+        assert tiny["approx"] == [0.0, 0.0]
+
 
 class TestCertifyA1:
     def test_b7_vacuous(self):
@@ -82,12 +93,16 @@ class TestCertifyA1:
 
     @pytest.mark.parametrize("b", [6, 8, 11, 13, 25, 30, 36])
     def test_low_starting_precision_escalates(self, b):
-        # the u-ends of the top root's bracket lie strictly inside
-        # (1/2, 2/3); at 1-3 bits the enclosure of cos(pi u) still reaches 0,
-        # which must double the precision, not end the run
+        # at 1-3 bits the enclosures of t and r are far too wide, which
+        # must double the precision, not end the run
         for prec in range(1, 17):
             cert = certify_a1(b, prec=prec)
             assert cert.conclusion["status"] == "closed", prec
+
+    @pytest.mark.parametrize("b", [100, 150, 178, 200, 300])
+    def test_conclusive_past_the_benchmark_range(self, b):
+        # from b = 178 on, pi r^b / 2 lies past the float range
+        assert certify_a1(b).conclusion["status"] == "closed"
 
     def test_large_c_bracket_undecided(self, monkeypatch):
         monkeypatch.setattr(pipeline, "lmn3_c_max", lambda b, prec:
@@ -124,40 +139,41 @@ class TestGoldenBytes:
     (the mod-p deciders) before the y-resultant moved from interpolation to
     its closed form, (b = 30, 36 and the triple sweep) before F_p
     arithmetic moved to the packed kernel and the triple gcds to ZZ, and
-    (the low-precision a1 certificates) before the top segment root was
-    bisected by one integer floor per level and counted from 64 bits."""
+    (the a1 certificates that read the top segment root, b = 7, 9 and 25
+    aside, and the roots output) when segment roots moved from u-brackets
+    bisected in theta to rho-brackets refined by integer Newton."""
 
     A1 = {
-        6: "5d341ec9f550b24eeb9f6e71286c2dad8d4ac2995d0a4e1f9b1a4d52c6c437fd",
+        6: "e05fd9efd1dabfcd94d4a54f60322658f13ec32ffce10e07abde3900f23ca72e",
         7: "3f31528cc8fbd9db9d475cdc1ae10e9359985e2c6dbf0058ed1100d7c5aaada4",
-        8: "997acca194396fde1c61b3b21b5333116ba4f1f40506a05b525314beba72ee47",
+        8: "24b22f44173775226a1bb74817cc4a6e36ecf968fbb975552fcdcd589f279e71",
         9: "a1cb2010d6267beca9dfc6909a95c10c9506bbcea91c7dbbcdbc41feeb77f1fe",
-        10: "183b34d9909a4b6d2a4f5df81bd0ad73bd2784daf96829d86f492a6393c1610f",
-        11: "036c00bda1d34de299f30df77edfa4c2d9d07b2af484ed44408acf82d18221eb",
-        13: "831df0e4a6cd1a3103514cbf3af0703a9c07dfa9f501c4e761522cbc0b4e51f2",
+        10: "1b87b629e16d80325d79eb93dc5d819c0737e88108bc651bfaa220035ad71753",
+        11: "fdaececa3b363a928cacb532d18256308425224b71d923524be31e0807fcad91",
+        13: "0201b055f03c450c91020e841d858234f2d1a9a91b8151745fdcd64150ae76fa",
         25: "af26c964a51b8d7a8b19d8b5dc5542821cb6d46742a73352011c6da6a6f00a93",
-        30: "b2f747eb1a20b507e356bddfd9ec351aedf1e06e64b24779aa5e82e95ec1c8e6",
-        36: "59509075ccff880971627acc98094db1a34ffe7079192353480edf48a6f8825e",
-        42: "eff2b1be4ca684efd122718bd9d9603e470d17e293722a485161a36895a95ca9",
+        30: "76f318fa3b89973b2abb23809a21dfe299296a35dd114e7269608f561affa789",
+        36: "989522ae184ad226d13ad4f2f05dcd5f5982bc5a81f0527d7869c40901c7502d",
+        42: "55f3151bd4db0f91c9e8c3a31ee80f9c98051e71b94a2c6cb2b5e6a878058bbb",
     }
     GENERAL_BOUNDS = {
         128: "178a799776e302e00f4390c4d9ef587294d35a99903bfcc79719fd8e8a559f31",
         256: "68e759d5aa32e2f04341feb9b87c880a1392ee76b26269097ffb83311d9d96e0",
     }
     ROOTS_10 = \
-        "5ae67fb55fea820a3217a8c8adf54c5b664cb933ea685483cabc6d32518f87a4"
+        "785d93391a6fc404892c1322b2ffbe27ef2acb1bbb845b5c3fba9126889cd55a"
     # certify_a1 with the irreducibility step forced to "Inconclusive", so
     # that it falls back to the modulus lower bound 14/9; keyed by prec
     A1_FALLBACK_B8 = {
-        128: "cec9a5489d69f9d5f9bed1b10bbdc27532ba8bb3b1042b00393ee27c0e4d668a",
-        64: "1a00cb0de8556de767e5c47fd8f8d50da3353a8566c65a9797110a773b3f0d59",
+        128: "34211e910ab888912f0eeb1cec1880aa89bce3a28ca95d2e74a33c2cba1b2a22",
+        64: "de4ce7b81dc087c2ea0693c281bb80cb2f08132d6f849d4a9f4c715315953ba1",
     }
     # certify_a1(b, prec) at low and escalating starting precisions,
     # concatenated b by b and, within each b, by prec in this order
     A1_LOW_PREC_B = (6, 8, 11, 13, 25, 30, 36, 42)
     A1_LOW_PREC_P = (1, 2, 3, 8, 16, 64, 256)
     A1_LOW_PREC = \
-        "35f8aa21835a3052ec73377c7a0ca1f91425fbfb68bd1e614253c08a36dc84ae"
+        "4a08885925b9af6a613f97bd9d26874d1917d3f337459e5d04baa698ae0c7693"
     # the 1711 pair-a1 certificates for 2 <= b < c <= 60, concatenated in
     # file-name order
     PAIR_SWEEP_60 = \
@@ -548,6 +564,15 @@ class TestCli:
     def test_global_flag_after_subcommand(self, capsys):
         assert main(["pair", "--b", "6", "--c", "10", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["empty"] is True
+
+    def test_certify_past_the_float_range(self, capsys):
+        # pscert certify --b 178 once exited 1 with an OverflowError
+        assert main(["certify", "--b", "178", "--json"]) == 0
+        cert = json.loads(capsys.readouterr().out)
+        assert cert["conclusion"]["status"] == "closed"
+        (small,) = [s for s in cert["steps"]
+                    if s["op"] == "small-c exclusion threshold"]
+        assert small["outputs"]["value"]["approx"] == [None, None]
 
     def test_certify_emit(self, tmp_path, capsys):
         out = tmp_path / "cert8.json"

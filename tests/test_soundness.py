@@ -20,6 +20,31 @@ def test_no_assert_statements_in_package():
     assert not found, f"assert statements vanish under -O: {found}"
 
 
+def _is_trigonometry(name: str) -> bool:
+    return name in ("icos", "isin", "mpi_sin") or name.startswith("mpi_cos")
+
+
+def test_no_trigonometry_outside_exactnum():
+    # segment roots live in rho = |z|^2 alone, so a second, angular root
+    # path would show up as an import of cosine or sine; exactnum keeps
+    # icos and isin only for the tests and the benchmark's counts
+    found = []
+    for path in sorted((SRC / "pscert").rglob("*.py")):
+        if path.name == "exactnum.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if _is_trigonometry(name)]
+    assert not found, f"trigonometry outside exactnum: {found}"
+
+
 def test_package_does_not_import_sympy():
     # sympy is a test oracle only; the certifier must not depend on it
     found = []

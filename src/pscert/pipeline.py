@@ -52,11 +52,8 @@ def dyadic_hex(q: Fraction) -> str:
 
 
 def parse_dyadic_hex(s: str) -> Fraction:
-    sign = 1
-    if s.startswith("-"):
-        sign, s = -1, s[1:]
-    man, exp = s[2:].split("p")
-    return sign * Fraction(int(man, 16)) * Fraction(2) ** int(exp)
+    man, exp = s.replace("0x", "").split("p")
+    return Fraction(int(man, 16)) * Fraction(2) ** int(exp)
 
 
 def interval_json(x: RealInterval) -> dict:
@@ -74,8 +71,8 @@ def _approx(q: Fraction) -> Optional[float]:
 
 
 def interval_from_json(d: dict) -> RealInterval:
-    return RealInterval(parse_dyadic_hex(d["lo"]), parse_dyadic_hex(d["hi"]),
-                        prec=d["prec"])
+    return RealInterval._exact(parse_dyadic_hex(d["lo"]),
+                               parse_dyadic_hex(d["hi"]), d["prec"])
 
 
 # -- certificates -------------------------------------------------------------

@@ -53,6 +53,14 @@ class TestSerialization:
         tiny = interval_json(RealInterval(Fraction(1, 10 ** 400), prec=128))
         assert tiny["approx"] == [0.0, 0.0]
 
+    def test_interval_wider_than_prec_roundtrips(self):
+        # an exact int endpoint, and endpoints relabelled by at_prec, carry
+        # more bits than prec: parsing keeps them exact, not rounded
+        for iv in (RealInterval(10 ** 400, prec=128),
+                   RealInterval(Fraction(1, 3), prec=256).at_prec(64)):
+            back = interval_from_json(interval_json(iv))
+            assert (back.lo, back.hi, back.prec) == (iv.lo, iv.hi, iv.prec)
+
 
 class TestCertifyA1:
     def test_b7_vacuous(self):
@@ -129,8 +137,9 @@ class TestCertifyA1:
 
 
 class TestGoldenBytes:
-    """SHA-256 of certificate bytes recorded before the interval core moved
-    from mpmath's global interval context to per-interval precision,
+    """SHA-256 of certificate bytes recorded while the interval core ran in
+    mpmath's global interval context (they held through its moves to
+    per-interval precision and to correctly rounded stdlib dyadics),
     (b = 25, 42) before factor-degree patterns came from the distinct-degree
     kernel instead of full factorizations, and (the 14/9 fallback and the
     pair sweep) before the cofactors Q_n were cached and the integer gcd

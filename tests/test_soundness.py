@@ -1,5 +1,5 @@
 """Soundness checks must survive `python -O`, which strips `assert`, and
-the package must not lean on sympy, which only the tests use."""
+the package must not lean on sympy or mpmath, which only the tests use."""
 
 import ast
 import os
@@ -60,6 +60,49 @@ def test_package_does_not_import_sympy():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "sympy"]
     assert not found, f"sympy imported by the package: {found}"
+
+
+def test_package_imports_mpmath_only_for_trigonometry():
+    # the interval core is stdlib arithmetic; only icos and isin, which no
+    # certifying path takes, borrow mpmath, inside their own bodies
+    found = []
+    for path in sorted((SRC / "pscert").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "exactnum.py":
+            for fn in tree.body:
+                if isinstance(fn, ast.FunctionDef) and fn.name in ("icos",
+                                                                   "isin"):
+                    allowed |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "mpmath"
+                      and id(node) not in allowed]
+    assert not found, f"mpmath imported by the package: {found}"
+
+
+def test_certifying_imports_no_mpmath():
+    # a fresh interpreter: the CLI, the pipelines and a full a1 certificate
+    # leave mpmath unimported
+    script = textwrap.dedent("""
+        import sys
+        import pscert.cli, pscert.criteria, pscert.membership, pscert.pipeline
+        assert pscert.pipeline.certify_a1(8).conclusive
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "mpmath"))
+    """)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cofactor_check_raises_under_optimize():

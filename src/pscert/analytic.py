@@ -15,7 +15,10 @@ dyadics; they are untrusted, and only the exact signs of S_n certify.
 A segment root is held as its rho-bracket alone.  Integer Newton refines
 it to 2^-bits, t = sqrt(rho - 1/4) and the modulus r = sqrt(rho) are
 enclosed from it, and bits double from the working precision until the
-width asked for is reached.  No trigonometry is taken.  Every bound
+enclosure asked for is narrow enough; the top root is reached only by
+`max_modulus` (its r) and `close_window` (its theta).  Every doubling runs
+in `_escalate`, and one still open at the cap raises PrecisionExhausted
+(the c-bracket gives "Undecided").  No trigonometry is taken.  Every bound
 evaluation returns a BoundReport whose verdict is derived from interval
 endpoints only.
 """
@@ -25,11 +28,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
-                     VerificationFailed, WidthUnreachable)
+                     VerificationFailed)
 from . import exactnum
 from .exactnum import (ComplexBox, RealInterval, iatan2, iexp, ilog, isqrt,
                        pi_interval, require_prec)
@@ -206,24 +209,35 @@ def _require_width(width) -> Fraction:
     return width
 
 
-def _refined(n: int, index: int, width: Fraction, prec: int,
-             enclose=lambda root: root.t) -> tuple[SegmentRoot, RealInterval]:
+def _escalate(attempt, prec: int):
+    """attempt(p) for p = prec, 2 prec, 4 prec, ...: the first result that
+    is not None, or None once p has reached `exactnum.MAX_PREC`.  Every
+    precision escalation in this module runs here."""
+    while (result := attempt(prec)) is None and prec < exactnum.MAX_PREC:
+        prec *= 2
+    return result
+
+
+def _refined(n: int, index: int, prec: int, enclose, done) -> tuple:
     """The index-th segment root of Q_n by decreasing rho, with its bracket
-    refined to 2^-bits and bits doubling from `prec` until enclose(root) is
-    no wider than `width`: the root and that enclosure.  Past
-    `exactnum.MAX_PREC` it raises WidthUnreachable."""
-    bits = prec
-    while True:
+    refined to 2^-bits and bits doubling from `prec` until done(enclose(root))
+    holds: the root and that enclosure.  A constant Q_n raises ValueError,
+    and the precision cap PrecisionExhausted."""
+    if not _segment_form(n)[1]:
+        raise ValueError(f"Q_{n} is constant")
+
+    def attempt(bits: int):
         lo, hi, b, _ = _rho_bracket(n, index, bits)
         rho = RealInterval(Fraction(lo, 1 << b), Fraction(hi, 1 << b),
                            prec=bits)
         root = SegmentRoot(n, index, rho, isqrt(rho - Fraction(1, 4)))
         value = enclose(root)
-        if value.width <= width:
-            return root, value
-        if bits >= exactnum.MAX_PREC:
-            raise WidthUnreachable(f"precision cap at n={n}")
-        bits *= 2
+        return (root, value) if done(value) else None
+
+    found = _escalate(attempt, prec)
+    if found is None:
+        raise PrecisionExhausted(f"precision cap at n={n}, root {index}")
+    return found
 
 
 def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
@@ -233,40 +247,25 @@ def isolate_segment_roots(n: int, target_width=Fraction(1, 10 ** 12),
     require_prec(prec)
     target = _require_width(target_width)
     k = len(_segment_form(n)[1])
-    return [_refined(n, i, target, prec)[0] for i in reversed(range(k))]
-
-
-def top_segment_root(n: int, target_width=Fraction(1, 10 ** 12),
-                     prec: int = 128) -> SegmentRoot:
-    """The segment root of largest t, `isolate_segment_roots(...)[-1]`,
-    with only its own bracket refined: the one of largest rho."""
-    require_prec(prec)
-    target = _require_width(target_width)
-    if not _segment_form(n)[1]:
-        raise ValueError(f"Q_{n} is constant")
-    return _refined(n, 0, target, prec)[0]
+    return [_refined(n, i, prec, lambda root: root.t,
+                     lambda t: t.width <= target)[0]
+            for i in reversed(range(k))]
 
 
 def max_modulus(n: int, width=Fraction(1, 10 ** 9), prec: int = 128) -> RealInterval:
-    """Enclosure of the largest root modulus of Q_n.
+    """Enclosure of the largest root modulus of Q_n, no wider than `width`.
 
     The maximum is attained on the segment: each orbit contributes moduli
-    {r, r, 1, 1, 1/r, 1/r} with r = sqrt(1/4 + t^2) > 1.
+    {r, r, 1, 1, 1/r, 1/r} with r = sqrt(1/4 + t^2) > 1, and the largest r
+    is sqrt(rho) of the top segment root, the one of largest rho.
     """
-    return top_modulus(top_segment_root(n, target_width=width, prec=prec),
-                       width, prec)
-
-
-def top_modulus(top: SegmentRoot, width=Fraction(1, 10 ** 9),
-                prec: int = 128) -> RealInterval:
-    """Enclosure of |top| = sqrt(rho) of the given width, from the root's
-    rho-bracket refined as needed; `top` itself is left unchanged."""
     require_prec(prec)
     width = _require_width(width)
-    r = _refined(top.n, top.index, width, prec, SegmentRoot.modulus)[1]
+    r = _refined(n, 0, prec, SegmentRoot.modulus,
+                 lambda r: r.width <= width)[1]
     if not r.lo > 1:
         raise VerificationFailed(
-            f"maximal modulus of Q_{top.n} not certified above 1")
+            f"maximal modulus of Q_{n} not certified above 1")
     return r
 
 
@@ -328,21 +327,21 @@ def _c_bracket(rhs: Fraction | RealInterval,
     rhs_lo, rhs_hi = ((rhs, rhs) if isinstance(rhs, Fraction)
                       else (rhs.lo, rhs.hi))
 
-    def le(c: int, p: int = prec) -> Optional[bool]:
+    def le(c: int, p: int) -> Optional[bool]:
         log_c = ilog(RealInterval(c, prec=p))
         if log_c.lo > 0 and c <= rhs_lo * log_c.lo ** 2:
             return True
         if c > rhs_hi * log_c.hi ** 2:
             return False
-        return None if p >= exactnum.MAX_PREC else le(c, 2 * p)
+        return None
 
-    if le(8) is not True:
+    if _escalate(partial(le, 8), prec) is not True:
         return 8, "Undecided"
     top = 2 ** 99
     lo, hi, step = 8, None, 1  # lo checked <= rhs, hi checked > rhs
     c = min(max(_c_guess((rhs_lo + rhs_hi) / 2), 9), top)
     while hi is None or hi - lo > 1:
-        res = le(c)
+        res = _escalate(partial(le, c), prec)
         if res is None:
             return c, "Undecided"
         if res and c == top:
@@ -439,14 +438,17 @@ def window_theta(b: int, zeta: SegmentRoot, prec: int = 256) -> RealInterval:
     return abs(iatan2(w.im, w.re))
 
 
-def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
+def close_window(b: int, c_lo: int, c_hi: int,
                  prec: int = 256) -> BoundReport:
     """Certify that no integer c in (c_lo, c_hi] can satisfy the near-integer
-    condition |c theta + m pi| <= 9 |zeta|^{-c}: every m whose m pi/|theta|
-    reaches above c_lo and starts no further than the threshold above c_hi
-    lies further than 9 |zeta|^{-c_lo} / |theta| from every integer.
+    condition |c theta + m pi| <= 9 |zeta|^{-c} for the top segment root
+    zeta of Q_b: every m whose m pi/|theta| reaches above c_lo and starts
+    no further than the threshold above c_hi lies further than
+    9 |zeta|^{-c_lo} / |theta| from every integer.
 
-    The scan runs in exact fixed point (`_window_scan`).  With the dyadic
+    theta is taken at the bits of zeta's bracket, doubling from `prec`
+    until its relative width is below min(10^-13, 1/(64 c_hi)).  The scan
+    runs in exact fixed point (`_window_scan`).  With the dyadic
     pi/|theta| enclosure [A_lo, A_hi] / 2^K, m pi/|theta| lies in
     [m A_lo, m A_hi] / 2^K, no wider than an outward-rounded product would
     be.  Two running integers stand for it: the fractional part f = m A_lo
@@ -461,21 +463,17 @@ def close_window(b: int, zeta: SegmentRoot, c_lo: int, c_hi: int,
     if c_lo >= c_hi:
         return BoundReport("window scan", inputs, None, "Satisfied",
                            details={"m_count": 0})
-    t_width = Fraction(1, 10 ** 24)
-    while True:
-        root = _refined(zeta.n, zeta.index, t_width, prec)[0]
-        theta = window_theta(b, root, prec)
+    rel = min(Fraction(1, 10 ** 13), Fraction(1, 64 * c_hi))
+
+    def theta_of(root: SegmentRoot) -> RealInterval:
+        theta = window_theta(b, root, root.rho.prec)
         if not theta.is_positive():
             raise DomainError("theta enclosure is not bounded away from 0")
-        rel = theta.width / theta.lo
-        if rel < min(Fraction(1, 10 ** 13), Fraction(1, 64 * c_hi)):
-            break
-        if prec >= exactnum.MAX_PREC:
-            raise PrecisionExhausted("cannot narrow theta")
-        prec *= 2
-        t_width /= 10 ** 12
+        return theta
 
-    pi_over_theta = pi_interval(prec) / theta
+    root, theta = _refined(b, 0, prec, theta_of,
+                           lambda theta: theta.width / theta.lo < rel)
+    pi_over_theta = pi_interval(root.rho.prec) / theta
     modulus = root.modulus()
     threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta
 

@@ -13,7 +13,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .analytic import isolate_segment_roots, top_modulus
+from .analytic import isolate_segment_roots, max_modulus
 from .criteria import (ExponentSet, conjecture4_conditions,
                        factorial_divisibility, normal4)
 from .exactnum import RealInterval
@@ -72,7 +72,8 @@ def _exps(text: str) -> list[int]:
 
 
 def _parse_poly_spec(spec: str, nvars: int) -> MultiPoly:
-    """'p5', 'p2^2', products 'p1*p2^3', or 'zerodivisor-identity'."""
+    """'p5', 'p2^2', products 'p1*p2^3' (exponents at least 1), or
+    'zerodivisor-identity'."""
     if spec == "zerodivisor-identity":
         if nvars != 4:
             raise ValueError("zerodivisor-identity is a four-variable target")
@@ -83,6 +84,8 @@ def _parse_poly_spec(spec: str, nvars: int) -> MultiPoly:
         if "^" in token:
             base, exp = token.split("^")
             e = int(exp)
+            if e < 1:
+                raise ValueError(f"exponent must be at least 1 in {token!r}")
         else:
             base, e = token, 1
         if not base.startswith("p"):
@@ -201,7 +204,7 @@ def cmd_roots(args) -> int:
     width = Fraction(1, 10 ** args.digits)
     roots = isolate_segment_roots(args.n, target_width=width,
                                   prec=args.precision)
-    mm = top_modulus(roots[-1], width, args.precision) if roots else None
+    mm = max_modulus(args.n, width, args.precision) if roots else None
     lines = [f"Q_{args.n}: {len(roots)} segment root(s)"]
     payload = {"n": args.n, "count": len(roots), "roots": []}
     for r in roots:

@@ -39,7 +39,3 @@ class DegreeMismatch(PscertError):
 
 class VerificationFailed(PscertError):
     """An independent re-check of a computed result failed."""
-
-
-class WidthUnreachable(PrecisionExhausted):
-    """Root isolation could not reach the requested enclosure width."""

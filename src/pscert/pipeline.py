@@ -16,8 +16,8 @@ from pathlib import Path
 from typing import Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
-                       general_bounds, lmn3_c_max, top_modulus,
-                       top_segment_root)
+                       general_bounds, lmn3_c_max, max_modulus)
+from .errors import PrecisionExhausted
 from .exactnum import RealInterval, isqrt, require_prec
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
@@ -178,12 +178,16 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                       f"relation polynomial with leading coefficient 2"}
         return cert
 
-    # isolated once: the top root serves both the modulus and the window
-    # scan, which refine its bracket as they need
-    width = Fraction(1, 10 ** 12)
-    top = top_segment_root(b, target_width=width, prec=prec)
+    # the modulus and the window scan refine the top root's bracket as they
+    # need; a step the precision cap leaves open makes the run undecided
     if irr.verdict == "Irreducible":
-        r = top_modulus(top, width=width, prec=prec)
+        try:
+            r = max_modulus(b, Fraction(1, 10 ** 12), prec)
+        except PrecisionExhausted as exc:
+            cert.conclusion = {"status": "undecided",
+                               "detail": "max modulus not enclosed",
+                               "reason": str(exc)}
+            return cert
         cert.add_step("max-modulus", {"n": b}, {"r": interval_json(r)},
                       "conclusive", prec)
     else:
@@ -213,7 +217,12 @@ def certify_a1(b: int, prec: int = 128) -> Certificate:
                            "c_lo": c_lo, "c_hi": c_hi}
         return cert
 
-    window = close_window(b, top, c_lo, c_hi, prec=max(prec, 256))
+    try:
+        window = close_window(b, c_lo, c_hi, prec=max(prec, 256))
+    except PrecisionExhausted as exc:
+        cert.conclusion = {"status": "undecided",
+                           "detail": "theta not narrowed", "reason": str(exc)}
+        return cert
     _report_step(cert, window, max(prec, 256))
     if window.verdict == "Satisfied":
         cert.conclusion = {"status": "closed", "mechanism": "window-scan",

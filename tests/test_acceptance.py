@@ -71,7 +71,7 @@ def test_criterion_03_b8_end_to_end_and_window_cases():
     assert small.value.lo >= 2500
     big = lmn3_c_max(8)
     assert 45 * 10 ** 5 <= big.details["c_max"] <= 55 * 10 ** 5
-    window = close_window(8, root, small.details["c_excluded_up_to"],
+    window = close_window(8, small.details["c_excluded_up_to"],
                           big.details["c_max"])
     assert window.verdict == "Satisfied"
     assert window.details["m_count"] <= 1000
@@ -191,9 +191,8 @@ def test_criterion_11_property_gates(tmp_path):
     assert lmn3_c_max(8, prec=128).verdict == lmn3_c_max(8, prec=256).verdict
     r1, r2 = max_modulus(8, prec=128), max_modulus(8, prec=256)
     assert c_small_threshold(r1, 8).verdict == c_small_threshold(r2, 8).verdict
-    (root,) = isolate_segment_roots(8)
-    w1 = close_window(8, root, 2920, 4947180, prec=256)
-    w2 = close_window(8, root, 2920, 4947180, prec=512)
+    w1 = close_window(8, 2920, 4947180, prec=256)
+    w2 = close_window(8, 2920, 4947180, prec=512)
     assert w1.verdict == w2.verdict == "Satisfied"
 
     # certificate replay

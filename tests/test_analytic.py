@@ -16,11 +16,9 @@ from pscert.analytic import (BoundReport, _rho_bracket, _sample_points,
                              _scan_limit, _segment_form, _window_scan,
                              bound_14_9, c_small_threshold, close_window,
                              general_bounds, isolate_segment_roots,
-                             lmn3_c_max, max_modulus, top_modulus,
-                             top_segment_root, window_theta)
+                             lmn3_c_max, max_modulus, window_theta)
 from pscert.errors import (AmbiguousEnclosure, DomainError,
-                           PrecisionExhausted, VerificationFailed,
-                           WidthUnreachable)
+                           PrecisionExhausted, VerificationFailed)
 from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isin,
                              isqrt, nearest_integer_distance, pi_interval)
 from pscert.pipeline import certify_a1, certify_general_bounds
@@ -105,8 +103,10 @@ class TestIsolation:
 
     def test_refinement_past_the_cap_is_unreachable(self, monkeypatch):
         monkeypatch.setattr(exactnum, "MAX_PREC", 64)
-        with pytest.raises(WidthUnreachable, match="precision cap"):
-            top_segment_root(8, Fraction(1, 10 ** 60), prec=64)
+        with pytest.raises(PrecisionExhausted, match="precision cap"):
+            max_modulus(8, Fraction(1, 10 ** 60), prec=64)
+        with pytest.raises(PrecisionExhausted, match="precision cap"):
+            isolate_segment_roots(8, Fraction(1, 10 ** 60), prec=64)
 
     def test_certify_a1_takes_no_trigonometry(self, monkeypatch):
         """Segment roots are refined in rho alone: certifying takes no
@@ -277,7 +277,7 @@ class TestExactLayer:
                 assert _inside(S, x, root.rho.lo, root.rho.hi), n
                 assert _inside(S, x, t.lo ** 2 + quarter, t.hi ** 2 + quarter)
                 assert _inside(S, x, r.lo ** 2, r.hi ** 2), n
-            r = top_modulus(roots[-1], width, prec)
+            r = max_modulus(n, width, prec)
             assert r.width <= width and _inside(S, xs[-1], r.lo ** 2, r.hi ** 2)
 
     def test_top_bracket_inside_max_modulus_squared(self):
@@ -341,23 +341,41 @@ class TestMaxModulus:
         assert mm.lo <= expected.hi and expected.lo <= mm.hi
 
     def test_top_modulus_matches_and_keeps_root(self):
+        # max_modulus refines the cached bracket an isolated top root came
+        # from; its r^2 must meet that root's rho and leave the root as is
         width = Fraction(1, 10 ** 12)
         top = isolate_segment_roots(13, target_width=width)[-1]
         t_before = (top.t.lo, top.t.hi, top.rho.lo, top.rho.hi)
-        r = top_modulus(top, width)
         mm = max_modulus(13, width=width)
-        assert (r.lo, r.hi) == (mm.lo, mm.hi)
+        assert mm.lo ** 2 <= top.rho.hi and top.rho.lo <= mm.hi ** 2
         assert (top.t.lo, top.t.hi, top.rho.lo, top.rho.hi) == t_before
 
 
+def _top_modulus_oracle(n: int, width: Fraction, prec: int) -> RealInterval:
+    """max_modulus as its own loop computed it before escalation moved to
+    `analytic._escalate`: sqrt(rho) of the top root's bracket, at bits
+    doubling from prec until it is no wider than width."""
+    bits = prec
+    while True:
+        lo, hi, b, _ = _rho_bracket(n, 0, bits)
+        r = isqrt(RealInterval(Fraction(lo, 1 << b), Fraction(hi, 1 << b),
+                               prec=bits))
+        if r.width <= width:
+            return r
+        bits *= 2
+
+
 class TestTopSegmentRoot:
-    """`certify_a1` and `max_modulus` refine only the bracket of the root
-    of largest t; it must be the root full isolation reports last."""
+    """`max_modulus` and `close_window` refine only the bracket of the root
+    of largest t, index 0; it must be the root full isolation reports
+    last."""
 
     @pytest.mark.parametrize("prec", [128, 256])
     @pytest.mark.parametrize("n", [6, 8, 13, 25, 42])
     def test_is_the_last_isolated_root(self, n, prec):
-        top = top_segment_root(n, prec=prec)
+        width = Fraction(1, 10 ** 12)
+        top, _ = analytic._refined(n, 0, prec, lambda root: root.t,
+                                   lambda t: t.width <= width)
         last = isolate_segment_roots(n, prec=prec)[-1]
         assert (top.n, top.index, top.rho.lo, top.rho.hi, top.t.lo,
                 top.t.hi) == (last.n, last.index, last.rho.lo, last.rho.hi,
@@ -368,18 +386,17 @@ class TestTopSegmentRoot:
         (13, Fraction(1, 10 ** 12), 128), (25, Fraction(1, 10 ** 9), 128),
         (42, Fraction(1, 10 ** 20), 256)])
     def test_max_modulus_unchanged(self, n, width, prec):
-        # max_modulus against the modulus of the last isolated root
-        before = top_modulus(
-            isolate_segment_roots(n, target_width=width, prec=prec)[-1],
-            width, prec)
+        before = _top_modulus_oracle(n, width, prec)
         mm = max_modulus(n, width=width, prec=prec)
         assert (mm.lo, mm.hi, mm.prec) == (before.lo, before.hi, before.prec)
 
     def test_constant_q_has_no_top_root(self):
         with pytest.raises(ValueError, match="constant"):
-            top_segment_root(7)
+            max_modulus(7)
         with pytest.raises(ValueError, match="Q_5 is constant"):
-            top_segment_root(5)
+            max_modulus(5)
+        with pytest.raises(ValueError, match="Q_7 is constant"):
+            close_window(7, 1, 2)
 
 
 class TestBounds:
@@ -640,8 +657,6 @@ class TestPrecisionArgument:
         "isolate_segment_roots":
             lambda root, p: isolate_segment_roots(8, prec=p),
         "max_modulus": lambda root, p: max_modulus(8, prec=p),
-        "top_segment_root": lambda root, p: top_segment_root(8, prec=p),
-        "top_modulus": lambda root, p: top_modulus(root, prec=p),
         "c_small_threshold":
             lambda root, p: c_small_threshold(Fraction(14, 9), 8, prec=p),
         "lmn3_c_max": lambda root, p: lmn3_c_max(8, prec=p),
@@ -649,7 +664,7 @@ class TestPrecisionArgument:
             lambda root, p: general_bounds(2, b=7, r=RealInterval(2), prec=p),
         "window_theta": lambda root, p: window_theta(8, root, prec=p),
         "close_window":
-            lambda root, p: close_window(8, root, 2920, 4947180, prec=p),
+            lambda root, p: close_window(8, 2920, 4947180, prec=p),
     }
 
     @pytest.mark.parametrize("prec", [0, -5])
@@ -677,28 +692,22 @@ class TestWidthArgument:
     """Refinement narrows toward the target width, so at 0 or below it
     would never end: every public width is rejected before any work."""
 
-    @pytest.fixture(scope="class")
-    def root(self):
-        return isolate_segment_roots(8)[0]
-
     CALLS = {
         "isolate_segment_roots":
-            lambda root, w: isolate_segment_roots(8, target_width=w),
-        "top_segment_root": lambda root, w: top_segment_root(8, target_width=w),
-        "max_modulus": lambda root, w: max_modulus(8, width=w),
-        "top_modulus": lambda root, w: top_modulus(root, width=w),
+            lambda w: isolate_segment_roots(8, target_width=w),
+        "max_modulus": lambda w: max_modulus(8, width=w),
     }
 
     @pytest.mark.parametrize("width", [0, -1, Fraction(-1, 10 ** 12)])
     @pytest.mark.parametrize("name", CALLS)
-    def test_rejected_at_once(self, monkeypatch, root, name, width):
+    def test_rejected_at_once(self, monkeypatch, name, width):
         for work in ("_segment_form", "_rho_bracket", "isqrt"):
             monkeypatch.setattr(analytic, work, _work_began)
         signal.signal(signal.SIGALRM, _work_began)
         signal.setitimer(signal.ITIMER_REAL, 10)
         try:
             with pytest.raises(ValueError, match="width must be positive"):
-                self.CALLS[name](root, width)
+                self.CALLS[name](width)
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
@@ -706,14 +715,12 @@ class TestWidthArgument:
 
 class TestCloseWindow:
     def test_degenerate_window(self):
-        (root,) = isolate_segment_roots(8)
-        rep = close_window(8, root, 100, 100)
+        rep = close_window(8, 100, 100)
         assert rep.verdict == "Satisfied"
         assert rep.details["m_count"] == 0
 
     def test_b8_window(self):
-        (root,) = isolate_segment_roots(8)
-        rep = close_window(8, root, 2920, 4947180)
+        rep = close_window(8, 2920, 4947180)
         assert rep.verdict == "Satisfied"
         assert rep.details["m_count"] <= 1000
         # the reference digits are truncated, so compare with tolerance
@@ -734,27 +741,24 @@ class TestCloseWindow:
     def test_value_just_above_c_hi_is_scanned(self):
         # 34 pi/|theta| = 198571.0078 lies within the threshold 0.0124 of
         # c = 198571, which is in the window (15, 198571]
-        (root,) = isolate_segment_roots(8)
         for c_hi in (198571, 198572):
-            rep = close_window(8, root, 15, c_hi)
+            rep = close_window(8, 15, c_hi)
             assert rep.verdict == "Undecided", c_hi
             assert rep.details["offending_m"] == 34
 
     def test_theta_too_wide_at_the_cap(self, monkeypatch):
-        (root,) = isolate_segment_roots(8)
         monkeypatch.setattr(exactnum, "MAX_PREC", 128)
-        with pytest.raises(PrecisionExhausted, match="cannot narrow theta"):
-            close_window(8, root, 1, 10 ** 40, prec=128)
+        with pytest.raises(PrecisionExhausted, match="precision cap at n=8"):
+            close_window(8, 1, 10 ** 40, prec=128)
 
     def test_theta_touching_zero_is_a_domain_error(self, monkeypatch):
-        (root,) = isolate_segment_roots(8)
         for theta in (RealInterval(0, Fraction(1, 10), prec=256),
                       RealInterval(Fraction(-1, 10), Fraction(-1, 20),
                                    prec=256)):
             monkeypatch.setattr(analytic, "window_theta",
                                 lambda b, zeta, prec, theta=theta: theta)
             with pytest.raises(DomainError):
-                close_window(8, root, 2920, 4947180)
+                close_window(8, 2920, 4947180)
 
 
 def _scan_case(k, m, a_lo, a_hi, span=1, limit=0):

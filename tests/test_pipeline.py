@@ -7,10 +7,13 @@ import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pscert import pipeline
+from pscert import analytic, exactnum, pipeline
 from pscert.analytic import BoundReport
 from pscert.cli import main, poly_str
 from pscert.exactnum import RealInterval
@@ -62,6 +65,13 @@ class TestSerialization:
             assert (back.lo, back.hi, back.prec) == (iv.lo, iv.hi, iv.prec)
 
 
+@lru_cache(maxsize=None)
+def _a1_outcome(b: int) -> tuple:
+    """(status, mechanism) of certify_a1(b) at its default 128 bits."""
+    conclusion = certify_a1(b).conclusion
+    return conclusion["status"], conclusion.get("mechanism")
+
+
 class TestCertifyA1:
     def test_b7_vacuous(self):
         cert = certify_a1(7)
@@ -109,8 +119,45 @@ class TestCertifyA1:
 
     @pytest.mark.parametrize("b", [100, 150, 178, 200, 300])
     def test_conclusive_past_the_benchmark_range(self, b):
-        # from b = 178 on, pi r^b / 2 lies past the float range
+        # from b = 178 on, pi r^b / 2 lies past the float range; b = 400
+        # closes too, in about 2 s, which is more than this suite spends
         assert certify_a1(b).conclusion["status"] == "closed"
+
+    @given(b=st.sampled_from([6, 8, 11, 13, 25]),
+           prec=st.sampled_from([*range(1, 40), 48, 64, 96]))
+    @settings(max_examples=100, deadline=None)
+    def test_escalation_keeps_the_outcome(self, b, prec):
+        # every starting precision escalates to the verdict of 128 bits
+        cert = certify_a1(b, prec)
+        assert cert.conclusive
+        assert (cert.conclusion["status"],
+                cert.conclusion.get("mechanism")) == _a1_outcome(b)
+
+    def test_modulus_at_the_cap_is_undecided(self, monkeypatch, capsys):
+        # 32 bits cannot hold r to 10^-12
+        monkeypatch.setattr(exactnum, "MAX_PREC", 32)
+        cert = certify_a1(8, 8)
+        assert cert.conclusion == {"status": "undecided",
+                                   "detail": "max modulus not enclosed",
+                                   "reason": "precision cap at n=8, root 0"}
+        assert [s["op"] for s in cert.steps][-1] == \
+            "leading-coefficient obstruction"
+        assert not cert.conclusive
+        assert main(["certify", "--b", "8", "--precision", "8"]) == 2
+        capsys.readouterr()
+
+    def test_theta_at_the_cap_is_undecided(self, monkeypatch, capsys):
+        # theta = [1, 2] is never narrow enough, at any precision
+        monkeypatch.setattr(analytic, "window_theta", lambda b, zeta, prec:
+                            RealInterval(1, 2, prec=prec))
+        cert = certify_a1(8)
+        assert cert.conclusion == {"status": "undecided",
+                                   "detail": "theta not narrowed",
+                                   "reason": "precision cap at n=8, root 0"}
+        assert cert.steps[-1]["op"] == "large-c exclusion bound"
+        assert not cert.conclusive
+        assert main(["certify", "--b", "8"]) == 2
+        capsys.readouterr()
 
     def test_large_c_bracket_undecided(self, monkeypatch):
         monkeypatch.setattr(pipeline, "lmn3_c_max", lambda b, prec:
@@ -123,7 +170,7 @@ class TestCertifyA1:
         assert not cert.conclusive
 
     def test_window_scan_undecided(self, monkeypatch, capsys):
-        def stuck(b, top, c_lo, c_hi, prec):
+        def stuck(b, c_lo, c_hi, prec):
             return BoundReport("window scan", {"b": b}, None, "Undecided",
                                {"offending_m": 17})
         monkeypatch.setattr(pipeline, "close_window", stuck)
@@ -314,6 +361,19 @@ class TestOtherCertificates:
     def test_general_bounds(self):
         cert = certify_general_bounds(2)
         assert cert.conclusion["status"] == "decided"
+
+    @given(ab=st.sampled_from([(2, 7), (3, 10), (2, 9)]),
+           r=st.sampled_from([Fraction(21, 20), Fraction(3, 2),
+                              Fraction(1, 3), Fraction(5)]),
+           prec=st.sampled_from([1, 2, 3, 4, 5, 8, 16, 64]))
+    @settings(max_examples=24, deadline=None)
+    def test_general_bounds_escalation_never_raises(self, ab, r, prec):
+        # a sample of the 96 cases: each escalates to a verdict, or stays
+        # undecided at the cap, without raising
+        a, b = ab
+        cert = certify_general_bounds(a, "other", b, RealInterval(r, prec=prec),
+                                      prec=prec)
+        assert cert.conclusion["status"] in ("decided", "undecided")
 
     def test_general_bounds_undecided(self):
         # r^b for r in [3/2, 10] straddles the threshold 2 b^8
@@ -604,6 +664,13 @@ class TestCli:
         assert main(["member", "--target", "p5", "--gens", "p1,p2",
                      "--nvars", "4"]) == 0
         assert "True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("target", ["p2^0", "p2^-1", "p1*p2^0"])
+    def test_member_rejects_an_exponent_below_one(self, capsys, target):
+        # p2^0 once read as p2
+        assert main(["member", "--nvars", "2", "--target", target,
+                     "--gens", "p1"]) == 1
+        assert "exponent must be at least 1" in capsys.readouterr().err
 
     def test_member_identity_any_generator_order(self, capsys):
         assert main(["member", "--target", "zerodivisor-identity",

@@ -87,6 +87,20 @@ def test_package_imports_mpmath_only_for_trigonometry():
     assert not found, f"mpmath imported by the package: {found}"
 
 
+def test_precision_cap_read_once_in_analytic():
+    # every escalation in analytic runs through _escalate, the only place
+    # that compares with the cap
+    tree = ast.parse((SRC / "pscert" / "analytic.py").read_text())
+    reads = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "MAX_PREC"
+             or isinstance(node, ast.Name) and node.id == "MAX_PREC"]
+    (escalate,) = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                   and fn.name == "_escalate"]
+    inside = {id(node) for node in ast.walk(escalate)}
+    assert len(reads) == 1 and id(reads[0]) in inside, \
+        [node.lineno for node in reads]
+
+
 def test_certifying_imports_no_mpmath():
     # a fresh interpreter: the CLI, the pipelines and a full a1 certificate
     # leave mpmath unimported

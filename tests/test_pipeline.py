@@ -245,6 +245,12 @@ class TestGoldenBytes:
              (3, 10, 100, 4594399), (2, 4, 5, 101))
     MOD_P_CERTS = \
         "564ca5451ccb4dcfdd215e8f59f24ff0f4e5d833280a7859385af153187bb8c0"
+    # the a = 1 mod-p certificates: two chart-z=1 candidates, a chart-z=0
+    # candidate and an empty instance, concatenated in this order
+    A1_MOD_P = ((1, 6, 100, 4594399), (1, 2, 4, 101), (1, 3, 5, 101),
+                (1, 4, 6, 1000003))
+    A1_MOD_P_CERTS = \
+        "b66d3a01b1b234b7a33ba3c6c41e2f55dfdcd7c4a5637b43da8fff2ddc45aa4e"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -307,6 +313,11 @@ class TestGoldenBytes:
         blob = b"".join(certify_mod_p(*inst).json_bytes()
                         for inst in self.MOD_P)
         assert self.sha(blob) == self.MOD_P_CERTS
+
+    def test_a1_mod_p_certificates(self):
+        blob = b"".join(certify_mod_p(*inst).json_bytes()
+                        for inst in self.A1_MOD_P)
+        assert self.sha(blob) == self.A1_MOD_P_CERTS
 
 
 class TestThreadedDeterminism:

@@ -185,8 +185,7 @@ def _rho_bracket(n: int, i: int, bits: int) -> tuple:
 def _sample_points(n: int, shrink: int) -> list[Fraction]:
     """Points covering (1/2, 2/3): the grid k/n and one point past each end
     of it, with midpoints added when shrink > 0."""
-    grid = [k for k in range(n // 2 + 1, (2 * n) // 3 + 1)
-            if Fraction(1, 2) < Fraction(k, n) < Fraction(2, 3)]
+    grid = range(n // 2 + 1, (2 * n - 1) // 3 + 1)  # 1/2 < k/n < 2/3
     lo_gap = (Fraction(grid[0], n) - Fraction(1, 2)) if grid else Fraction(1, 6)
     hi_gap = (Fraction(2, 3) - Fraction(grid[-1], n)) if grid else Fraction(1, 6)
     delta_lo = lo_gap / (2 ** shrink)
@@ -383,10 +382,13 @@ def general_bounds(a: int, parity_profile: str = "other",
     """Bound family for the general-exponent regime: the b-range bound, the
     r lower bound, the root-of-unity exclusion threshold, and (given b, r)
     the finite c-bracket, which is "Undecided" while log r is not
-    certified positive."""
+    certified positive.  The parity profile is "exactly-one-even" or
+    "other"; anything else raises ValueError."""
     require_prec(prec)
     if a < 2:
         raise ValueError("need a >= 2")
+    if parity_profile not in ("exactly-one-even", "other"):
+        raise ValueError(f"unknown parity profile {parity_profile!r}")
     one_even = parity_profile == "exactly-one-even"
     b_cap = 600 * a * a if one_even else 600 * a * a * 2 ** a
     reports: dict[str, BoundReport] = {}

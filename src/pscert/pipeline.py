@@ -310,9 +310,9 @@ def certify_general_bounds(a: int, parity: str = "other",
 
 def replay_certificate(cert_dict: dict) -> dict:
     """Re-run a certificate's pipeline from its recorded inputs and compare;
-    any difference in steps, verdicts, or conclusion is reported.  A sweep's
-    error certificate (inputs {"instance": [...]}) is re-run as that sweep
-    instance."""
+    any difference in inputs, steps, verdicts, conclusion or caveats is
+    reported.  A sweep's error certificate (inputs {"instance": [...]}) is
+    re-run as that sweep instance."""
     kind = cert_dict["kind"]
     inputs = cert_dict["inputs"]
     prec = 128
@@ -338,7 +338,7 @@ def replay_certificate(cert_dict: dict) -> dict:
     else:
         return {"match": False, "diffs": [f"unknown kind {kind}"]}
     diffs = []
-    for key in ("steps", "conclusion", "caveats"):
+    for key in ("inputs", "steps", "conclusion", "caveats"):
         # canonical JSON so tuple/list round-trips compare equal
         if json.dumps(fd[key], sort_keys=True) != \
                 json.dumps(cert_dict.get(key), sort_keys=True):
@@ -360,7 +360,8 @@ _PAIR_FILTERS = {"6|bc": lambda bc: bc % 6 == 0,
 @dataclass
 class SweepSpec:
     """A sweep: its mode, the ranges it enumerates and the filters on
-    pair-a1.  An unknown mode, range key or filter raises ValueError."""
+    pair-a1.  An unknown mode, range key or filter, or workers other than
+    an int >= 1, raises ValueError."""
     mode: str  # "pair-a1" | "triple" | "mod-p"
     ranges: dict = field(default_factory=dict)
     filters: list = field(default_factory=list)
@@ -376,6 +377,8 @@ class SweepSpec:
         if extra:
             raise ValueError(f"unknown range keys or filters for sweep mode "
                              f"{self.mode!r}: {extra}")
+        if type(self.workers) is not int or self.workers < 1:
+            raise ValueError(f"bad workers {self.workers!r}: need an int >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "SweepSpec":

@@ -53,7 +53,7 @@ class RegSeqVerdict:
     witness: Optional[object] = None
 
 
-def build_p(n: int, ring=ZZ) -> ExactPoly:
+def build_p(n: int) -> ExactPoly:
     """1 + z^n + (-1-z)^n, expanded exactly."""
     coeffs = [0] * (n + 1)
     coeffs[0] += 1
@@ -63,16 +63,16 @@ def build_p(n: int, ring=ZZ) -> ExactPoly:
     for k in range(n + 1):
         coeffs[k] += sign * b
         b = b * (n - k) // (k + 1)
-    return ExactPoly(coeffs, ring)
+    return ExactPoly(coeffs, ZZ)
 
 
-def trivial_factor(n: int, ring=ZZ) -> ExactPoly:
+def trivial_factor(n: int) -> ExactPoly:
     """The factor of P_n supported on {0, -1, omega, omega^2}: z (z + 1)
     if n is odd, times (z^2 + z + 1)^m with m = 0, 2, 1 for n = 0, 1, 2
     mod 3 (omega is a double root of P_n when n = 1 mod 3)."""
-    c = ExactPoly([0, 1, 1] if n % 2 else [1], ring)
+    c = ExactPoly([0, 1, 1] if n % 2 else [1], ZZ)
     for _ in range((0, 2, 1)[n % 3]):
-        c = c * ExactPoly([1, 1, 1], ring)
+        c = c * ExactPoly([1, 1, 1], ZZ)
     return c
 
 
@@ -275,8 +275,7 @@ def _y_existence(q: ExactPoly, exps: tuple[int, int, int]):
     with_root, without = [], []
     # a factor m of q and the binomials (e, c) whose common y-roots over
     # K[x]/(m) are still open; the first two fold into one binomial
-    stack = [(q, [(e, ExactPoly([-1] + [0] * (e - 1) + [-1], ring))
-                  for e in exps])]
+    stack = [(q, [(e, -_one_plus_pow(e, 1, ring)) for e in exps])]
     while stack:
         m, binomials = stack.pop()
         if len(binomials) == 1:
@@ -402,11 +401,11 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     """Existence of a common projective zero of p_a, p_b, p_c over the
     algebraic closure of F_p, for any odd prime p not dividing abc (else
     BadPrime), by exhaustive chart cover: (z=0, y=1) via univariate gcd,
-    the point (1,0,0), and (z=1) by eliminating y with the closed-form
-    resultants of p_a with p_b and with p_c (`_y_resultant`), then a
-    y-existence check on each irreducible factor of their gcd.
-    `factor_mod_p` finds every factor, whatever its multiplicity, and
-    `_y_existence` runs its binomial Euclid over each one; an irreducible
+    the point (1,0,0), and (z=1) by the gcd of the closed-form resultants
+    of p_a with p_b and with p_c (`_y_resultant`): P_b and P_c for a = 1,
+    where y = -1 - x is a common root over every factor of the gcd.  For
+    a >= 2, `_y_existence` runs its binomial Euclid over every irreducible
+    factor from `factor_mod_p`, whatever its multiplicity; an irreducible
     modulus never splits, so each check is a plain yes or no."""
     if not 0 < a < b < c:
         raise ValueError("need 0 < a < b < c")
@@ -421,29 +420,20 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     exps = (a, b, c)
 
     # chart z = 0, y = 1: common root of x^a + 1, x^b + 1, x^c + 1
-    def xk1(k):
-        return ExactPoly([1] + [0] * (k - 1) + [1], ring)
-
-    g0 = poly_gcd(poly_gcd(xk1(a), xk1(b)), xk1(c))
+    fa, fb, fc = (_one_plus_pow(e, 1, ring) for e in exps)
+    g0 = poly_gcd(poly_gcd(fa, fb), fc)
     if g0.degree >= 1:
         return RegSeqVerdict(exps, field, "NotRegular",
                              witness=("chart z=0", g0))
     # the single remaining point (1, 0, 0): p_a = 1 != 0 there, never a zero
 
-    # chart z = 1
-    if a == 1:
-        pb = build_p(b, ring)
-        pc = build_p(c, ring)
-        g = poly_gcd(pb, pc)
-        if g.degree >= 1:
-            return RegSeqVerdict(exps, field, "NotRegular", witness=("chart z=1", g))
-        return RegSeqVerdict(exps, field, "Regular")
-
-    r12 = _y_resultant(a, b, ring)
-    r13 = _y_resultant(a, c, ring)
-    h = poly_gcd(r12, r13)  # both nonzero, as p divides neither b nor c
+    # chart z = 1; both resultants are nonzero, as p divides neither b nor c
+    h = poly_gcd(_y_resultant(a, b, ring), _y_resultant(a, c, ring))
     if h.degree < 1:
         return RegSeqVerdict(exps, field, "Regular")
+    if a == 1:  # y = -1 - x is a common root over every factor of h
+        return RegSeqVerdict(exps, field, "NotRegular",
+                             witness=("chart z=1", h))
     for q, _mult in factor_mod_p(h):
         with_root, _ = _y_existence(q.monic(), exps)
         if with_root:

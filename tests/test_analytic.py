@@ -518,6 +518,13 @@ class TestGeneralBounds:
         with pytest.raises(ValueError):
             general_bounds(1)
 
+    @pytest.mark.parametrize("parity", ["Exactly-One-Even", "odd", ""])
+    def test_unknown_parity_raises(self, parity):
+        with pytest.raises(ValueError, match="parity"):
+            general_bounds(2, parity)
+        with pytest.raises(ValueError, match="parity"):
+            certify_general_bounds(2, parity)
+
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
     def test_log_r_not_positive_leaves_the_c_bracket_undecided(self, p):
         # 21/20 rounded to p bits reaches down to 1, so log r contains 0

@@ -245,7 +245,8 @@ class TestGoldenBytes:
              (3, 10, 100, 4594399), (2, 4, 5, 101))
     MOD_P_CERTS = \
         "564ca5451ccb4dcfdd215e8f59f24ff0f4e5d833280a7859385af153187bb8c0"
-    # the a = 1 mod-p certificates: two chart-z=1 candidates, a chart-z=0
+    # the a = 1 mod-p certificates, recorded while chart z = 1 built P_b and
+    # P_c apart from the resultants: two chart-z=1 candidates, a chart-z=0
     # candidate and an empty instance, concatenated in this order
     A1_MOD_P = ((1, 6, 100, 4594399), (1, 2, 4, 101), (1, 3, 5, 101),
                 (1, 4, 6, 1000003))
@@ -438,6 +439,14 @@ class TestReplay:
         d["steps"][0]["outputs"]["b_strictly_below"] += 1
         assert replay_certificate(d) == {"match": False, "diffs": ["steps"]}
 
+    def test_edited_inputs_detected(self):
+        d = json.loads(certify_a1(8).json_bytes())
+        d["inputs"]["a"] = 2
+        assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
+        d = json.loads(certify_pair(6, 10).json_bytes())
+        d["inputs"]["a"] = 1
+        assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
+
     def test_tampered_certificate_detected(self):
         d = json.loads(certify_a1(8).json_bytes())
         d["conclusion"]["c_lo"] = 1
@@ -521,6 +530,11 @@ class TestSweep:
         assert run_sweep(spec)["instances"] == 9
         with pytest.raises(ValueError, match="worker"):
             SweepSpec.from_dict(dict(d, worker=2))
+
+    @pytest.mark.parametrize("workers", [0, -1, True, False, "2", 2.0, None])
+    def test_workers_must_be_a_positive_int(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            SweepSpec("pair-a1", {"b_max": 6}, [], workers=workers)
 
 
 # one invocation per verb, run in a directory that holds spec.json

@@ -53,7 +53,7 @@ class TestBuild:
         # C_n divides P_n and leaves no zero at 0, -1 or omega behind
         w = ExactPoly([1, 1, 1], QQ)
         for n in range(2, 201):
-            q = build_p(n).to_ring(QQ).exact_div(trivial_factor(n, QQ))
+            q = build_p(n).to_ring(QQ).exact_div(trivial_factor(n).to_ring(QQ))
             assert q(0) != 0 and q(-1) != 0, n
             assert not (q % w).is_zero(), n
 

@@ -23,7 +23,7 @@ from sympy.polys.galoistools import gf_pow_mod
 from pscert import powersum, unipoly
 from pscert.errors import (BadPrime, DivisionFailure, DomainError,
                            RingMismatch, VerificationFailed)
-from pscert.powersum import build_pq
+from pscert.powersum import build_p, build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
                             certify_irreducible, factor_mod_p, poly_gcd,
                             squarefree_part)
@@ -307,8 +307,9 @@ class TestResultant:
         r = resultant_bivariate(f, g)
         assert r == ExactPoly([2, 2, 2], ring)
 
-    # the mod-p deciders of the benchmark; (1, 6, 100, 4594399) makes no
-    # y-resultant call
+    # the mod-p deciders of the benchmark; the digest covers the 16
+    # y-resultants of the a >= 2 instances, and the two of
+    # (1, 6, 100, 4594399) are P_6 and P_100 mod 4594399
     MOD_P = ((2, 9, 40, 1000003), (3, 8, 40, 1000003), (4, 9, 50, 1000003),
              (5, 12, 60, 1000003), (6, 7, 64, 1000003), (2, 3, 100, 4594399),
              (3, 10, 100, 4594399), (1, 6, 100, 4594399), (2, 4, 5, 101))
@@ -318,13 +319,13 @@ class TestResultant:
         "d7f2d8afea7e8d479ce45c58d1a6c274aeca5648ad924dc9521416c37106698f"
 
     def test_bivariate_golden_mod_p_instances(self, monkeypatch):
-        outs = []
+        outs, a1_outs = [], []
 
         real = powersum._y_resultant
 
         def capture(a, b, ring):
             r = real(a, b, ring)
-            outs.append((r.ring, r.coeffs))
+            (a1_outs if a == 1 else outs).append((r.ring, r.coeffs))
             return r
 
         monkeypatch.setattr(powersum, "_y_resultant", capture)
@@ -337,6 +338,9 @@ class TestResultant:
         assert sum(1 for o in outs if o[0] != "instance") == 16
         digest = hashlib.sha256(repr(outs).encode()).hexdigest()
         assert digest == self.MOD_P_RESULTANTS
+        ring = GF(4594399)
+        assert a1_outs == [(ring, build_p(n).to_ring(ring).coeffs)
+                           for n in (6, 100)]
 
     @given(coeffs=st.lists(st.integers(min_value=-50, max_value=50),
                            min_size=1, max_size=9),

@@ -252,6 +252,10 @@ class TestGoldenBytes:
                 (1, 4, 6, 1000003))
     A1_MOD_P_CERTS = \
         "b66d3a01b1b234b7a33ba3c6c41e2f55dfdcd7c4a5637b43da8fff2ddc45aa4e"
+    # `pscert --json pq --n N` then `pscert pq --n N`, for N = 2..60,
+    # concatenated; recorded while Q_n was divided out over QQ
+    PQ_2_60 = \
+        "0950b20dadc255a166d08179e3f7c8772a6ecf523cb574dcf401d5c2a2e15771"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -309,6 +313,14 @@ class TestGoldenBytes:
     def test_roots_json(self, capsys):
         assert main(["roots", "--n", "10", "--json"]) == 0
         assert self.sha(capsys.readouterr().out.encode()) == self.ROOTS_10
+
+    def test_pq_output(self, capsys):
+        out = []
+        for n in range(2, 61):
+            assert main(["--json", "pq", "--n", str(n)]) == 0
+            assert main(["pq", "--n", str(n)]) == 0
+            out.append(capsys.readouterr().out)
+        assert self.sha("".join(out).encode()) == self.PQ_2_60
 
     def test_mod_p_certificates(self):
         blob = b"".join(certify_mod_p(*inst).json_bytes()

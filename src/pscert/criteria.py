@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 from typing import Optional
 
 from .errors import GcdNotOne, VerificationFailed
@@ -177,13 +177,12 @@ def _verified_witness(roots: tuple, a: int, k: int) -> tuple:
 def roots_of_unity_bruteforce(case: int, a: int, b: int) -> bool:
     """Exhaustive oracle: search all tuples of roots of unity of order
     dividing |b - a| using exact sum tests."""
+    if case not in _UNITY_CASES:
+        raise ValueError("case must be 1, 2, or 3")
     k = abs(b - a)
     roots = [UnityRoot(k, j) for j in range(k)]
     one = UnityRoot(1, 0)
-    arity = {1: 1, 2: 2, 3: 3}[case]
-    from itertools import product
-    for tup in product(roots, repeat=arity):
-        terms = [w ** a for w in tup] + [one]
-        if unity_sum_is_zero(terms):
+    for tup in product(roots, repeat=case):  # case c searches c roots
+        if unity_sum_is_zero([w ** a for w in tup] + [one]):
             return True
     return False

@@ -308,41 +308,41 @@ def certify_general_bounds(a: int, parity: str = "other",
 # -- replay -------------------------------------------------------------------
 
 
+# the named inputs of each sweep kind, in the order `_run_instance` takes them
+_INSTANCE_INPUTS = {"pair": ("b", "c"), "triple": ("a", "b", "c"),
+                    "mod-p": ("a", "b", "c", "p")}
+
+
 def replay_certificate(cert_dict: dict) -> dict:
-    """Re-run a certificate's pipeline from its recorded inputs and compare;
-    any difference in inputs, steps, verdicts, conclusion or caveats is
-    reported.  A sweep's error certificate (inputs {"instance": [...]}) is
-    re-run as that sweep instance."""
-    kind = cert_dict["kind"]
-    inputs = cert_dict["inputs"]
-    prec = 128
-    for entry in cert_dict.get("precision_trace", []):
-        prec = entry["prec"]
-        break
-    if "instance" in inputs:
-        fd = json.loads(_run_instance((kind, *inputs["instance"]))[1])
-    elif kind == "a1-pipeline":
-        fd = certify_a1(inputs["b"], prec=prec).as_dict()
-    elif kind == "pair":
-        fd = certify_pair(inputs["b"], inputs["c"]).as_dict()
-    elif kind == "triple":
-        fd = certify_triple(inputs["a"], inputs["b"], inputs["c"]).as_dict()
-    elif kind == "mod-p":
-        fd = certify_mod_p(inputs["a"], inputs["b"], inputs["c"],
-                           inputs["p"]).as_dict()
-    elif kind == "general-bounds":
-        r = inputs.get("r")
-        fd = certify_general_bounds(
-            inputs["a"], inputs.get("parity", "other"), inputs.get("b"),
-            interval_from_json(r) if r else None, prec=prec).as_dict()
-    else:
-        return {"match": False, "diffs": [f"unknown kind {kind}"]}
-    diffs = []
-    for key in ("inputs", "steps", "conclusion", "caveats"):
-        # canonical JSON so tuple/list round-trips compare equal
-        if json.dumps(fd[key], sort_keys=True) != \
-                json.dumps(cert_dict.get(key), sort_keys=True):
-            diffs.append(key)
+    """Re-run a certificate from its recorded inputs and return the
+    top-level keys whose canonical JSON differs from the record as diffs.
+    Pair, triple and mod-p certificates re-run through the sweep's runner
+    `_run_instance` (a sweep's error certificate from inputs["instance"]);
+    a1-pipeline and general-bounds at their first precision_trace entry's
+    precision (128 if none).  Missing or rejected inputs give the diffs
+    ["inputs"], and an unknown kind the diff "unknown kind <kind>"."""
+    kind, inputs = cert_dict.get("kind"), cert_dict.get("inputs")
+    try:
+        prec = (cert_dict.get("precision_trace") or [{"prec": 128}])[0]["prec"]
+        if kind in _INSTANCE_INPUTS:
+            inst = (inputs["instance"] if "instance" in inputs
+                    else [inputs[k] for k in _INSTANCE_INPUTS[kind]])
+            fd = json.loads(_run_instance((kind, *inst))[1])
+        elif kind == "a1-pipeline":
+            fd = certify_a1(inputs["b"], prec=prec).as_dict()
+        elif kind == "general-bounds":
+            r = inputs["r"]
+            r = None if r is None else interval_from_json(r)
+            fd = certify_general_bounds(inputs["a"], inputs["parity"],
+                                        inputs["b"], r, prec=prec).as_dict()
+        else:
+            return {"match": False, "diffs": [f"unknown kind {kind}"]}
+    except (KeyError, TypeError, ValueError):
+        return {"match": False, "diffs": ["inputs"]}
+    # canonical JSON so tuple/list round-trips compare equal
+    diffs = [key for key in sorted(fd.keys() | cert_dict.keys())
+             if json.dumps(fd.get(key), sort_keys=True)
+             != json.dumps(cert_dict.get(key), sort_keys=True)]
     return {"match": not diffs, "diffs": diffs}
 
 

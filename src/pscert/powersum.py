@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .errors import BadPrime, DivisionFailure, VerificationFailed
+from .errors import BadPrime, VerificationFailed
 from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, _is_prime, _w_form,
                       factor_mod_p, poly_gcd, squarefree_part)
 
@@ -23,7 +23,7 @@ class PQDecomposition:
     n: int
     P: ExactPoly  # over ZZ
     C: ExactPoly  # over ZZ
-    Q: ExactPoly  # over QQ, P = C * Q exactly
+    Q: ExactPoly  # over ZZ, P = C * Q exactly
     Q_zz: ExactPoly  # over ZZ, the primitive part of Q (positive leading)
     R: ExactPoly  # over ZZ, the invariant form: Q_zz = w^(2k) R(W / w^2)
 
@@ -105,10 +105,7 @@ def _pq(n: int) -> PQDecomposition:
     VerificationFailed unless the identity holds exactly."""
     P = build_p(n)
     C = trivial_factor(n)
-    try:
-        Q = P.to_ring(QQ).exact_div(C.to_ring(QQ))
-    except DivisionFailure as exc:  # pragma: no cover - would be a bug
-        raise DivisionFailure(f"C_{n} does not divide P_{n}") from exc
+    Q = P.exact_div(C)  # exact over ZZ, since C is monic
     Q_zz = Q.primitive_part()
     return PQDecomposition(n, P, C, Q, Q_zz, _invariant_form(Q_zz))
 

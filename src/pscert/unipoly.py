@@ -49,6 +49,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
 from .errors import (BadPrime, DivisionFailure, DomainError, RingMismatch,
@@ -174,16 +175,17 @@ class ExactPoly:
     # -- arithmetic -----------------------------------------------------------
 
     def __add__(self, other):
-        other = self._coerce(other)
-        self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly([self[i] + other[i] for i in range(n)], self.ring)
+        return ExactPoly([a + b for a, b in self._aligned(other)], self.ring)
 
     def __sub__(self, other):
+        return ExactPoly([a - b for a, b in self._aligned(other)], self.ring)
+
+    def _aligned(self, other):
+        """Coefficient pairs of self and other, the shorter padded with 0."""
         other = self._coerce(other)
         self._check(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ExactPoly([self[i] - other[i] for i in range(n)], self.ring)
+        return zip_longest(self.coeffs, other.coeffs,
+                           fillvalue=_zero(self.ring))
 
     def __neg__(self):
         return ExactPoly([-c for c in self.coeffs], self.ring)

@@ -127,3 +127,7 @@ class TestRootsOfUnity:
     def test_invalid_case(self):
         with pytest.raises(ValueError):
             roots_of_unity_case(4, 1, 2)
+
+    def test_bruteforce_invalid_case(self):
+        with pytest.raises(ValueError, match="case must be 1, 2, or 3"):
+            roots_of_unity_bruteforce(4, 1, 2)

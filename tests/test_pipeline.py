@@ -464,6 +464,56 @@ class TestReplay:
         d["conclusion"]["c_lo"] = 1
         assert not replay_certificate(d)["match"]
 
+    @pytest.mark.parametrize("key, edit", [
+        ("precision_trace", lambda d: d["precision_trace"][1].update(
+            prec=4096)),
+        ("schema", lambda d: d.update(schema=7)),
+        ("tool", lambda d: d["tool"].update(version="0.0.9")),
+    ])
+    def test_every_top_level_key_compared(self, key, edit):
+        d = json.loads(certify_a1(8).json_bytes())
+        edit(d)
+        result = replay_certificate(d)
+        assert not result["match"] and key in result["diffs"]
+
+    def test_missing_input_is_an_inputs_diff(self):
+        d = json.loads(certify_pair(6, 10).json_bytes())
+        del d["inputs"]["c"]
+        assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
+
+    def test_rejected_input_is_an_inputs_diff(self):
+        d = json.loads(certify_general_bounds(3, "exactly-one-even")
+                       .json_bytes())
+        d["inputs"]["parity"] = "odd"
+        assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
+
+    def test_unknown_kind(self):
+        d = json.loads(certify_pair(6, 10).json_bytes())
+        d["kind"] = "quadruple"
+        assert replay_certificate(d) == {"match": False,
+                                         "diffs": ["unknown kind quadruple"]}
+
+    @pytest.mark.parametrize("mode, ranges, edit, key", [
+        ("pair-a1", {"b_max": 8},
+         lambda d: d["steps"][0].update(verdict="edited"), "steps"),
+        ("triple", {"sum_max": 9},
+         lambda d: d["conclusion"].update(status="edited"), "conclusion"),
+        ("mod-p", {"instances": [{"exps": [1, 6, 10], "p": 25},
+                                 {"exps": [1, 2, 4], "p": 101},
+                                 {"exps": [2, 4, 5], "p": 101}]},
+         lambda d: d["conclusion"].update(status="edited"), "conclusion"),
+    ])
+    def test_sweep_files_replay(self, tmp_path, mode, ranges, edit, key):
+        run_sweep(SweepSpec(mode, ranges, outdir=str(tmp_path)))
+        files = sorted(tmp_path.iterdir())
+        assert files
+        for f in files:
+            d = json.loads(f.read_bytes())
+            assert replay_certificate(d) == {"match": True, "diffs": []}, f
+            edit(d)
+            result = replay_certificate(d)
+            assert not result["match"] and key in result["diffs"], f
+
 
 class TestSweep:
     def test_pair_sweep_counts(self, tmp_path):

@@ -32,6 +32,13 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
 
 
+def _by_index(f: ExactPoly, g: ExactPoly, op) -> ExactPoly:
+    """f + g or f - g (op) by the per-index definition: coefficient i of
+    each operand through __getitem__, 0 past its end."""
+    n = max(len(f.coeffs), len(g.coeffs))
+    return ExactPoly([op(f[i], g[i]) for i in range(n)], f.ring)
+
+
 def _nonzero(p: ExactPoly) -> bool:
     return not p.is_zero()
 
@@ -210,6 +217,27 @@ class TestArithmetic:
     def test_primitive_part(self):
         f = ExactPoly([Fraction(2, 3), Fraction(4, 3)], QQ)
         assert f.primitive_part() == ExactPoly([1, 2], ZZ)
+
+    @given(ring=st.sampled_from([ZZ, QQ, GF(7), GF(4594399)]),
+           low=st.lists(st.integers(-50, 50), max_size=6),
+           other=st.lists(st.integers(-50, 50), max_size=6),
+           top=st.lists(st.integers(-50, 50), max_size=4),
+           den=st.integers(1, 6))
+    @settings(max_examples=100, deadline=None)
+    def test_add_sub_match_the_per_index_definition(self, ring, low, other,
+                                                    top, den):
+        scale = Fraction(1, den) if ring == QQ else 1
+
+        def poly(coeffs):
+            return ExactPoly([c * scale for c in coeffs], ring)
+        # f and g share their top coefficients, so f - g and f + (-g)
+        # cancel there; h has its own length
+        f = poly(low + top)
+        g = poly((other + [0] * len(low))[:len(low)] + top)
+        h = poly(other)
+        for x, y in ((f, g), (f, -g), (g, f), (f, h), (h, f), (h, h)):
+            assert x + y == _by_index(x, y, lambda a, b: a + b)
+            assert x - y == _by_index(x, y, lambda a, b: a - b)
 
     @given(f=small_polys, g=small_polys)
     @settings(max_examples=50, deadline=None)

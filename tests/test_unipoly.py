@@ -4,6 +4,7 @@ power-sum binomials over K[x]/(q)."""
 
 import hashlib
 import json
+import operator
 import os
 import random
 import subprocess
@@ -33,8 +34,9 @@ small_polys = st.lists(st.integers(min_value=-9, max_value=9),
 
 
 def _by_index(f: ExactPoly, g: ExactPoly, op) -> ExactPoly:
-    """f + g or f - g (op) by the per-index definition: coefficient i of
-    each operand through __getitem__, 0 past its end."""
+    """f + g or f - g (op = operator.add or sub) by the per-index
+    definition: coefficient i of each operand through __getitem__, which
+    reads 0 past the end."""
     n = max(len(f.coeffs), len(g.coeffs))
     return ExactPoly([op(f[i], g[i]) for i in range(n)], f.ring)
 
@@ -236,8 +238,8 @@ class TestArithmetic:
         g = poly((other + [0] * len(low))[:len(low)] + top)
         h = poly(other)
         for x, y in ((f, g), (f, -g), (g, f), (f, h), (h, f), (h, h)):
-            assert x + y == _by_index(x, y, lambda a, b: a + b)
-            assert x - y == _by_index(x, y, lambda a, b: a - b)
+            assert x + y == _by_index(x, y, operator.add)
+            assert x - y == _by_index(x, y, operator.sub)
 
     @given(f=small_polys, g=small_polys)
     @settings(max_examples=50, deadline=None)

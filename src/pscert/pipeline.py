@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
                        general_bounds, lmn3_c_max, max_modulus)
@@ -360,8 +360,10 @@ _PAIR_FILTERS = {"6|bc": lambda bc: bc % 6 == 0,
 @dataclass
 class SweepSpec:
     """A sweep: its mode, the ranges it enumerates and the filters on
-    pair-a1.  An unknown mode, range key or filter, or workers other than
-    an int >= 1, raises ValueError."""
+    pair-a1.  An unknown mode, range key or filter, a range value that is
+    not an int (b_max, c_max, sum_max), a triple or mod-p exps that is not
+    three ints, a mod-p p that is not an int, or workers other than an
+    int >= 1, raises ValueError.  A bool is not an int here."""
     mode: str  # "pair-a1" | "triple" | "mod-p"
     ranges: dict = field(default_factory=dict)
     filters: list = field(default_factory=list)
@@ -377,6 +379,19 @@ class SweepSpec:
         if extra:
             raise ValueError(f"unknown range keys or filters for sweep mode "
                              f"{self.mode!r}: {extra}")
+        bad = [f"{k}={v!r}" for k, v in self.ranges.items()
+               if k in ("b_max", "c_max", "sum_max") and type(v) is not int]
+        if self.ranges.get("triples") is not None:
+            bad += [repr(t) for t in _entries(self.ranges["triples"])
+                    if not _ints(t, 3)]
+        for inst in _entries(self.ranges.get("instances", [])):
+            if (not isinstance(inst, dict) or set(inst) != {"exps", "p"}
+                    or not _ints(inst["exps"], 3)
+                    or type(inst["p"]) is not int):
+                bad.append(repr(inst))
+        if bad:
+            raise ValueError(f"bad sweep instance values for mode "
+                             f"{self.mode!r}: {bad}")
         if type(self.workers) is not int or self.workers < 1:
             raise ValueError(f"bad workers {self.workers!r}: need an int >= 1")
 
@@ -386,6 +401,17 @@ class SweepSpec:
         if extra:
             raise ValueError(f"unknown sweep spec keys {extra}")
         return cls(**d)
+
+
+def _entries(v) -> list:
+    """A list or tuple of entries as a list; anything else as one entry."""
+    return list(v) if isinstance(v, (list, tuple)) else [v]
+
+
+def _ints(v, n: int) -> bool:
+    """Whether v is a list or tuple of n ints, no bool among them."""
+    return (isinstance(v, (list, tuple)) and len(v) == n
+            and all(type(x) is int for x in v))
 
 
 def _sweep_instances(spec: SweepSpec) -> list[tuple]:
@@ -425,26 +451,38 @@ def _run_instance(inst: tuple) -> tuple[str, bytes, str]:
         return name, err.json_bytes(), "undecided"
 
 
-def run_sweep(spec: SweepSpec) -> dict:
-    """Run every instance of the sweep, write one certificate file per
-    instance (if an output directory is set), and return the summary.
-    Output is deterministic and independent of the worker count: results
-    are collected in input order."""
-    instances = _sweep_instances(spec)
+def _results(spec: SweepSpec, instances: list) -> Iterator[tuple]:
+    """Each instance's (file name, certificate bytes, status), in instance
+    order, as the runs complete."""
     if spec.workers > 1 and len(instances) > 1:
         # imported only here, so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            results = list(pool.map(_run_instance, instances, chunksize=8))
+            yield from pool.map(_run_instance, instances, chunksize=8)
     else:
-        results = [_run_instance(i) for i in instances]
+        yield from map(_run_instance, instances)
+
+
+def run_sweep(spec: SweepSpec) -> dict:
+    """Run every instance of the sweep, write one certificate file per
+    instance (if an output directory is set), and return the summary.
+
+    The output directory is made before the first instance runs, so a bad
+    one fails at once.  Each file is written as soon as its instance
+    completes, in instance order, and nothing keeps the certificates
+    after that: an interrupted sweep leaves a prefix of complete files,
+    and at one worker memory does not grow with the instance count.  At
+    more than one worker the pool takes every chunk up front, so results
+    that finish ahead of the one being written wait in memory.  Output is
+    deterministic and independent of the worker count."""
+    instances = _sweep_instances(spec)
+    out = Path(spec.outdir) if spec.outdir else None
+    if out:
+        out.mkdir(parents=True, exist_ok=True)
     counts = {"empty": 0, "nonempty-trivial": 0, "candidate": 0,
               "undecided": 0}
-    if spec.outdir:
-        out = Path(spec.outdir)
-        out.mkdir(parents=True, exist_ok=True)
-    for name, blob, status in results:
+    for name, blob, status in _results(spec, instances):
         counts[status] = counts.get(status, 0) + 1
-        if spec.outdir:
-            (Path(spec.outdir) / name).write_bytes(blob)
-    return {"mode": spec.mode, "instances": len(results), "counts": counts}
+        if out:
+            (out / name).write_bytes(blob)
+    return {"mode": spec.mode, "instances": len(instances), "counts": counts}

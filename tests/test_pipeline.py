@@ -540,14 +540,62 @@ class TestSweep:
                           for f in sorted(out.iterdir())})
         assert blobs[0] == blobs[1]
 
-    def test_serial_import_leaves_multiprocessing_out(self):
+    def test_serial_import_leaves_multiprocessing_out(self, tmp_path):
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        code = ("import sys, pscert.pipeline; "
-                "print('multiprocessing' in sys.modules)")
+        code = ("import sys, pscert.pipeline as p; "
+                "s = p.SweepSpec('pair-a1', {'b_max': 6, 'c_max': 8}, "
+                f"['6|bc'], outdir={str(tmp_path)!r}); "
+                "pools = {'multiprocessing', 'concurrent.futures'}; "
+                "print(p.run_sweep(s)['instances'], "
+                "sorted(pools & set(sys.modules)))")
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src})
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "9 []"
+        assert len(list(tmp_path.iterdir())) == 9
+
+    def test_files_appear_as_instances_complete(self, tmp_path, monkeypatch):
+        # at one worker, instance k starts once the k files before it exist
+        run, seen = pipeline._run_instance, []
+
+        def recording(inst):
+            seen.append(len(list(tmp_path.iterdir())))
+            return run(inst)
+
+        monkeypatch.setattr(pipeline, "_run_instance", recording)
+        spec = SweepSpec("pair-a1", {"b_max": 8}, outdir=str(tmp_path))
+        n = run_sweep(spec)["instances"]
+        assert n > 0 and seen == list(range(n))
+
+    def test_interrupted_sweep_leaves_a_prefix(self, tmp_path, monkeypatch):
+        run, names = pipeline._run_instance, []
+
+        def interrupted(inst):
+            if len(names) == 5:
+                raise InterruptedError
+            result = run(inst)
+            names.append(result[0])
+            return result
+
+        monkeypatch.setattr(pipeline, "_run_instance", interrupted)
+        with pytest.raises(InterruptedError):
+            run_sweep(SweepSpec("triple", {"sum_max": 12},
+                                outdir=str(tmp_path)))
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(names)
+        monkeypatch.undo()  # replay runs through the real runner
+        for f in tmp_path.iterdir():
+            assert replay_certificate(json.loads(f.read_bytes()))["match"]
+
+    def test_outdir_that_is_a_file_fails_first(self, tmp_path, monkeypatch):
+        run, calls = pipeline._run_instance, []
+        monkeypatch.setattr(pipeline, "_run_instance",
+                            lambda inst: calls.append(inst) or run(inst))
+        target = tmp_path / "certs"
+        target.write_bytes(b"")
+        with pytest.raises(FileExistsError):
+            run_sweep(SweepSpec("pair-a1", {"b_max": 8},
+                                outdir=str(target)))
+        assert calls == []
 
     def test_mod_p_sweep(self):
         spec = SweepSpec("mod-p", {"instances": [
@@ -580,6 +628,24 @@ class TestSweep:
         ("triple", {"b_max": 9}, []),
         ("mod-p", {"instance": []}, []),
         ("pairs", {}, []),
+        # instance values that are not ints; a bool is not an int
+        ("pair-a1", {"b_max": True}, []),
+        ("pair-a1", {"b_max": 6, "c_max": 8.0}, []),
+        ("pair-a1", {"b_max": "6"}, []),
+        ("triple", {"sum_max": None}, []),
+        ("triple", {"triples": [[1, 2, "3"]]}, []),
+        ("triple", {"triples": [[1, 2, 3], [1, 2]]}, []),
+        ("triple", {"triples": [(1, 2, True)]}, []),
+        ("triple", {"triples": "123"}, []),
+        ("mod-p", {"instances": [{"exps": [True, 6, 10], "p": 101}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6, "a/b"], "p": 101}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6], "p": 101}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6, 10], "p": 101.0}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6, 10], "p": "101"}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6, 10]}]}, []),
+        ("mod-p", {"instances": [{"exps": [1, 6, 10], "p": 101, "q": 1}]},
+         []),
+        ("mod-p", {"instances": [[1, 6, 10, 101]]}, []),
     ])
     def test_unknown_spec_entries_raise(self, mode, ranges, filters):
         with pytest.raises(ValueError):

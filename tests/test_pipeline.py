@@ -256,6 +256,11 @@ class TestGoldenBytes:
     # concatenated; recorded while Q_n was divided out over QQ
     PQ_2_60 = \
         "0950b20dadc255a166d08179e3f7c8772a6ecf523cb574dcf401d5c2a2e15771"
+    # repr(_rho_bracket(n, i, bits)) for every segment root of n = 2..60,
+    # concatenated by n, then bits in (128, 256), then root index: 542
+    # brackets, recorded while `_refine` evaluated S_n and S_n' apart
+    RHO_BRACKETS_2_60 = \
+        "c534ee037bec0287812d82ed1114d2332bed11d6821dcc75af944c0e65da44cc"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -321,6 +326,12 @@ class TestGoldenBytes:
             assert main(["pq", "--n", str(n)]) == 0
             out.append(capsys.readouterr().out)
         assert self.sha("".join(out).encode()) == self.PQ_2_60
+
+    def test_rho_brackets(self):
+        blob = "".join(repr(analytic._rho_bracket(n, i, bits))
+                       for n in range(2, 61) for bits in (128, 256)
+                       for i in range(len(analytic._segment_form(n)[1])))
+        assert self.sha(blob.encode()) == self.RHO_BRACKETS_2_60
 
     def test_mod_p_certificates(self):
         blob = b"".join(certify_mod_p(*inst).json_bytes()

@@ -877,6 +877,14 @@ class TestIrreducibility:
         assert cert.verdict == "Irreducible"
         assert p0 not in cert.primes
 
+    def test_first_primes_above_2_30(self):
+        # the primes every certificate draws from, recorded while each
+        # search ran Miller-Rabin afresh
+        primes = [p for p, _ in zip(unipoly._primes_from((1 << 30) + 1),
+                                    range(48))]
+        assert hashlib.sha256(repr(primes).encode()).hexdigest() == \
+            "aa518f65aa911d03188684dc9f6e91ff51c863b502447b7d1fef36af14d2a121"
+
     def test_patterns_consistent(self):
         f = ExactPoly([2, 0, 0, 0, 0, 0, 1], ZZ)
         cert = certify_irreducible(f)

@@ -88,6 +88,18 @@ def _scaled(s, x: int, b: int) -> int:
     return acc
 
 
+def _scaled_with_slope(s, x: int, b: int) -> tuple[int, int]:
+    """`_scaled(s, x, b)` and `_scaled(ds, x, b)` for the derivative ds of
+    s, from one Horner pass: 2^(b d) s(y) is F(x) = sum s_i x^i 2^(b (d - i))
+    at y = x / 2^b, and the pass carries F' = 2^(b (d - 1)) s'(y) along."""
+    acc, slope, scale = 0, 0, 1
+    for c in reversed(s):
+        slope = slope * x + acc
+        acc = acc * x + c * scale
+        scale <<= b
+    return acc, slope
+
+
 @lru_cache(maxsize=None)
 def _segment_form(n: int) -> tuple[tuple[int, ...], tuple]:
     """S_n and one bracket per segment root, certified by the count law.
@@ -138,23 +150,28 @@ def _refine(s, lo: int, hi: int, b: int, sign_lo: int, bits: int) -> tuple:
     Newton point x is accepted only after s is checked to change sign
     strictly between x - 1 and x + 1, inside the current bracket; otherwise
     one exact bisection step is taken.  The bracket never leaves the
-    starting one, so it keeps its single root."""
-    ds = [i * c for i, c in enumerate(s)][1:]
+    starting one, so it keeps its single root.
+
+    Each round evaluates s and s' at the midpoint once, in one Horner pass,
+    and the bisection step reuses that value of s.  The sign check reads
+    s(x + 1) only when s(x - 1) has sign_lo: the one simple root makes the
+    sign sign_lo left of it and -sign_lo right of it, so a sign change
+    between x - 1 and x + 1 needs exactly that, and the check accepts the
+    same points as sign(s(x - 1)) * sign(s(x + 1)) < 0 would."""
     while b < bits or hi - lo > 2:
         if b < bits:
             nb = min(max(2 * b, 32), bits)
             lo, hi, b = lo << (nb - b), hi << (nb - b), nb
-        x = (lo + hi) // 2
-        slope = _scaled(ds, x, b)
-        if slope:
-            x -= _scaled(s, x, b) // slope
-            if lo <= x - 1 and x + 1 <= hi:
-                sign_x = _int_sign(_scaled(s, x - 1, b))
-                if sign_x * _int_sign(_scaled(s, x + 1, b)) < 0:
-                    lo, hi, sign_lo = x - 1, x + 1, sign_x
-                    continue
         mid = (lo + hi) // 2
-        sign_mid = _int_sign(_scaled(s, mid, b))
+        value, slope = _scaled_with_slope(s, mid, b)
+        if slope:
+            x = mid - value // slope
+            if (lo <= x - 1 and x + 1 <= hi
+                    and _int_sign(_scaled(s, x - 1, b)) == sign_lo
+                    and _int_sign(_scaled(s, x + 1, b)) == -sign_lo):
+                lo, hi = x - 1, x + 1
+                continue
+        sign_mid = _int_sign(value)
         if sign_mid == 0:  # the root is mid itself
             lo, hi = mid - 1, mid + 1
             sign_lo = _int_sign(_scaled(s, lo, b))

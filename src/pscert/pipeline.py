@@ -10,6 +10,7 @@ dyadics, so replay comparisons can be byte-for-byte.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
@@ -451,14 +452,29 @@ def _run_instance(inst: tuple) -> tuple[str, bytes, str]:
         return name, err.json_bytes(), "undecided"
 
 
+_CHUNK = 8  # instances per task handed to a sweep worker
+
+
+def _run_chunk(chunk: list) -> list[tuple[str, bytes, str]]:
+    return [_run_instance(inst) for inst in chunk]
+
+
 def _results(spec: SweepSpec, instances: list) -> Iterator[tuple]:
     """Each instance's (file name, certificate bytes, status), in instance
-    order, as the runs complete."""
+    order, as the runs complete.  At more than one worker the pool holds at
+    most 2 * workers chunks beyond the one whose results are being taken."""
     if spec.workers > 1 and len(instances) > 1:
         # imported only here, so that serial runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            yield from pool.map(_run_instance, instances, chunksize=8)
+            pending = deque()
+            for i in range(0, len(instances), _CHUNK):
+                pending.append(pool.submit(_run_chunk,
+                                           instances[i:i + _CHUNK]))
+                if len(pending) > 2 * spec.workers:
+                    yield from pending.popleft().result()
+            while pending:
+                yield from pending.popleft().result()
     else:
         yield from map(_run_instance, instances)
 
@@ -471,9 +487,8 @@ def run_sweep(spec: SweepSpec) -> dict:
     one fails at once.  Each file is written as soon as its instance
     completes, in instance order, and nothing keeps the certificates
     after that: an interrupted sweep leaves a prefix of complete files,
-    and at one worker memory does not grow with the instance count.  At
-    more than one worker the pool takes every chunk up front, so results
-    that finish ahead of the one being written wait in memory.  Output is
+    and the certificates waiting in memory stay bounded in number as the
+    instance count grows, at any worker count (`_results`).  Output is
     deterministic and independent of the worker count."""
     instances = _sweep_instances(spec)
     out = Path(spec.outdir) if spec.outdir else None

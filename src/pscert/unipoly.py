@@ -21,11 +21,13 @@ sits in bits [i*w, (i+1)*w) of a Python int, and w is the bit length of
 terms * (p - 1)**2, where `terms` bounds the number of residue products
 that meet in one slot.  No slot can then carry into the next, so unpacking
 each slot and reducing it mod p gives the exact product.  Modulo f of
-degree n, `_FpModulus` keeps the packed rows x^(n+k) mod f: the high half
-of a product, reduced mod p, is folded into the packed low half as
-sum c_k * row_k and the sum is unpacked once.  A low slot then holds at
-most n product terms plus n - 1 row terms, so slots are sized for 2n - 1
-terms, which is at most 2*bits(p) + bits(2n) bits.
+degree n, `_FpModulus` keeps the packed rows x^(n+k) mod f: each high slot
+of a product is read, reduced mod p and folded into the packed low half as
+c_k * row_k.  A low slot then holds at most 2n - 1 terms, so slots are
+sized for 2n - 1 terms, which is at most 2*bits(p) + bits(2n) bits.  A
+list result unpacks the low half once; the chains of products (x^p mod f,
+the Frobenius rows) reduce each low slot mod p in place and stay packed
+from one product to the next.
 
 One distinct-degree kernel serves both F_p consumers.  It applies the
 Frobenius map h -> h^p mod f as sum h_i * row_i over the packed rows
@@ -33,11 +35,13 @@ x^(i*p) mod f and yields the blocks (d, product of the degree-d factors).
 It takes one gcd per run of up to four degrees, with the product of their
 h_d - x mod f, and splits that gcd by degree only when it is nontrivial.
 Euclid takes its usual step, a quotient of degree 1, as one reduced pass,
-and x^p mod f squares the monomials x^j, 2j < n, by building the list.
-The irreducibility certificate reads its factor-degree patterns straight
-from the blocks; for a polynomial H(z^2 + z), such as the cofactors Q_n,
-it runs the kernel on H at half the degree and splits each block by the
-quadratic character of 1 + 4w (`_w_form`).  `factor_mod_p` splits the
+and x^p mod f squares the monomials x^j, 2j < n, by a shift.  The
+irreducibility certificate tries the primes above 2^30 in order, each
+certified by Miller-Rabin once per process (`_next_prime` is cached), and
+reads its factor-degree patterns straight from the blocks; for a
+polynomial H(z^2 + z), such as the cofactors Q_n, it runs the kernel on H
+at half the degree and splits each block by the quadratic character of
+1 + 4w (`_w_form`).  `factor_mod_p` splits the
 blocks further by Cantor-Zassenhaus equal-degree splitting, at most 64
 seeded draws per split before `VerificationFailed`.
 """
@@ -49,6 +53,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
@@ -415,88 +420,97 @@ def _fp_gcd(a: list, b: list, p: int) -> list:
 
 class _FpModulus:
     """Arithmetic modulo a fixed f of degree n >= 1 over F_p, on lists of
-    length at most n.
+    length at most n, or on such lists packed at this modulus's slot width.
 
-    A product of two such lists has length at most 2n - 1.  Its high half
-    reduces by the packed rows x^(n+k) mod f, k = 0 .. n-2: coefficient k
-    of the high half, reduced mod p, times row k is added to the packed low
-    half, and the sum is unpacked once.  A low slot then holds at most n
-    product terms plus n - 1 row terms, so slots of `_slot_bits(p, 2n - 1)`
-    never carry; since 2n - 1 < 2n the width is at most
-    2 * bits(p) + bits(2n).  The same width serves `apply`, whose slots
-    take at most n terms."""
+    A packed product has at most 2n slots.  Its high half reduces by the
+    packed rows x^(n+k) mod f, k = 0 .. n-1 (`_fold`): each high slot is
+    read, reduced mod p and added to the packed low half as that multiple
+    of row k.  A low slot then holds at most 2n - 1 terms: for a product of
+    two lists of length n, n product terms plus n - 1 row terms; for such a
+    product times x, n - 1 product terms plus n row terms.  So slots of
+    `_slot_bits(p, 2n - 1)` never carry; since 2n - 1 < 2n the width is at
+    most 2 * bits(p) + bits(2n).  The same width serves `apply`, whose
+    slots take at most n terms."""
 
-    __slots__ = ("f", "p", "n", "w", "low_mask", "top", "rows")
+    __slots__ = ("f", "p", "n", "w", "mask", "low_mask", "rows")
 
     def __init__(self, f: list, p: int):
         n = len(f) - 1
         self.f, self.p, self.n = f, p, n
         self.w = w = _slot_bits(p, 2 * n - 1)
+        self.mask = (1 << w) - 1
         self.low_mask = (1 << (n * w)) - 1
         inv = pow(f[-1], -1, p)
-        self.top = top = [(p - c) * inv % p for c in f[:-1]]  # x^n mod f
-        row, self.rows = top, []
+        # x^n mod f, then each row x times the last, whose slot n folds
+        # by row 0
+        self.rows = [_pack([(p - c) * inv % p for c in f[:-1]], w)]
         for _ in range(n - 1):
-            self.rows.append(_pack(row, w))
-            c = row[-1]  # x * row, with c * x^n replaced by c * top
-            row = [(u + c * t) % p for u, t in zip([0] + row[:-1], top)]
+            self.rows.append(self._reduce(self.rows[-1] << w))
 
     def mulmod(self, a: list, b: list) -> list:
         if not a or not b:
             return []
         x = _pack(a, self.w)
         x = x * x if a is b else x * _pack(b, self.w)
-        return self._reduce(x, len(a) + len(b) - 1)
+        return _fp_trim(_unpack(self._fold(x), self.w, self.n, self.p))
 
-    def _reduce(self, x: int, m: int) -> list:
-        """The packed product x of m slots, reduced mod f and unpacked."""
-        p, n, w = self.p, self.n, self.w
-        if m > n:
-            high = _unpack(x >> (n * w), w, m - n, p)
-            x = sum(map(operator.mul, high, self.rows), x & self.low_mask)
-            m = n
-        return _fp_trim(_unpack(x, w, m, p))
+    def _fold(self, x: int) -> int:
+        """The packed product x with its high slots folded into the low
+        half, lowest first, as each is read: n slots, not yet reduced mod
+        p."""
+        p, w, mask = self.p, self.w, self.mask
+        high = x >> (self.n * w)
+        x &= self.low_mask
+        for row in self.rows:
+            if not high:
+                break
+            x += (high & mask) % p * row
+            high >>= w
+        return x
 
-    def _times_x(self, a: list) -> list:
-        """x * a mod f: a shift, and c x^n replaced by c * top."""
-        if len(a) < self.n:
-            return [0] + a if a else []
-        c = a[-1]
-        return _fp_trim([(u + c * t) % self.p
-                         for u, t in zip([0] + a[:-1], self.top)])
+    def _reduce(self, x: int) -> int:
+        """The packed product x reduced mod f and left packed: each slot of
+        its fold is reduced mod p where it sits."""
+        x = self._fold(x)
+        p, w, mask = self.p, self.w, self.mask
+        out = 0
+        for s in range(0, x.bit_length(), w):
+            out |= (((x >> s) & mask) % p) << s
+        return out
 
     def powmod(self, a: list, e: int) -> list:
-        """a^e mod f, by left-to-right square and multiply.  For a = x, out
-        is the monomial x^j while 2j < n, so squaring it only builds the
-        list, and each multiply is `_times_x`.  j never shrinks, so once
-        2j >= n, when the first reduction happens, out squares by `mulmod`
-        for good."""
-        if len(a) > self.n:
+        """a^e mod f, by left-to-right square and multiply, on packed values
+        that are unpacked once at the end.  For a = x, out is the monomial
+        x^j while 2j < n, so squaring it and multiplying it by x only shift
+        it; after that each multiply by x shifts the square before its one
+        reduction."""
+        n, w = self.n, self.w
+        if len(a) > n:
             a = _fp_divmod(a, self.f, self.p)[1]
         by_x = a == [0, 1]
-        j = 0 if by_x else self.n
-        out = [1]
+        j = 0 if by_x else n
+        ax = _pack(a, w)
+        out = 1
         for bit in bin(e)[2:]:
-            if 2 * j < self.n:
-                j *= 2
-                out = [0] * j + [1]
-            else:
-                out = self.mulmod(out, out)
+            if 2 * j < n:
+                j = 2 * j + (bit == "1")
+                out = 1 << (j * w)
+                if j == n:
+                    out = self._reduce(out)
+                continue
+            out *= out
             if bit == "1":
-                if by_x:
-                    out, j = self._times_x(out), j + 1
-                else:
-                    out = self.mulmod(out, a)
-        return out
+                out = out << w if by_x else self._reduce(out) * ax
+            out = self._reduce(out)
+        return _fp_trim(_unpack(out, w, n, self.p))
 
     def power_rows(self, h: list) -> list[int]:
         """h^i mod f for i = 0 .. n-1, packed, with h packed once: with
         h = x^p mod f these are the rows of the Frobenius map."""
         hx = _pack(h, self.w)
-        row, rows = [1], [1]
+        rows = [1]
         for _ in range(self.n - 1):
-            row = self._reduce(rows[-1] * hx, len(row) + len(h) - 1)
-            rows.append(_pack(row, self.w))
+            rows.append(self._reduce(rows[-1] * hx))
         return rows
 
     def apply(self, h: list, rows: list[int]) -> list:
@@ -787,12 +801,23 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_from(start: int):
-    n = start if start % 2 else start + 1
-    while True:
-        if _is_prime(n):
-            yield n
+@lru_cache(maxsize=None)
+def _next_prime(n: int) -> int:
+    """The least odd prime above n.  Cached, so that the certificate searches
+    of one process certify each prime once; the cache is a pure function
+    of n, so threads sharing it see the same primes."""
+    n += 1 + n % 2  # the next odd number
+    while not _is_prime(n):
         n += 2
+    return n
+
+
+def _primes_from(start: int):
+    """The odd primes from start on, in increasing order."""
+    n = start - 1
+    while True:
+        n = _next_prime(n)
+        yield n
 
 
 def _subset_sums(degrees: Sequence[int]) -> frozenset:
@@ -894,12 +919,15 @@ def _w_pattern(h: list, p: int) -> Optional[tuple[int, ...]]:
     the degree of f, and splits each block by the quadratic character of
     1 + 4w: a factor of degree d gives {d, d} where that is a square and
     {2d} where it is not (`_w_form`)."""
-    hp = ExactPoly(h, GF(p))
+    hp = [c % p for c in h]
     quarter = -pow(4, -1, p) % p  # -1/4
-    if not hp(quarter) or len(_fp_gcd(hp.coeffs, hp.derivative().coeffs,
-                                      p)) > 1:
+    at_quarter = 0
+    for c in reversed(hp):
+        at_quarter = (at_quarter * quarter + c) % p
+    if not at_quarter or len(_fp_gcd(
+            hp, _fp_trim([i * c % p for i, c in enumerate(hp)][1:]), p)) > 1:
         return None
-    mod = _FpModulus(hp.monic().coeffs, p)
+    mod = _FpModulus(_fp_monic(hp, p), p)
     frobenius = mod.power_rows(mod.powmod([0, 1], p))
     half = (p - 1) // 2
     degs = []

@@ -286,6 +286,18 @@ class TestExactLayer:
             mm2 = max_modulus(n) ** 2
             assert mm2.lo < Fraction(lo, 2 ** b) < Fraction(hi, 2 ** b) < mm2.hi
 
+    @given(s=st.lists(st.integers(min_value=-10 ** 40, max_value=10 ** 40),
+                      min_size=1, max_size=40),
+           x=st.integers(min_value=-2 ** 300, max_value=2 ** 300),
+           b=st.integers(min_value=0, max_value=256))
+    @settings(max_examples=300, deadline=None)
+    @example(s=[5], x=-3, b=0)
+    @example(s=[0, 0, 7], x=0, b=256)
+    def test_value_and_slope_in_one_pass(self, s, x, b):
+        ds = [i * c for i, c in enumerate(s)][1:]
+        assert analytic._scaled_with_slope(s, x, b) == \
+            (analytic._scaled(s, x, b), analytic._scaled(ds, x, b))
+
     def test_coarse_grid_raises(self, monkeypatch):
         """A sample grid that misses roots yields no brackets: every shrink
         from 0 to 7 is tried, and then VerificationFailed."""

@@ -565,6 +565,26 @@ class TestSweep:
         assert out.stdout.strip() == "9 []"
         assert len(list(tmp_path.iterdir())) == 9
 
+    def test_parallel_sweep_memory_is_bounded(self, tmp_path):
+        # at two workers the pool holds a bounded number of chunks, so the
+        # sweep to 120 (7021 instances) peaks near the sweep to 60 (1711);
+        # each runs in a fresh process, imports inside the traced window
+        code = ("import sys, tracemalloc, pscert.pipeline as p; "
+                "m = int(sys.argv[1]); tracemalloc.start(); "
+                "p.run_sweep(p.SweepSpec('pair-a1', {'b_max': m, "
+                "'c_max': m}, workers=2, outdir=sys.argv[2])); "
+                "print(tracemalloc.get_traced_memory()[1])")
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        peaks = {}
+        for m in (60, 120):
+            out = subprocess.run(
+                [sys.executable, "-c", code, str(m), str(tmp_path / str(m))],
+                check=True, capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src})
+            peaks[m] = int(out.stdout)
+        assert len(list((tmp_path / "120").iterdir())) == 7021
+        assert peaks[120] <= 1.25 * peaks[60], peaks
+
     def test_files_appear_as_instances_complete(self, tmp_path, monkeypatch):
         # at one worker, instance k starts once the k files before it exist
         run, seen = pipeline._run_instance, []

@@ -752,6 +752,86 @@ class TestKernelSympyOracle:
         assert {d: g.coeffs for d, g in blocks} == oracle
 
 
+MODULUS_PRIMES = (3, 101, 4594399, (1 << 30) + 3)
+
+
+@st.composite
+def _modulus_case(draw):
+    """p, a modulus f of degree 1..45 with any nonzero leading coefficient,
+    and two lists a, b of length at most deg f, reduced mod f."""
+    p = draw(st.sampled_from(MODULUS_PRIMES))
+    n = draw(st.integers(min_value=1, max_value=45))
+    coeff = st.integers(min_value=0, max_value=p - 1)
+    f = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    f[-1] = f[-1] or p - 1
+    a, b = (_sb_trim(draw(st.lists(coeff, max_size=n))) for _ in range(2))
+    return p, f, a, b
+
+
+class TestFpModulusOracle:
+    """`_FpModulus` keeps products packed between reductions; every entry
+    point must agree with the unpacked kernel: a product by `_fp_mul`, then
+    its remainder by `_fp_divmod`."""
+
+    @staticmethod
+    def oracle_powmod(a: list, e: int, f: list, p: int) -> list:
+        out, base = [1], unipoly._fp_divmod(a, f, p)[1]
+        for bit in bin(e)[2:]:
+            out = unipoly._fp_divmod(unipoly._fp_mul(out, out, p), f, p)[1]
+            if bit == "1":
+                out = unipoly._fp_divmod(unipoly._fp_mul(out, base, p), f,
+                                         p)[1]
+        return out
+
+    @given(case=_modulus_case())
+    @settings(max_examples=200, deadline=None)
+    def test_mulmod(self, case):
+        p, f, a, b = case
+        mod = unipoly._FpModulus(f, p)
+        for u, v in ((a, b), (a, a), (b, b)):
+            assert mod.mulmod(u, v) == \
+                unipoly._fp_divmod(unipoly._fp_mul(u, v, p), f, p)[1]
+
+    @given(case=_modulus_case(), data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_powmod(self, case, data):
+        p, f, a, _ = case
+        e = data.draw(st.sampled_from([0, 1, 2, p, (p - 1) // 2, None]))
+        if e is None:
+            e = data.draw(st.integers(min_value=0, max_value=p ** 2))
+        mod = unipoly._FpModulus(f, p)
+        for base in ([0, 1], a):
+            assert mod.powmod(base, e) == \
+                self.oracle_powmod(base, e, f, p), (base, e)
+
+    @given(case=_modulus_case())
+    @settings(max_examples=100, deadline=None)
+    def test_power_rows(self, case):
+        p, f, h, _ = case
+        mod = unipoly._FpModulus(f, p)
+        rows = mod.power_rows(h)
+        assert len(rows) == len(f) - 1
+        power = [1]
+        for row in rows:
+            assert unipoly._fp_trim(unipoly._unpack(row, mod.w, mod.n,
+                                                    p)) == power
+            power = unipoly._fp_divmod(unipoly._fp_mul(power, h, p), f,
+                                       p)[1]
+
+    @pytest.mark.parametrize("p", MODULUS_PRIMES)
+    def test_full_slots(self, p):
+        # every coefficient p - 1 at degree 45: the largest slot loads
+        f = [p - 1] * 46
+        full = [p - 1] * 45
+        mod = unipoly._FpModulus(f, p)
+        assert mod.mulmod(full, full) == \
+            unipoly._fp_divmod(unipoly._fp_mul(full, full, p), f, p)[1]
+        for e in (2, p, (p - 1) // 2):
+            for base in ([0, 1], full):
+                assert mod.powmod(base, e) == self.oracle_powmod(base, e, f,
+                                                                 p)
+
+
 class _Draws:
     """A stand-in for random.Random whose every draw is `value`."""
     value = 0
@@ -885,6 +965,16 @@ class TestIrreducibility:
         assert hashlib.sha256(repr(primes).encode()).hexdigest() == \
             "aa518f65aa911d03188684dc9f6e91ff51c863b502447b7d1fef36af14d2a121"
 
+    def test_primes_are_certified_once(self, monkeypatch):
+        first = certify_irreducible(build_pq(36).Q_zz)
+        real, tested = unipoly._is_prime, []
+        monkeypatch.setattr(unipoly, "_is_prime",
+                            lambda n: tested.append(n) or real(n))
+        second = certify_irreducible(build_pq(42).Q_zz)
+        assert first.verdict == second.verdict == "Irreducible"
+        assert [n for n in tested if n <= max(first.primes)] == []
+        assert max(second.primes) <= max(first.primes) and tested == []
+
     def test_patterns_consistent(self):
         f = ExactPoly([2, 0, 0, 0, 0, 0, 1], ZZ)
         cert = certify_irreducible(f)
@@ -951,6 +1041,32 @@ class TestHalfDegreePatterns:
             oracle = sorted(g.degree() for g, mult in factors
                             for _ in range(mult))
             assert got == unipoly._ddf_pattern(fp.monic()) == tuple(oracle)
+
+    @given(coeffs=st.lists(st.integers(min_value=-40, max_value=40),
+                           min_size=2, max_size=9))
+    @settings(max_examples=60, deadline=None)
+    def test_skip_matches_the_exactpoly_test(self, coeffs):
+        # primes dividing 4^d H(-1/4) or disc(H) make f mod p repeat a
+        # factor; the flat skip test must refuse exactly those the test on
+        # ExactPoly does
+        assume(coeffs[-1] != 0)
+        h = ExactPoly(coeffs, ZZ)
+        d = h.degree
+        quarter = sum(c * (-1) ** i * 4 ** (d - i)
+                      for i, c in enumerate(coeffs))
+        disc = sympy.discriminant(sympy.Poly(list(reversed(coeffs)),
+                                             sympy.Symbol("w")))
+        planted = {q for n in (quarter, int(disc)) if n
+                   for q in sympy.factorint(abs(n)) if q % 2}
+        for p in sorted(planted | set(ORACLE_PRIMES)):
+            if coeffs[-1] % p == 0:
+                continue
+            hp = ExactPoly(coeffs, GF(p))
+            skip = not hp(-pow(4, -1, p) % p) or len(unipoly._fp_gcd(
+                hp.coeffs, hp.derivative().coeffs, p)) > 1
+            assert (unipoly._w_pattern(coeffs, p) is None) == skip, p
+            if p in planted:
+                assert skip, p
 
     def test_not_a_polynomial_in_w(self):
         for coeffs in ([0, 2, 1], [0, 0, 0, 1], [1, 1], [5, 0, 1]):

@@ -154,10 +154,11 @@ def _refine(s, lo: int, hi: int, b: int, sign_lo: int, bits: int) -> tuple:
 
     Each round evaluates s and s' at the midpoint once, in one Horner pass,
     and the bisection step reuses that value of s.  The sign check reads
-    s(x + 1) only when s(x - 1) has sign_lo: the one simple root makes the
-    sign sign_lo left of it and -sign_lo right of it, so a sign change
-    between x - 1 and x + 1 needs exactly that, and the check accepts the
-    same points as sign(s(x - 1)) * sign(s(x + 1)) < 0 would."""
+    s(x + 1) only when s(x - 1) has sign_lo: in the bracket, the one simple
+    root leaves s with sign sign_lo left of it and -sign_lo right of it, so
+    a strict sign change between x - 1 and x + 1 needs exactly those two
+    signs, and the check accepts the same points as
+    sign(s(x - 1)) * sign(s(x + 1)) < 0 would."""
     while b < bits or hi - lo > 2:
         if b < bits:
             nb = min(max(2 * b, 32), bits)

@@ -1,6 +1,7 @@
 """Power-sum polynomial constructions and regular-sequence decisions."""
 
 import dataclasses
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -439,6 +440,28 @@ class TestRegSeq3ModP:
     def test_elimination_route(self):
         # first exponent > 1 exercises the resultant path
         assert regseq3_mod_p(2, 3, 4, 101).verdict == "Regular"
+
+    GRID_PRIMES = (3, 5, 7, 11, 13, 17, 101, 1000003)
+    GRID_DIGEST = ("6df8703a30b158d579b4608705deba2e"
+                   "35197f436686dd44761e4cb6093570d8")
+
+    def test_grid_verdicts_unchanged(self):
+        # (instance, verdict, witness chart) for a = 2..6, a < b < c <= 13
+        # and every grid prime not dividing abc; the chart z = 1 witness
+        # polynomial is left out, so a change of witness within a chart
+        # keeps the digest
+        recs = []
+        for a in range(2, 7):
+            for b in range(a + 1, 14):
+                for c in range(b + 1, 14):
+                    for p in self.GRID_PRIMES:
+                        if a * b * c % p:
+                            v = regseq3_mod_p(a, b, c, p)
+                            chart = v.witness and v.witness[0]
+                            recs.append(((a, b, c, p), v.verdict, chart))
+        assert len(recs) == 1136
+        digest = hashlib.sha256(repr(recs).encode()).hexdigest()
+        assert digest == self.GRID_DIGEST
 
     @pytest.mark.parametrize("a, b, c, p", [(3, 4, 5, 7), (2, 3, 5, 11),
                                             (2, 5, 7, 13), (2, 3, 7, 5)])

@@ -15,7 +15,7 @@ from typing import Optional
 
 from .errors import BadPrime, VerificationFailed
 from .unipoly import (ExactPoly, GF, QQ, ZZ, _half_xgcd, _is_prime, _w_form,
-                      factor_mod_p, poly_gcd, squarefree_part)
+                      poly_gcd, squarefree_part)
 
 
 @dataclass(frozen=True)
@@ -267,7 +267,9 @@ def _y_existence(q: ExactPoly, exps: tuple[int, int, int]):
     K[x]/(q) is a product of fields, so every zero test splits q into the
     factor where the element vanishes and the factor where it is a unit
     (`_split`), and the loop goes on over each factor (dynamic evaluation,
-    Della Dora-Dicrescenzo-Duval 1985).  An irreducible q never splits."""
+    Della Dora-Dicrescenzo-Duval 1985), so q is never factored beyond what
+    the zero tests split off.  Both three-exponent deciders reach it
+    through `_y_root_part`."""
     ring = q.ring
     with_root, without = [], []
     # a factor m of q and the binomials (e, c) whose common y-roots over
@@ -301,6 +303,16 @@ def _y_existence(q: ExactPoly, exps: tuple[int, int, int]):
     return with_root, without
 
 
+def _y_root_part(h: ExactPoly, exps: tuple[int, int, int]) -> ExactPoly:
+    """The monic product of the factors of squarefree_part(h), a
+    nonconstant x-polynomial over a field, over which the three curves
+    1 + x^e + y^e share a y-root (`_y_existence`); 1 when there is none."""
+    out = ExactPoly.one(h.ring)
+    for fac in _y_existence(squarefree_part(h), exps)[0]:
+        out = out * fac
+    return out
+
+
 def _split(t: ExactPoly, m: ExactPoly) -> list[tuple[ExactPoly, bool]]:
     """Split a squarefree monic m by t: pairs (factor, t vanishes on it),
     gcd(m, t) where t is zero and m / gcd(m, t) where t is a unit, each
@@ -316,18 +328,14 @@ def _split(t: ExactPoly, m: ExactPoly) -> list[tuple[ExactPoly, bool]]:
 def triple_zset(a: int, b: int, c: int):
     """Z(a, b, c) for 2 <= a < b < c, gcd 1: gcd of the three pair
     polynomials, trivial factors stripped (`_triple_gcd`), then the
-    mandatory y-existence check on the surviving squarefree residual."""
+    mandatory y-existence check on its squarefree part (`_y_root_part`)."""
     if not (2 <= a < b < c):
         raise ValueError("need 2 <= a < b < c")
     if math.gcd(math.gcd(a, b), c) != 1:
         raise ValueError("need gcd(a, b, c) = 1")
     g = _triple_gcd(a, b, c)
-    poly = ExactPoly.one(QQ)
-    if not g.is_constant():
-        q = squarefree_part(g).to_ring(QQ).monic()
-        for fac in _y_existence(q, (a, b, c))[0]:
-            poly = poly * fac
-    return ZSet(poly.monic(), *_trivial_zeros(a, b, c), (a, b, c))
+    poly = g if g.is_constant() else _y_root_part(g, (a, b, c))
+    return ZSet(poly, *_trivial_zeros(a, b, c), (a, b, c))
 
 
 def _triple_gcd(a: int, b: int, c: int) -> ExactPoly:
@@ -401,9 +409,10 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     the point (1,0,0), and (z=1) by the gcd of the closed-form resultants
     of p_a with p_b and with p_c (`_y_resultant`): P_b and P_c for a = 1,
     where y = -1 - x is a common root over every factor of the gcd.  For
-    a >= 2, `_y_existence` runs its binomial Euclid over every irreducible
-    factor from `factor_mod_p`, whatever its multiplicity; an irreducible
-    modulus never splits, so each check is a plain yes or no."""
+    a >= 2, the squarefree part of the gcd goes to `_y_root_part`, as in
+    `triple_zset`, and the chart z = 1 witness is the part of it where a
+    common y-root exists: the radical of the x-elimination polynomial of
+    the three curves."""
     if not 0 < a < b < c:
         raise ValueError("need 0 < a < b < c")
     if p == 2:
@@ -431,9 +440,8 @@ def regseq3_mod_p(a: int, b: int, c: int, p: int) -> RegSeqVerdict:
     if a == 1:  # y = -1 - x is a common root over every factor of h
         return RegSeqVerdict(exps, field, "NotRegular",
                              witness=("chart z=1", h))
-    for q, _mult in factor_mod_p(h):
-        with_root, _ = _y_existence(q.monic(), exps)
-        if with_root:
-            return RegSeqVerdict(exps, field, "NotRegular",
-                                 witness=("chart z=1", with_root[0]))
-    return RegSeqVerdict(exps, field, "Regular")
+    root_part = _y_root_part(h, exps)
+    if root_part.is_constant():
+        return RegSeqVerdict(exps, field, "Regular")
+    return RegSeqVerdict(exps, field, "NotRegular",
+                         witness=("chart z=1", root_part))

@@ -6,11 +6,13 @@ sequence over Z (deterministic), with a modular shortcut for detecting
 trivial gcds: if the gcd mod a prime not dividing either leading
 coefficient is constant, the rational gcd is constant.
 
-Also provides: the squarefree part over Z and Q, factorization over F_p,
-multi-prime irreducibility certificates over Z, and `_half_xgcd`, the
-inverse modulo a polynomial.  The one gcd over K[x]/(q) the deciders need
-is that of the binomials y^e - c, a binomial whose exponent comes from
-Euclid on the exponents; `powersum._y_existence` runs it and divides by
+Also provides: the squarefree part over every ring, p-th powers over F_p
+included, multi-prime irreducibility certificates over Z, and
+`_half_xgcd`, the inverse modulo a polynomial.  The deciders factor
+nothing: they hand a squarefree part to `powersum._y_existence`, which
+splits it only where a zero test does.  The one gcd over K[x]/(q) they
+need is that of the binomials y^e - c, a binomial whose exponent comes
+from Euclid on the exponents; `_y_existence` runs it and divides by
 `_half_xgcd` inverses.
 
 All F_p arithmetic runs in one packed kernel on flat int lists (`_fp_mul`,
@@ -29,9 +31,10 @@ list result unpacks the low half once; the chains of products (x^p mod f,
 the Frobenius rows) reduce each low slot mod p in place and stay packed
 from one product to the next.
 
-One distinct-degree kernel serves both F_p consumers.  It applies the
-Frobenius map h -> h^p mod f as sum h_i * row_i over the packed rows
-x^(i*p) mod f and yields the blocks (d, product of the degree-d factors).
+One distinct-degree kernel serves the irreducibility certificate.  It
+applies the Frobenius map h -> h^p mod f as sum h_i * row_i over the
+packed rows x^(i*p) mod f and yields the blocks (d, product of the
+degree-d factors).
 It takes one gcd per run of up to four degrees, with the product of their
 h_d - x mod f, and splits that gcd by degree only when it is nontrivial.
 Euclid takes its usual step, a quotient of degree 1, as one reduced pass,
@@ -41,24 +44,21 @@ certified by Miller-Rabin once per process (`_next_prime` is cached), and
 reads its factor-degree patterns straight from the blocks; for a
 polynomial H(z^2 + z), such as the cofactors Q_n, it runs the kernel on H
 at half the degree and splits each block by the quadratic character of
-1 + 4w (`_w_form`).  `factor_mod_p` splits the
-blocks further by Cantor-Zassenhaus equal-degree splitting, at most 64
-seeded draws per split before `VerificationFailed`.
+1 + 4w (`_w_form`).  No block is split into its irreducible factors, and
+no path draws random numbers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 from typing import Optional, Sequence, Union
 
-from .errors import (BadPrime, DivisionFailure, DomainError, RingMismatch,
-                     VerificationFailed)
+from .errors import BadPrime, DivisionFailure, DomainError, RingMismatch
 
 RingTag = Union[str, tuple]
 
@@ -605,60 +605,31 @@ def _half_xgcd(a: ExactPoly, m: ExactPoly):
 
 
 def squarefree_part(f: ExactPoly) -> ExactPoly:
-    """Product of the distinct irreducible factors of f over Z or Q
-    (primitive over Z, monic over Q).  Over F_p, f / gcd(f, f') drops every
-    factor whose multiplicity p divides, so a prime field raises
-    RingMismatch; `factor_mod_p` finds all factors there."""
-    if isinstance(f.ring, tuple):
-        raise RingMismatch("squarefree_part needs ZZ or QQ; over a prime "
-                           "field use factor_mod_p")
+    """Product of the distinct irreducible factors of f (primitive over Z,
+    monic over a field).  Over F_p, f' = 0 means f = H(x)^p with H read
+    from the coefficients f[i*p]; and f / gcd(f, f') drops every factor
+    whose multiplicity p divides, which stays in gcd(f, f') alone, so the
+    squarefree part of that gcd is folded back in by an lcm."""
     if f.is_zero():
         raise ZeroDivisionError("squarefree part of zero")
     if f.is_constant():
         return _gcd_normalize(f)
-    g = poly_gcd(f, f.derivative())
+    df = f.derivative()
+    if df.is_zero():
+        return squarefree_part(ExactPoly(f.coeffs[::f.ring[1]], f.ring))
+    g = poly_gcd(f, df)
     if g.degree == 0:
         return _gcd_normalize(f)
     if f.ring == ZZ:
         return f.primitive_part().exact_div(g).primitive_part()
-    return _gcd_normalize(f.exact_div(g))
+    s = _gcd_normalize(f.exact_div(g))
+    if isinstance(f.ring, tuple):
+        t = squarefree_part(g)
+        s = s * t.exact_div(poly_gcd(s, t))
+    return s
 
 
-# -- factorization over prime fields ------------------------------------------
-
-
-def factor_mod_p(f: ExactPoly) -> list[tuple[ExactPoly, int]]:
-    """Factor a nonzero polynomial over F_p (p odd) into monic irreducibles
-    with multiplicities.  Squarefree decomposition feeds each squarefree
-    part to the distinct-degree kernel `_ddf_blocks`; equal-degree splitting
-    then runs on its blocks only."""
-    ring = f.ring
-    if not isinstance(ring, tuple):
-        raise RingMismatch(f"factor_mod_p needs a prime field, not {ring}")
-    p = ring[1]
-    if f.is_zero():
-        raise ZeroDivisionError("factor of zero")
-    factors: dict[ExactPoly, int] = {}
-    stack = [(f.monic(), 1)]
-    while stack:
-        g, mult = stack.pop()
-        if g.degree == 0:
-            continue
-        d = poly_gcd(g, g.derivative())
-        if d.degree == g.degree:
-            # g = h(x)^p
-            step = p
-            h = ExactPoly([g[i * step] for i in range(g.degree // step + 1)], ring)
-            stack.append((h, mult * p))
-            continue
-        if d.degree > 0:
-            stack.append((g.exact_div(d), mult))
-            stack.append((d, mult))
-            continue
-        for deg, block in _ddf_blocks(g):
-            for q in _equal_degree_split(block, deg, p):
-                factors[q] = factors.get(q, 0) + mult
-    return sorted(factors.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
+# -- distinct-degree factorization over prime fields --------------------------
 
 
 def _ddf_pattern(f: ExactPoly) -> tuple[int, ...]:
@@ -723,35 +694,6 @@ def _ddf_run(mod: _FpModulus, frobenius: list[int]) -> list[tuple[int, list]]:
                     g = _fp_divmod(g, block, p)[0]
         d += run
     return blocks
-
-
-_CZ_DRAWS = 64  # random splitting attempts before equal-degree splitting fails
-
-
-def _equal_degree_split(f: ExactPoly, d: int, p: int) -> list[ExactPoly]:
-    """Cantor-Zassenhaus with a deterministic RNG seed for reproducibility.
-    A draw splits a product of two or more degree-d factors with probability
-    about 1/2, so `_CZ_DRAWS` failed draws mean a fault: VerificationFailed,
-    never an endless loop."""
-    if f.degree == d:
-        return [f.monic()]
-    ring = f.ring
-    rng = random.Random(0xC0FFEE ^ hash((p, d, tuple(f.coeffs))) & 0xFFFFFFFF)
-    mod = _FpModulus(f.coeffs, p)
-    for _ in range(_CZ_DRAWS):
-        a = ExactPoly([rng.randrange(p) for _ in range(f.degree)], ring)
-        if a.degree < 1:
-            continue
-        g = poly_gcd(f, a)
-        if not 0 < g.degree < f.degree:
-            b = ExactPoly._wrap(mod.powmod(a.coeffs, (p ** d - 1) // 2),
-                                ring) - ExactPoly.one(ring)
-            g = poly_gcd(f, b)
-            if not 0 < g.degree < f.degree:
-                continue
-        return _equal_degree_split(g, d, p) + _equal_degree_split(f.exact_div(g), d, p)
-    raise VerificationFailed(f"no split of a degree-{f.degree} product of "
-                             f"degree-{d} factors mod {p} in {_CZ_DRAWS} draws")
 
 
 # -- irreducibility certificates over Z ---------------------------------------

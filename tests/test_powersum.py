@@ -11,7 +11,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pscert import powersum, unipoly
+from pscert import pipeline, powersum, unipoly
 from pscert.errors import BadPrime, VerificationFailed
 from pscert.pipeline import SweepSpec, certify_a1, run_sweep
 from pscert.powersum import (build_p, build_pq, pair_zset, regseq2,
@@ -441,6 +441,12 @@ class TestRegSeq3ModP:
         # first exponent > 1 exercises the resultant path
         assert regseq3_mod_p(2, 3, 4, 101).verdict == "Regular"
 
+    def test_sweep_decides_3_4_7_mod_5(self):
+        # the chart z = 1 gcd for (3, 4, 7) mod 5 is a product of two
+        # cubics; a sweep records a verdict for it, not "undecided"
+        name, _, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
+        assert status != "undecided"
+
     GRID_PRIMES = (3, 5, 7, 11, 13, 17, 101, 1000003)
     GRID_DIGEST = ("6df8703a30b158d579b4608705deba2e"
                    "35197f436686dd44761e4cb6093570d8")
@@ -463,8 +469,10 @@ class TestRegSeq3ModP:
         digest = hashlib.sha256(repr(recs).encode()).hexdigest()
         assert digest == self.GRID_DIGEST
 
-    @pytest.mark.parametrize("a, b, c, p", [(3, 4, 5, 7), (2, 3, 5, 11),
-                                            (2, 5, 7, 13), (2, 3, 7, 5)])
+    @pytest.mark.parametrize("a, b, c, p", [
+        (3, 4, 5, 7), (2, 3, 5, 11), (2, 5, 7, 13), (2, 3, 7, 5),
+        (2, 4, 8, 3), (2, 4, 10, 3), (2, 3, 13, 5), (2, 4, 5, 7),
+        (2, 4, 8, 5)])
     def test_small_field_matches_groebner(self, a, b, c, p):
         # fields smaller than the x-degree of the y-resultants; homogeneous
         # p_a, p_b, p_c in three variables form a regular sequence iff their
@@ -473,7 +481,17 @@ class TestRegSeq3ModP:
         basis = sympy.groebner([x**e + y**e + z**e for e in (a, b, c)],
                                x, y, z, modulus=p, order="grevlex")
         expected = "Regular" if basis.is_zero_dimensional else "NotRegular"
-        assert regseq3_mod_p(a, b, c, p).verdict == expected
+        v = regseq3_mod_p(a, b, c, p)
+        assert v.verdict == expected
+        if v.witness and v.witness[0] == "chart z=1":
+            # the witness is the radical of the x-elimination polynomial of
+            # the chart: the x-only element of a lex basis with y > x
+            lex = sympy.groebner([1 + x**e + y**e for e in (a, b, c)],
+                                 y, x, modulus=p, order="lex")
+            (elim,) = [g for g in lex.exprs if not g.has(y)]
+            radical = sympy.Poly(elim, x, modulus=p).sqf_part().monic()
+            assert v.witness[1].coeffs == \
+                [int(t) % p for t in reversed(radical.all_coeffs())]
 
 
 class TestCrossChecks:

@@ -1,9 +1,8 @@
-"""Exact univariate polynomial arithmetic: gcd, resultants, factorization
-over prime fields, irreducibility certificates, and the y-gcds of the
-power-sum binomials over K[x]/(q)."""
+"""Exact univariate polynomial arithmetic: gcd, resultants, squarefree
+parts and distinct-degree patterns over prime fields, irreducibility
+certificates, and the y-gcds of the power-sum binomials over K[x]/(q)."""
 
 import hashlib
-import json
 import operator
 import os
 import random
@@ -12,7 +11,6 @@ import sys
 import textwrap
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 import sympy
@@ -22,12 +20,10 @@ from sympy.polys.domains import ZZ as ZZ_domain
 from sympy.polys.galoistools import gf_pow_mod
 
 from pscert import powersum, unipoly
-from pscert.errors import (BadPrime, DivisionFailure, DomainError,
-                           RingMismatch, VerificationFailed)
+from pscert.errors import BadPrime, DivisionFailure, DomainError, RingMismatch
 from pscert.powersum import build_p, build_pq
 from pscert.unipoly import (GF, QQ, ZZ, ExactPoly, _half_xgcd,
-                            certify_irreducible, factor_mod_p, poly_gcd,
-                            squarefree_part)
+                            certify_irreducible, poly_gcd, squarefree_part)
 
 small_polys = st.lists(st.integers(min_value=-9, max_value=9),
                        min_size=1, max_size=6).map(lambda c: ExactPoly(c, ZZ))
@@ -560,32 +556,6 @@ class TestFpKernel:
 
 
 class TestFactorModP:
-    def test_product_reconstruction(self):
-        p = 101
-        rng = random.Random(5)
-        for _ in range(10):
-            coeffs = [rng.randrange(p) for _ in range(rng.randrange(2, 8))]
-            coeffs.append(rng.randrange(1, p))
-            f = ExactPoly(coeffs, GF(p))
-            acc = ExactPoly([f.leading()], GF(p))
-            for q, mult in factor_mod_p(f):
-                assert q.leading() == 1
-                for _ in range(mult):
-                    acc = acc * q
-            assert acc == f
-
-    def test_factors_irreducible_probe(self):
-        p = 13
-        # x^2 + 1 splits mod 13 (since 13 = 1 mod 4)
-        f = ExactPoly([1, 0, 1], GF(p))
-        factors = factor_mod_p(f)
-        assert sorted(q.degree for q, _ in factors) == [1, 1]
-
-    def test_deterministic(self):
-        p = 2 ** 31 - 1
-        f = ExactPoly([5, 0, 3, 1, 1], GF(p))
-        assert factor_mod_p(f) == factor_mod_p(f)
-
     def test_squarefree_part(self):
         lin = ExactPoly([1, 1], ZZ)
         f = lin * lin * lin * ExactPoly([1, 0, 1], ZZ)
@@ -595,16 +565,35 @@ class TestFactorModP:
 
     def test_multiplicity_divisible_by_p(self):
         # over GF(3) the derivative of (x + 1)^3 is 0, so f / gcd(f, f')
-        # would drop that factor.  squarefree_part refuses a prime field,
-        # and factor_mod_p, which peels off p-th powers, finds every factor.
+        # alone would drop that factor: it stays in gcd(f, f'), or f is a
+        # cube outright, and squarefree_part finds it either way
         ring = GF(3)
         lin, other = ExactPoly([1, 1], ring), ExactPoly([2, 1], ring)
         cube = lin * lin * lin
-        for f in (cube * other, cube):
-            with pytest.raises(RingMismatch):
-                squarefree_part(f)
-        assert factor_mod_p(cube * other) == [(lin, 3), (other, 1)]
-        assert factor_mod_p(cube) == [(lin, 3)]
+        assert squarefree_part(cube * other) == lin * other
+        assert squarefree_part(cube) == lin
+
+    @given(p=st.sampled_from([3, 5, 7]),
+           base=st.lists(st.integers(min_value=0, max_value=6), min_size=1,
+                         max_size=5),
+           planted=st.lists(st.integers(min_value=0, max_value=6),
+                            min_size=2, max_size=3),
+           power=st.integers(min_value=1, max_value=2))
+    @settings(max_examples=80, deadline=None)
+    def test_squarefree_part_matches_sympy_mod_p(self, p, base, planted,
+                                                 power):
+        # base * g^(p^power), a factor whose multiplicity p divides, and
+        # for power 2 one that is a p-th power of a p-th power
+        f = ExactPoly(base, GF(p))
+        g = ExactPoly(planted, GF(p))
+        assume(not f.is_zero() and g.degree >= 1)
+        for _ in range(p ** power):
+            f = f * g
+        x = sympy.Symbol("x")
+        oracle = sympy.Poly(list(reversed(f.coeffs)), x,
+                            modulus=p).sqf_part().monic()
+        assert squarefree_part(f).coeffs == \
+            [int(c) % p for c in reversed(oracle.all_coeffs())]
 
 
 def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
@@ -632,23 +621,20 @@ class TestDistinctDegree:
                            min_size=1, max_size=9))
     @settings(max_examples=80, deadline=None)
     def test_pattern_matches_factor_mod_p(self, p, coeffs):
+        # the oracle is sympy's factorization mod p
         f = ExactPoly(coeffs + [1], GF(p))
         assume(poly_gcd(f, f.derivative()).degree == 0)
         pattern = ddf_degrees(f)
-        assert pattern == tuple(sorted(q.degree for q, _ in factor_mod_p(f)))
+        x = sympy.Symbol("x")
+        _, factors = sympy.Poly(list(reversed(f.coeffs)), x,
+                                modulus=p).factor_list()
+        assert pattern == tuple(sorted(g.degree() for g, _ in factors))
         assert sum(pattern) == f.degree
 
     def test_rejects_repeated_factor(self):
         lin = ExactPoly([1, 1], GF(7))
         with pytest.raises(DomainError):
             ddf_degrees(lin * lin * ExactPoly([1, 0, 1], GF(7)))
-
-    def test_certificate_needs_no_equal_degree_split(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("equal-degree splitting on the certify path")
-        monkeypatch.setattr(unipoly, "_equal_degree_split", refuse)
-        cert = certify_irreducible(build_pq(42).Q.primitive_part())
-        assert cert.verdict == "Irreducible"
 
 
 ORACLE_PRIMES = (3, 5, 7, 101, (1 << 30) + 3)
@@ -830,48 +816,6 @@ class TestFpModulusOracle:
             for base in ([0, 1], full):
                 assert mod.powmod(base, e) == self.oracle_powmod(base, e, f,
                                                                  p)
-
-
-class _Draws:
-    """A stand-in for random.Random whose every draw is `value`."""
-    value = 0
-    calls = 0
-
-    def __init__(self, seed):
-        pass
-
-    def randrange(self, p):
-        _Draws.calls += 1
-        return self.value
-
-
-class TestBoundedEqualDegreeSplit:
-    """Cantor-Zassenhaus stops after a fixed number of draws instead of
-    looping forever when no draw splits."""
-
-    def test_every_draw_failing_raises(self, monkeypatch):
-        # every draw is 1 + x + x^2, coprime to (x - 1)(x - 2)(x - 3) mod
-        # 101, and the power step returns 1, so gcd(f, a^e - 1) = f
-        ring = GF(101)
-        f = ExactPoly([-1, 1], ring) * ExactPoly([-2, 1], ring) * \
-            ExactPoly([-3, 1], ring)
-        monkeypatch.setattr(_Draws, "value", 1)
-        monkeypatch.setattr(_Draws, "calls", 0)
-        monkeypatch.setattr(unipoly, "random", SimpleNamespace(Random=_Draws))
-        monkeypatch.setattr(unipoly._FpModulus, "powmod", lambda *a: [1])
-        with pytest.raises(VerificationFailed, match="64 draws"):
-            unipoly._equal_degree_split(f, 1, 101)
-        assert _Draws.calls == unipoly._CZ_DRAWS * f.degree
-
-    def test_sweep_records_the_failure_as_undecided(self, monkeypatch):
-        from pscert import pipeline
-        # the decider for (3, 4, 7) mod 5 splits a product of two cubics
-        name, _, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
-        assert status != "undecided"
-        monkeypatch.setattr(unipoly, "random", SimpleNamespace(Random=_Draws))
-        name, blob, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
-        assert status == "undecided"
-        assert "VerificationFailed" in json.loads(blob)["conclusion"]["error"]
 
 
 class TestGcdOracle:

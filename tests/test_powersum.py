@@ -444,7 +444,7 @@ class TestRegSeq3ModP:
     def test_sweep_decides_3_4_7_mod_5(self):
         # the chart z = 1 gcd for (3, 4, 7) mod 5 is a product of two
         # cubics; a sweep records a verdict for it, not "undecided"
-        name, _, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
+        *_, status = pipeline._run_instance(("mod-p", 3, 4, 7, 5))
         assert status != "undecided"
 
     GRID_PRIMES = (3, 5, 7, 11, 13, 17, 101, 1000003)

@@ -589,11 +589,8 @@ class TestFactorModP:
         assume(not f.is_zero() and g.degree >= 1)
         for _ in range(p ** power):
             f = f * g
-        x = sympy.Symbol("x")
-        oracle = sympy.Poly(list(reversed(f.coeffs)), x,
-                            modulus=p).sqf_part().monic()
-        assert squarefree_part(f).coeffs == \
-            [int(c) % p for c in reversed(oracle.all_coeffs())]
+        oracle = _gf(f.coeffs, p, sympy.Symbol("x")).sqf_part().monic()
+        assert squarefree_part(f).coeffs == _from_gf(oracle, p)
 
 
 def ddf_degrees(f: ExactPoly) -> tuple[int, ...]:
@@ -625,9 +622,7 @@ class TestDistinctDegree:
         f = ExactPoly(coeffs + [1], GF(p))
         assume(poly_gcd(f, f.derivative()).degree == 0)
         pattern = ddf_degrees(f)
-        x = sympy.Symbol("x")
-        _, factors = sympy.Poly(list(reversed(f.coeffs)), x,
-                                modulus=p).factor_list()
+        _, factors = _gf(f.coeffs, p, sympy.Symbol("x")).factor_list()
         assert pattern == tuple(sorted(g.degree() for g, _ in factors))
         assert sum(pattern) == f.degree
 

@@ -261,6 +261,13 @@ class TestGoldenBytes:
     # brackets, recorded while `_refine` evaluated S_n and S_n' apart
     RHO_BRACKETS_2_60 = \
         "c534ee037bec0287812d82ed1114d2332bed11d6821dcc75af944c0e65da44cc"
+    # repr((_lo, _hi, prec)) of window_theta(b, root, p), or the name of
+    # the exception it raises, for every segment root of n = 6..60 at bits
+    # in (128, 256), concatenated by n, then bits, then root index, then p
+    # in (bits, 64), then b in (n, 6, 13): 3252 enclosures, recorded while
+    # theta came from complex-box powers of alpha = -1/2 + i t
+    WINDOW_THETA_6_60 = \
+        "9bb429147dfc40cb1dc17b31248303871a6fd1a0684444fc166d834d3f8dd36d"
 
     @staticmethod
     def sha(blob: bytes) -> str:
@@ -332,6 +339,29 @@ class TestGoldenBytes:
                        for n in range(2, 61) for bits in (128, 256)
                        for i in range(len(analytic._segment_form(n)[1])))
         assert self.sha(blob.encode()) == self.RHO_BRACKETS_2_60
+
+    @staticmethod
+    def _theta_repr(b: int, root, prec: int) -> str:
+        try:
+            theta = analytic.window_theta(b, root, prec)
+        except Exception as exc:
+            return type(exc).__name__
+        return repr((theta._lo, theta._hi, theta.prec))
+
+    def test_window_theta(self):
+        parts = []
+        for n in range(6, 61):
+            for bits in (128, 256):
+                for i in range(len(analytic._segment_form(n)[1])):
+                    lo, hi, e, _ = analytic._rho_bracket(n, i, bits)
+                    rho = RealInterval(Fraction(lo, 1 << e),
+                                       Fraction(hi, 1 << e), prec=bits)
+                    root = analytic.SegmentRoot(
+                        n, i, rho, exactnum.isqrt(rho - Fraction(1, 4)))
+                    parts += [self._theta_repr(b, root, prec)
+                              for prec in (bits, 64) for b in (n, 6, 13)]
+        assert len(parts) == 3252
+        assert self.sha("".join(parts).encode()) == self.WINDOW_THETA_6_60
 
     def test_mod_p_certificates(self):
         blob = b"".join(certify_mod_p(*inst).json_bytes()

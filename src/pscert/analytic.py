@@ -34,8 +34,8 @@ from typing import Optional
 from .errors import (AmbiguousEnclosure, DomainError, PrecisionExhausted,
                      VerificationFailed)
 from . import exactnum
-from .exactnum import (ComplexBox, RealInterval, iatan2, iexp, ilog, isqrt,
-                       pi_interval, require_prec)
+from .exactnum import (RealInterval, iatan2, iexp, ilog, isqrt, pi_interval,
+                       require_prec)
 from .powersum import build_pq
 
 
@@ -43,15 +43,12 @@ from .powersum import build_pq
 class SegmentRoot:
     """One root alpha = -1/2 + i t of Q_n on the upper segment, the index-th
     by decreasing rho = |alpha|^2 = 1/4 + t^2: rho is enclosed by the
-    root's refined bracket of `_segment_form`, and t = sqrt(rho - 1/4)."""
+    root's refined bracket of `_segment_form`, and t = sqrt(rho - 1/4).
+    Only t and rho are held; `window_theta` builds alpha from t."""
     n: int
     index: int
     rho: RealInterval
     t: RealInterval
-
-    def alpha(self, prec: int = 128) -> ComplexBox:
-        return ComplexBox(RealInterval(Fraction(-1, 2), prec=prec),
-                          self.t.at_prec(prec))
 
     def modulus(self) -> RealInterval:
         """|alpha| = sqrt(rho), which needs no t."""
@@ -448,14 +445,33 @@ def general_bounds(a: int, parity_profile: str = "other",
 # -- the finite window scan ---------------------------------------------------
 
 
+def _complex_mul(x: tuple, y: tuple) -> tuple:
+    """The product of two complex boxes, each a pair (re, im) of intervals."""
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
 def window_theta(b: int, zeta: SegmentRoot, prec: int = 256) -> RealInterval:
-    """|arg(1 + zeta^-b)| for the maximal-modulus segment root zeta."""
+    """|arg(1 + zeta^-b)| for the maximal-modulus segment root zeta, from
+    zeta^b = (re, im), by square-and-multiply from (1, 0) on the box
+    (-1/2, t) at `prec`, as 1 + (re, -im) / (re^2 + im^2).  A divisor
+    holding 0, or a real part not certified positive, raises DomainError."""
     require_prec(prec)
-    alpha = zeta.alpha(prec)
-    w = ComplexBox(1, 0) + alpha ** (-b)
-    if not w.re.is_positive():
+    power = RealInterval(1), RealInterval(0)
+    base = RealInterval(Fraction(-1, 2), prec=prec), zeta.t.at_prec(prec)
+    while b:
+        if b & 1:
+            power = _complex_mul(power, base)
+        base = _complex_mul(base, base)
+        b >>= 1
+    re, im = power
+    den = re ** 2 + im ** 2
+    if den.contains_zero():
+        raise DomainError("division by a box containing zero")
+    w_re = 1 + re / den
+    if not w_re.is_positive():
         raise DomainError("argument branch assumption violated")
-    return abs(iatan2(w.im, w.re))
+    return abs(iatan2(-im / den, w_re))
 
 
 def close_window(b: int, c_lo: int, c_hi: int,
@@ -467,7 +483,8 @@ def close_window(b: int, c_lo: int, c_hi: int,
     9 |zeta|^{-c_lo} / |theta| from every integer.
 
     theta is taken at the bits of zeta's bracket, doubling from `prec`
-    until its relative width is below min(10^-13, 1/(64 c_hi)).  The scan
+    until its relative width is below min(10^-13, 1/(64 c_hi)); a theta
+    undecided (DomainError, or not above 0) doubles them too.  The scan
     runs in exact fixed point (`_window_scan`).  With the dyadic
     pi/|theta| enclosure [A_lo, A_hi] / 2^K, m pi/|theta| lies in
     [m A_lo, m A_hi] / 2^K, no wider than an outward-rounded product would
@@ -485,14 +502,15 @@ def close_window(b: int, c_lo: int, c_hi: int,
                            details={"m_count": 0})
     rel = min(Fraction(1, 10 ** 13), Fraction(1, 64 * c_hi))
 
-    def theta_of(root: SegmentRoot) -> RealInterval:
-        theta = window_theta(b, root, root.rho.prec)
-        if not theta.is_positive():
-            raise DomainError("theta enclosure is not bounded away from 0")
-        return theta
+    def theta_of(root: SegmentRoot) -> Optional[RealInterval]:
+        try:
+            theta = window_theta(b, root, root.rho.prec)
+        except DomainError:
+            return None
+        return theta if theta.is_positive() else None
 
-    root, theta = _refined(b, 0, prec, theta_of,
-                           lambda theta: theta.width / theta.lo < rel)
+    root, theta = _refined(b, 0, prec, theta_of, lambda theta: theta is not None
+                           and theta.width / theta.lo < rel)
     pi_over_theta = pi_interval(root.rho.prec) / theta
     modulus = root.modulus()
     threshold = iexp(-ilog(modulus) * c_lo) * 9 / theta

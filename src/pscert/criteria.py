@@ -7,11 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import GcdNotOne, VerificationFailed
-from .exactnum import UnityRoot, unity_sum_is_zero
+from .unipoly import ExactPoly, ZZ
 
 
 @dataclass(frozen=True)
@@ -128,6 +129,72 @@ def _unity_rule(q: int, a: int, b: int) -> bool:
     the inequality: a = 2^e a', b = 2^e b' with a', b' odd, so 2^(e+1)
     divides b - a."""
     return nu(q, a) == nu(q, b) < nu(q, abs(b - a))
+
+
+# -- exact roots of unity -----------------------------------------------------
+
+
+class UnityRoot:
+    """The exact root of unity e^{2*pi*i*j/k}, stored as a reduced fraction j/k."""
+
+    __slots__ = ("order", "exponent")
+
+    def __init__(self, order: int, exponent: int):
+        if order <= 0:
+            raise ValueError("order must be positive")
+        exponent %= order
+        g = math.gcd(exponent, order) if exponent else order
+        self.order = order // g
+        self.exponent = exponent // g
+
+    def __mul__(self, other: "UnityRoot") -> "UnityRoot":
+        k = self.order * other.order // math.gcd(self.order, other.order)
+        e = self.exponent * (k // self.order) + other.exponent * (k // other.order)
+        return UnityRoot(k, e)
+
+    def __pow__(self, n: int) -> "UnityRoot":
+        return UnityRoot(self.order, self.exponent * n)
+
+    def inverse(self) -> "UnityRoot":
+        return UnityRoot(self.order, -self.exponent)
+
+    def __eq__(self, other):
+        return isinstance(other, UnityRoot) and \
+            (self.order, self.exponent) == (other.order, other.exponent)
+
+    def __hash__(self):
+        return hash((self.order, self.exponent))
+
+    def is_one(self) -> bool:
+        return self.exponent == 0
+
+    def __repr__(self):
+        return f"UnityRoot(order={self.order}, exponent={self.exponent})"
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial."""
+    poly = ExactPoly([-1] + [0] * (n - 1) + [1], ZZ)  # x^n - 1
+    for d in range(1, n):
+        if n % d == 0:
+            poly = poly.exact_div(ExactPoly(cyclotomic_coeffs(d), ZZ))
+    return tuple(poly.coeffs)
+
+
+def unity_sum_is_zero(roots: Iterable[UnityRoot]) -> bool:
+    """Decide exactly whether a finite sum of roots of unity vanishes."""
+    roots = list(roots)
+    if not roots:
+        return True
+    lcm = 1
+    for r in roots:
+        lcm = lcm * r.order // math.gcd(lcm, r.order)
+    coeffs = [0] * lcm
+    for r in roots:
+        coeffs[r.exponent * (lcm // r.order) % lcm] += 1
+    phi = ExactPoly(cyclotomic_coeffs(lcm), ZZ)
+    return ExactPoly(coeffs, ZZ).divmod(phi)[1].is_zero()
 
 
 # case -> (q, j): the rule for q decides the case, and the witness is

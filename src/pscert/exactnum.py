@@ -1,21 +1,21 @@
-"""Exact scalars and certified interval arithmetic.
+"""Certified real interval arithmetic over exact dyadic endpoints.
 
-Scalars: arbitrary-size integers (Python int), rationals (fractions.Fraction)
-and exact roots of unity.
+A RealInterval holds two dyadic endpoints, each a pair (m, e) of integers
+for m * 2**e, and its own precision.  Every operation rounds each endpoint
+correctly in its own direction, the lower end down and the upper end up, to
+a dyadic of `prec` bits.  Precision rule: a binary operation runs at the
+largest precision among its interval operands, and an int or Fraction
+operand is rounded outward at that precision; a unary function runs at its
+operand's precision; pi_interval takes the precision as an argument;
+constructors default to DEFAULT_PREC (64 bits), round Fraction endpoints and
+keep int endpoints exact.  Callers escalate by relabelling with at_prec, up
+to the fixed cap MAX_PREC (16384 bits).  There is no global state but caches
+of pi and log 2, and no dependency but the standard library: only icos and
+isin borrow mpmath's.
 
-Intervals: a RealInterval holds two dyadic endpoints, each a pair (m, e) of
-integers for m * 2**e, and its own precision.  Every operation rounds each
-endpoint correctly in its own direction, the lower end down and the upper
-end up, to a dyadic of `prec` bits.  Precision rule: a binary operation runs
-at the largest precision among its interval operands, and an int or
-Fraction operand is rounded outward at that precision; a unary function
-runs at its operand's precision; pi_interval takes the precision as an
-argument; constructors default to DEFAULT_PREC (64 bits), round Fraction
-endpoints and keep int endpoints exact.  Callers escalate by relabelling
-with at_prec, up to the fixed cap MAX_PREC (16384 bits).  There is no
-global state but caches of pi and log 2, and no dependency but the standard
-library: only icos and isin borrow mpmath's.  ComplexBox is a pair of
-RealIntervals.
+No certifying path takes icos, isin or nearest_integer_distance.  They stay
+because the tests use them as oracles (of the segment-root signs and of the
+window scan) and the benchmark's probes look them up here by name.
 """
 
 from __future__ import annotations
@@ -23,10 +23,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .errors import AmbiguousEnclosure, DomainError
-from .unipoly import ExactPoly, ZZ
 
 DEFAULT_PREC = 64
 MAX_PREC = 16384
@@ -468,8 +466,7 @@ def isin(x) -> RealInterval:
 
 
 def _via_mpmath(fn, x: RealInterval) -> RealInterval:
-    """icos and isin serve the tests, as an oracle, and the benchmark's
-    counts; no certifying path takes them, and so none takes mpmath."""
+    """mpmath's interval function fn on x, at x's precision."""
     # a raw mpf is (sign, |m|, e, bits) with m odd, or all zeros for 0
     raw = [(int(m < 0), abs(m), e, abs(m).bit_length()) for m, e in
            (x._lo, x._hi)]
@@ -490,132 +487,3 @@ def nearest_integer_distance(x: RealInterval) -> RealInterval:
     has_half = math.floor(hi - half) >= math.ceil(lo - half)
     return RealInterval(0 if math.floor(hi) >= math.ceil(lo) else min(ends),
                         half if has_half else max(ends), prec=x.prec)
-
-
-class ComplexBox:
-    """Rectangular enclosure of a complex number: re x im."""
-
-    __slots__ = ("re", "im")
-
-    def __init__(self, re, im):
-        self.re = _coerce(re)
-        self.im = _coerce(im)
-
-    def conj(self) -> "ComplexBox":
-        return ComplexBox(self.re, -self.im)
-
-    def __add__(self, other):
-        other = _coerce_box(other)
-        return ComplexBox(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        other = _coerce_box(other)
-        return ComplexBox(self.re * other.re - self.im * other.im,
-                          self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = _coerce_box(other)
-        den = other.re ** 2 + other.im ** 2
-        if den.contains_zero():
-            raise DomainError("division by a box containing zero")
-        return ComplexBox((self.re * other.re + self.im * other.im) / den,
-                          (self.im * other.re - self.re * other.im) / den)
-
-    def __rtruediv__(self, other):
-        return _coerce_box(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return 1 / (self ** (-k))
-        result = ComplexBox(1, 0)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def contains_zero(self) -> bool:
-        return self.re.contains_zero() and self.im.contains_zero()
-
-    def __repr__(self):
-        return f"ComplexBox({self.re!r}, {self.im!r})"
-
-
-def _coerce_box(x) -> ComplexBox:
-    if isinstance(x, ComplexBox):
-        return x
-    if isinstance(x, RealInterval):
-        return ComplexBox(x, RealInterval(0, 0, prec=x.prec))
-    return ComplexBox(RealInterval(x), RealInterval(0))
-
-
-# -- exact roots of unity -----------------------------------------------------
-
-
-class UnityRoot:
-    """The exact root of unity e^{2*pi*i*j/k}, stored as a reduced fraction j/k."""
-
-    __slots__ = ("order", "exponent")
-
-    def __init__(self, order: int, exponent: int):
-        if order <= 0:
-            raise ValueError("order must be positive")
-        exponent %= order
-        g = math.gcd(exponent, order) if exponent else order
-        self.order = order // g
-        self.exponent = exponent // g
-
-    def __mul__(self, other: "UnityRoot") -> "UnityRoot":
-        k = self.order * other.order // math.gcd(self.order, other.order)
-        e = self.exponent * (k // self.order) + other.exponent * (k // other.order)
-        return UnityRoot(k, e)
-
-    def __pow__(self, n: int) -> "UnityRoot":
-        return UnityRoot(self.order, self.exponent * n)
-
-    def inverse(self) -> "UnityRoot":
-        return UnityRoot(self.order, -self.exponent)
-
-    def __eq__(self, other):
-        return isinstance(other, UnityRoot) and \
-            (self.order, self.exponent) == (other.order, other.exponent)
-
-    def __hash__(self):
-        return hash((self.order, self.exponent))
-
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def __repr__(self):
-        return f"UnityRoot(order={self.order}, exponent={self.exponent})"
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_coeffs(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial."""
-    poly = ExactPoly([-1] + [0] * (n - 1) + [1], ZZ)  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            poly = poly.exact_div(ExactPoly(cyclotomic_coeffs(d), ZZ))
-    return tuple(poly.coeffs)
-
-
-def unity_sum_is_zero(roots: Iterable[UnityRoot]) -> bool:
-    """Decide exactly whether a finite sum of roots of unity vanishes."""
-    roots = list(roots)
-    if not roots:
-        return True
-    lcm = 1
-    for r in roots:
-        lcm = lcm * r.order // math.gcd(lcm, r.order)
-    coeffs = [0] * lcm
-    for r in roots:
-        coeffs[r.exponent * (lcm // r.order) % lcm] += 1
-    phi = ExactPoly(cyclotomic_coeffs(lcm), ZZ)
-    return ExactPoly(coeffs, ZZ).divmod(phi)[1].is_zero()

@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 
 from .analytic import (bound_14_9, c_small_threshold, close_window,
                        general_bounds, lmn3_c_max, max_modulus)
-from .errors import PrecisionExhausted
+from .errors import DomainError, PrecisionExhausted
 from .exactnum import RealInterval, isqrt, require_prec
 from .powersum import build_pq, pair_zset, regseq3_mod_p, regseq3_rational
 from .unipoly import certify_irreducible
@@ -321,7 +321,9 @@ def replay_certificate(cert_dict: dict) -> dict:
     `_run_instance` (a sweep's error certificate from inputs["instance"]);
     a1-pipeline and general-bounds at their first precision_trace entry's
     precision (128 if none).  Missing or rejected inputs give the diffs
-    ["inputs"], and an unknown kind the diff "unknown kind <kind>"."""
+    ["inputs"], among them a general-bounds r whose endpoints are out of
+    order or whose log is undefined, and an unknown kind the diff "unknown
+    kind <kind>"."""
     kind, inputs = cert_dict.get("kind"), cert_dict.get("inputs")
     try:
         prec = (cert_dict.get("precision_trace") or [{"prec": 128}])[0]["prec"]
@@ -338,7 +340,7 @@ def replay_certificate(cert_dict: dict) -> dict:
                                         inputs["b"], r, prec=prec).as_dict()
         else:
             return {"match": False, "diffs": [f"unknown kind {kind}"]}
-    except (KeyError, TypeError, ValueError):
+    except (DomainError, KeyError, TypeError, ValueError):
         return {"match": False, "diffs": ["inputs"]}
     # canonical JSON so tuple/list round-trips compare equal
     diffs = [key for key in sorted(fd.keys() | cert_dict.keys())

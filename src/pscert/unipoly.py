@@ -307,15 +307,6 @@ class ExactPoly:
             return self
         return ExactPoly([a // c for a in self.coeffs], ZZ)
 
-    def shift_compose_negate(self) -> "ExactPoly":
-        """p(-1 - x), used for the power-sum constructions."""
-        # compose with (-1 - x) by Horner
-        res = ExactPoly.zero(self.ring)
-        arg = ExactPoly([-_one(self.ring), -_one(self.ring)], self.ring)
-        for c in reversed(self.coeffs):
-            res = res * arg + ExactPoly([c], self.ring)
-        return res
-
 
 def _rational_to_primitive(f: ExactPoly) -> ExactPoly:
     """Primitive integer polynomial proportional to f (positive leading coeff)."""

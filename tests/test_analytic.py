@@ -9,6 +9,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import iv
 from mpmath.libmp import libmpi
 
 from pscert import analytic, exactnum, pipeline
@@ -19,8 +20,8 @@ from pscert.analytic import (BoundReport, _rho_bracket, _sample_points,
                              lmn3_c_max, max_modulus, window_theta)
 from pscert.errors import (AmbiguousEnclosure, DomainError,
                            PrecisionExhausted, VerificationFailed)
-from pscert.exactnum import (ComplexBox, RealInterval, icos, ilog, isin,
-                             isqrt, nearest_integer_distance, pi_interval)
+from pscert.exactnum import (RealInterval, icos, ilog, isin, isqrt,
+                             nearest_integer_distance, pi_interval)
 from pscert.pipeline import certify_a1, certify_general_bounds
 from pscert.powersum import build_pq
 from pscert.unipoly import ZZ, ExactPoly
@@ -42,20 +43,40 @@ def _sign_s(u: Fraction, n: int, prec: int = 64) -> int:
         prec *= 2
 
 
-def eval_p_on_box(n: int, box: ComplexBox) -> ComplexBox:
-    """Interval evaluation of P_n on a complex box (Horner)."""
-    acc = ComplexBox(0, 0)
-    for c in reversed(build_pq(n).P.coeffs):
-        acc = acc * box + ComplexBox(int(c), 0)
-    return acc
+def alpha_box(root):
+    """alpha = -1/2 + i t as an mpmath interval box at the current iv.prec,
+    built outward from the exact endpoints of root.t."""
+    lo, hi = (iv.mpf(q.numerator) / q.denominator
+              for q in (root.t.lo, root.t.hi))
+    return iv.mpc(-0.5, iv.mpf([lo.a, hi.b]))
 
 
-def eval_q_on_box(n: int, box: ComplexBox) -> ComplexBox:
-    coeffs = build_pq(n).Q.coeffs
-    acc = ComplexBox(0, 0)
+def eval_on_box(coeffs, box):
+    """Interval evaluation of an integer polynomial on a box (Horner)."""
+    acc = iv.mpc(0)
     for c in reversed(coeffs):
-        acc = acc * box + ComplexBox(Fraction(c), 0)
+        acc = acc * box + int(c)
     return acc
+
+
+def eval_p_on_box(n: int, box):
+    return eval_on_box(build_pq(n).P.coeffs, box)
+
+
+def eval_q_on_box(n: int, box):
+    return eval_on_box(build_pq(n).Q.coeffs, box)
+
+
+def box_contains_zero(box) -> bool:
+    return 0 in box.real and 0 in box.imag
+
+
+@pytest.fixture
+def iv_prec():
+    """Set mpmath's interval precision for one test, and restore it."""
+    saved = iv.prec
+    yield lambda bits: setattr(iv, "prec", bits)
+    iv.prec = saved
 
 
 class TestIsolation:
@@ -75,25 +96,28 @@ class TestIsolation:
         t_ref = Fraction(2513228157188, 10 ** 12)
         assert abs(root.t.mid - t_ref) < Fraction(1, 10 ** 9)
 
-    def test_root_certification(self):
+    def test_root_certification(self, iv_prec):
+        iv_prec(192)
         for n in range(6, 61):
             if build_pq(n).Q.degree == 0:
                 continue
             for root in isolate_segment_roots(n):
-                val = eval_p_on_box(n, root.alpha(192))
-                assert val.contains_zero(), n
+                val = eval_p_on_box(n, alpha_box(root))
+                assert box_contains_zero(val), n
 
-    def test_orbit_closure(self):
+    def test_orbit_closure(self, iv_prec):
+        iv_prec(128)
         for n in (8, 12, 18, 24, 30):
             for root in isolate_segment_roots(n):
-                alpha = root.alpha(128)
-                conj = alpha.conj()
+                alpha = alpha_box(root)
+                conj = iv.mpc(alpha.real, -alpha.imag)
                 orbit = {"alpha": alpha, "conj": conj,
                          "conj_over_alpha": conj / alpha,
                          "alpha_over_conj": alpha / conj,
                          "inv_alpha": 1 / alpha, "inv_conj": 1 / conj}
                 for name, box in orbit.items():
-                    assert eval_q_on_box(n, box).contains_zero(), (n, name)
+                    assert box_contains_zero(eval_q_on_box(n, box)), \
+                        (n, name)
 
     def test_refinement(self):
         (root,) = isolate_segment_roots(8)
@@ -770,14 +794,35 @@ class TestCloseWindow:
         with pytest.raises(PrecisionExhausted, match="precision cap at n=8"):
             close_window(8, 1, 10 ** 40, prec=128)
 
-    def test_theta_touching_zero_is_a_domain_error(self, monkeypatch):
+    def test_theta_touching_zero_escalates_to_the_cap(self, monkeypatch):
+        # an enclosure not above 0 is undecided, not an error: the bits
+        # double until the cap
+        monkeypatch.setattr(exactnum, "MAX_PREC", 1024)
         for theta in (RealInterval(0, Fraction(1, 10), prec=256),
                       RealInterval(Fraction(-1, 10), Fraction(-1, 20),
                                    prec=256)):
-            monkeypatch.setattr(analytic, "window_theta",
-                                lambda b, zeta, prec, theta=theta: theta)
-            with pytest.raises(DomainError):
+            precs = []
+            monkeypatch.setattr(
+                analytic, "window_theta",
+                lambda b, zeta, prec, theta=theta: precs.append(prec) or theta)
+            with pytest.raises(PrecisionExhausted, match="precision cap"):
                 close_window(8, 2920, 4947180)
+            assert precs == [256, 512, 1024]
+
+    @pytest.mark.parametrize("prec", range(1, 9))
+    def test_undecided_theta_at_low_bits_escalates(self, prec):
+        # at 1 to 3 bits window_theta raises DomainError (a divisor holding
+        # 0, or a real part not certified positive); close_window doubles
+        # the bits instead, to the answer every higher start gives
+        rep = close_window(6, 84, 2536354, prec=prec)
+        assert rep.verdict == "Satisfied"
+        assert rep.details["m_count"] == 15000
+
+    def test_window_theta_undecided_at_one_bit(self):
+        root = analytic._refined(6, 0, 64, lambda root: None,
+                                 lambda value: True)[0]
+        with pytest.raises(DomainError):
+            window_theta(6, root, 1)
 
 
 def _scan_case(k, m, a_lo, a_hi, span=1, limit=0):

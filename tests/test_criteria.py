@@ -3,11 +3,11 @@ existence predicates with their exhaustive oracle."""
 
 import pytest
 
-from pscert.criteria import (ExponentSet, conjecture4_conditions,
+from pscert.criteria import (ExponentSet, UnityRoot, conjecture4_conditions,
                              factorial_divisibility, normal4, nu,
-                             roots_of_unity_bruteforce, roots_of_unity_case)
+                             roots_of_unity_bruteforce, roots_of_unity_case,
+                             unity_sum_is_zero)
 from pscert.errors import GcdNotOne
-from pscert.exactnum import UnityRoot, unity_sum_is_zero
 
 
 class TestValuation:

@@ -1,4 +1,5 @@
-"""Interval kernel, exact root-of-unity arithmetic, and enclosure policies.
+"""Interval kernel and enclosure policies, and the exact root-of-unity
+arithmetic of `criteria`.
 
 mpmath, like sympy, serves here as an oracle only: the correct-rounding
 properties compare each endpoint with a Ziv loop over mpmath's values."""
@@ -20,11 +21,10 @@ from mpmath.libmp import (from_man_exp, mpf_atan2, mpf_exp, mpf_log, mpf_pi,
                           mpf_sqrt, to_rational)
 
 from pscert import exactnum
+from pscert.criteria import UnityRoot, cyclotomic_coeffs, unity_sum_is_zero
 from pscert.errors import AmbiguousEnclosure, DomainError
-from pscert.exactnum import (ComplexBox, RealInterval, UnityRoot,
-                             cyclotomic_coeffs, iatan2, icos, iexp,
-                             ilog, isin, isqrt, nearest_integer_distance,
-                             pi_interval, unity_sum_is_zero)
+from pscert.exactnum import (RealInterval, iatan2, icos, iexp, ilog, isin,
+                             isqrt, nearest_integer_distance, pi_interval)
 
 rationals = st.fractions(min_value=-100, max_value=100,
                          max_denominator=10 ** 6)
@@ -452,27 +452,6 @@ class TestNearestIntegerDistance:
         d = nearest_integer_distance(RealInterval(q, q))
         true = min(q - math.floor(q), math.ceil(q) - q)
         assert d.lo <= true <= d.hi
-
-
-class TestComplexBox:
-    def test_mul_matches_components(self):
-        z = ComplexBox(Fraction(1, 2), Fraction(1, 3))
-        w = z * z
-        assert w.re.contains(Fraction(1, 4) - Fraction(1, 9))
-        assert w.im.contains(Fraction(1, 3))
-
-    def test_inverse_roundtrip(self):
-        z = ComplexBox(Fraction(3), Fraction(-4))
-        back = (1 / z) * z
-        assert back.re.contains(Fraction(1))
-        assert back.im.contains(Fraction(0))
-
-    def test_pow_negative(self):
-        z = ComplexBox(Fraction(1), Fraction(1))
-        w = z ** -2
-        # (1+i)^-2 = -i/2
-        assert w.re.contains(Fraction(0))
-        assert w.im.contains(Fraction(-1, 2))
 
 
 class TestUnityRoot:

@@ -528,6 +528,17 @@ class TestReplay:
         d["inputs"]["parity"] = "odd"
         assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
 
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(lo=r["hi"], hi=r["lo"]),  # endpoints out of order
+        lambda r: r.update(lo=dyadic_hex(Fraction(-1))),  # log undefined
+    ])
+    def test_rejected_r_is_an_inputs_diff(self, edit):
+        r = RealInterval(Fraction(21, 20), Fraction(11, 10), prec=128)
+        d = json.loads(certify_general_bounds(2, "other", 7, r, prec=128)
+                       .json_bytes())
+        edit(d["inputs"]["r"])
+        assert replay_certificate(d) == {"match": False, "diffs": ["inputs"]}
+
     def test_unknown_kind(self):
         d = json.loads(certify_pair(6, 10).json_bytes())
         d["kind"] = "quadruple"

@@ -28,10 +28,13 @@ class TestBuild:
         assert build_p(3) == ExactPoly([0, -3, -3], ZZ)
 
     def test_symmetry(self):
-        # P_n(z) = P_n(-1-z) for all n
+        # P_n(z) = P_n(-1-z) for all n: both sides have degree at most n,
+        # so agreement at more than n integer points is identity
         for n in range(2, 20):
             p = build_p(n)
-            assert p.shift_compose_negate() == p
+            assert p.degree <= n
+            for z in range(-n - 1, n + 1):
+                assert p(-1 - z) == p(z), (n, z)
 
     def test_decomposition_exact(self):
         for n in range(2, 61):
@@ -468,6 +471,34 @@ class TestRegSeq3ModP:
         assert len(recs) == 1136
         digest = hashlib.sha256(repr(recs).encode()).hexdigest()
         assert digest == self.GRID_DIGEST
+
+    @staticmethod
+    def specialization_violations(sum_max: int, primes) -> tuple[int, list]:
+        """(checks, violations) of the specialization gate over the gcd-1
+        triples a < b < c with a + b + c <= sum_max, at each prime not
+        dividing abc.  A common projective zero over Q-bar reduces to one
+        over F_p-bar, so a rational "NotRegular" gives a mod-p "NotRegular";
+        equally, a mod-p "Regular" gives a rational "Regular"."""
+        checks, violations = 0, []
+        for a in range(1, sum_max):
+            for b in range(a + 1, sum_max):
+                for c in range(b + 1, sum_max - a - b + 1):
+                    if math.gcd(a, b, c) != 1:
+                        continue
+                    rational = regseq3_rational(a, b, c).verdict
+                    for p in primes:
+                        if a * b * c % p:
+                            checks += 1
+                            mod_p = regseq3_mod_p(a, b, c, p).verdict
+                            if rational == "NotRegular" and mod_p == "Regular":
+                                violations.append((a, b, c, p))
+        return checks, violations
+
+    def test_specialization_gate(self):
+        checks, violations = self.specialization_violations(
+            30, (3, 10007, 1000003))
+        assert checks == 1182
+        assert violations == []
 
     @pytest.mark.parametrize("a, b, c, p", [
         (3, 4, 5, 7), (2, 3, 5, 11), (2, 5, 7, 13), (2, 3, 7, 5),

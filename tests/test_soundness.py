@@ -90,6 +90,21 @@ def test_package_imports_mpmath_only_for_trigonometry():
     assert not found, f"mpmath or random imported by the package: {found}"
 
 
+def test_exactnum_imports_only_errors_from_the_package():
+    # the interval core stands alone: a checker can take exactnum and
+    # errors without the polynomial layers
+    tree = ast.parse((SRC / "pscert" / "exactnum.py").read_text())
+    package = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pscert"):
+            package.append((node.level, node.module))
+        elif isinstance(node, ast.Import):
+            package += [(0, alias.name) for alias in node.names
+                        if alias.name.split(".")[0] == "pscert"]
+    assert package == [(1, "errors")]
+
+
 def test_precision_cap_read_once_in_analytic():
     # every escalation in analytic runs through _escalate, the only place
     # that compares with the cap

@@ -208,10 +208,6 @@ class TestArithmetic:
         f = ExactPoly([1, -2, 1], ZZ)  # (x-1)^2
         assert f(1) == 0 and f(3) == 4
 
-    def test_shift_compose_negate(self):
-        f = ExactPoly([0, 1], ZZ)  # x -> -1-x
-        assert f.shift_compose_negate() == ExactPoly([-1, -1], ZZ)
-
     def test_primitive_part(self):
         f = ExactPoly([Fraction(2, 3), Fraction(4, 3)], QQ)
         assert f.primitive_part() == ExactPoly([1, 2], ZZ)

@@ -1,5 +1,6 @@
 """Certified root isolation on the canonical segment and the bound family."""
 
+import contextlib
 import math
 import random
 import signal
@@ -71,12 +72,14 @@ def box_contains_zero(box) -> bool:
     return 0 in box.real and 0 in box.imag
 
 
-@pytest.fixture
-def iv_prec():
-    """Set mpmath's interval precision for one test, and restore it."""
-    saved = iv.prec
-    yield lambda bits: setattr(iv, "prec", bits)
-    iv.prec = saved
+@contextlib.contextmanager
+def iv_prec(bits: int):
+    """mpmath's interval precision set to `bits`, and restored after."""
+    saved, iv.prec = iv.prec, bits
+    try:
+        yield
+    finally:
+        iv.prec = saved
 
 
 class TestIsolation:
@@ -96,8 +99,8 @@ class TestIsolation:
         t_ref = Fraction(2513228157188, 10 ** 12)
         assert abs(root.t.mid - t_ref) < Fraction(1, 10 ** 9)
 
-    def test_root_certification(self, iv_prec):
-        iv_prec(192)
+    @iv_prec(192)
+    def test_root_certification(self):
         for n in range(6, 61):
             if build_pq(n).Q.degree == 0:
                 continue
@@ -105,8 +108,8 @@ class TestIsolation:
                 val = eval_p_on_box(n, alpha_box(root))
                 assert box_contains_zero(val), n
 
-    def test_orbit_closure(self, iv_prec):
-        iv_prec(128)
+    @iv_prec(128)
+    def test_orbit_closure(self):
         for n in (8, 12, 18, 24, 30):
             for root in isolate_segment_roots(n):
                 alpha = alpha_box(root)
@@ -819,8 +822,7 @@ class TestCloseWindow:
         assert rep.details["m_count"] == 15000
 
     def test_window_theta_undecided_at_one_bit(self):
-        root = analytic._refined(6, 0, 64, lambda root: None,
-                                 lambda value: True)[0]
+        root = isolate_segment_roots(6)[-1]  # the top root, largest t
         with pytest.raises(DomainError):
             window_theta(6, root, 1)
 
